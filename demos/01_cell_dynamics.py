@@ -7,7 +7,7 @@ update probability and the realized update rate react to each.
 
 import numpy as np
 
-from szlstm import ModelParams, RecurrentState, RngState, forward_step, one_hot
+from szlstm import ModelParams, RecurrentState, RngState, forward_step
 from szlstm.optim import xavier_init
 
 VOCAB = 16
@@ -28,12 +28,11 @@ mask_rng = RngState(7).fork(3)
 
 print(f"{'step':>5} {'phase':>10} {'mean z':>8} {'updates':>8} {'surprisal':>10}")
 for t in range(len(stream) - 1):
-    x = one_hot(stream[t: t + 1], VOCAB, dtype=np.float32)
-    state, cache, _ = forward_step(state, x, params, rng=mask_rng,
+    state, cache, _ = forward_step(state, stream[t: t + 1], params, rng=mask_rng,
                                    target=stream[t + 1: t + 2])
     if t % 25 == 0:
         phase = "repeat" if t < len(repetitive) else "noise"
-        surprisal = float(-cache.s.sum())
+        surprisal = float(-cache.s_val.sum())
         print(f"{t:>5} {phase:>10} {float(cache.z.mean()):>8.3f} "
               f"{float(cache.mask.mean()):>8.3f} {surprisal:>10.3f}")
 

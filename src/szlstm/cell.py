@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import matmul, sample_bernoulli, sigmoid, softmax_rows
+from .numerics import NumericalError, matmul, one_hot, sample_bernoulli, sigmoid, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 
@@ -157,9 +157,8 @@ class RecurrentState:
 class StepCache:
     """Everything one forward step computed that the backward step consumes."""
 
-    x: np.ndarray       # one-hot inputs, B x M
-    s: np.ndarray       # surprisal vector, B x M
-    err: np.ndarray     # previous prediction error, B x M
+    x_idx: np.ndarray   # current symbol indices, B
+    s_val: np.ndarray   # surprisal: log p_prev of each row's symbol, B
     z: np.ndarray       # per-cell update probability, B x N
     mask: np.ndarray    # update mask (binary when sampled), B x N
     f: np.ndarray
@@ -214,12 +213,16 @@ class FrozenStep:
     """External overrides for one step's surprisal, rate and mask.
 
     Used by the gradient-check harness (which must hold these constant while
-    parameters are perturbed) and by tests that force specific masks.
+    parameters are perturbed) and by tests that force specific masks. s is
+    the per-row surprisal scalar (B,), like StepCache.s_val.
     """
 
     s: np.ndarray = None
     z: np.ndarray = None
     mask: np.ndarray = None
+
+
+_NO_OVERRIDES = FrozenStep()
 
 
 @dataclass
@@ -249,28 +252,32 @@ def fuse_gate_weights(params):
     )
 
 
-def surprisal_vector(p_prev, x):
-    """Masked log-probability of the symbol that actually arrived.
+def surprisal_vector(p_prev, x_idx):
+    """Log-probability the previous prediction gave each row's arriving symbol.
 
-    Zero everywhere except at each row's one-hot index, where it holds
-    log p_prev of that symbol (nonpositive: 0 means the previous step was
-    certain and right).
+    One nonpositive value per row (0 means the previous step was certain
+    and right). A zero probability has no finite surprisal: it means the
+    model's outputs underflowed, which is a numerical failure.
     """
-    rows = np.arange(x.shape[0])
-    idx = np.argmax(x, axis=1)
-    p_target = p_prev[rows, idx]
-    if np.any(p_target <= 0.0):
-        raise ValueError("previous prediction assigns zero probability to an observed symbol")
-    s = np.zeros_like(p_prev)
-    s[rows, idx] = np.log(p_target)
-    return s
+    p_target = p_prev[np.arange(x_idx.shape[0]), x_idx]
+    # one reduction with np.any(p_target <= 0.0)'s answer; NaN passes both
+    if p_target.min() <= 0.0:
+        raise NumericalError(
+            "previous prediction assigns zero probability to an observed symbol"
+        )
+    return np.log(p_target)
 
 
-def prediction_error(p_prev, x):
-    """Previous prediction minus the one-hot symbol that arrived; rows sum to 0."""
-    if p_prev.shape != x.shape:
-        raise ValueError(f"prediction_error shape mismatch: {p_prev.shape} vs {x.shape}")
-    return p_prev - x
+def prediction_error(p_prev, x_idx):
+    """Previous prediction minus the one-hot row of the symbol that arrived.
+
+    Rows sum to 0; x_idx holds one symbol index per row of p_prev.
+    """
+    if x_idx.shape != p_prev.shape[:1]:
+        raise ValueError(f"prediction_error shape mismatch: {p_prev.shape} vs {x_idx.shape}")
+    err = p_prev.copy()
+    err[np.arange(x_idx.shape[0]), x_idx] -= 1
+    return err
 
 
 def zoneout_rate(err, W_y, tau):
@@ -295,27 +302,17 @@ def _activate_gates(a, n):
     return sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], u
 
 
-def gate_forward(x, h_prev, s, params, fused=None):
-    """Gate activations from input, previous hidden state and surprisal.
+def gate_forward(x_idx, s_val, h_prev, fused):
+    """Gate activations from input symbols, previous hidden state and surprisal.
 
-    All variants run the same expression; the standard variant simply keeps
-    its surprisal weights at zero.
+    The one-hot input row and the single-entry surprisal row turn their
+    matmuls into row gathers of the fused weights. All variants run the same
+    expression; the standard variant simply keeps its surprisal weights at
+    zero.
     """
-    if fused is None:
-        fused = fuse_gate_weights(params)
-    a = matmul(x, fused.WgT) + matmul(h_prev, fused.UgT) + matmul(s, fused.VgT) + fused.bg
-    return _activate_gates(a, h_prev.shape[1])
-
-
-def _gate_forward_onehot(x_idx, s, s_val, h_prev, fused):
-    # one-hot input and single-entry surprisal rows turn two matmuls into
-    # row gathers; bitwise identical to the dense expression for such rows
     a = fused.WgT[x_idx]
     a += matmul(h_prev, fused.UgT)
-    if s_val is None:
-        a += matmul(s, fused.VgT)
-    else:
-        a += fused.VgT[x_idx] * s_val[:, None]
+    a += fused.VgT[x_idx] * s_val[:, None]
     a += fused.bg
     return _activate_gates(a, h_prev.shape[1])
 
@@ -324,8 +321,11 @@ def cell_update(c_prev, f, i, u, mask):
     """Erase-and-write update gated by the mask; mask 0 copies the cell through.
 
     f scales how much of the old content is erased when an update fires, so a
-    masked-out step is a bit-exact NOP on the cell.
+    masked-out step is a bit-exact NOP on the cell. mask None means every
+    cell updates; dropping the products with an all-ones mask is bit-exact.
     """
+    if mask is None:
+        return (1.0 - f) * c_prev + i * u
     return (1.0 - f * mask) * c_prev + mask * (i * u)
 
 
@@ -341,67 +341,55 @@ def project_outputs(h, params):
     return y, softmax_rows(y)
 
 
-def _update_probability(state, err, params, frozen):
-    if frozen is not None and frozen.z is not None:
-        return frozen.z
+def _update_probability(state, x_idx, params):
     if params.variant == "adaptive":
-        return zoneout_rate(err, params.W_y, params.tau)
+        return zoneout_rate(prediction_error(state.p_prev, x_idx), params.W_y, params.tau)
     if params.variant == "fixed_zoneout":
         return np.full_like(state.c, params.zoneout_rate)
     # standard / sf: every cell updates every step
     return np.ones_like(state.c)
 
 
-def forward_step(state, x, params, rng=None, mask_mode="sampled", target=None,
-                 frozen=None, fused=None, x_idx=None):
+def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=None,
+                 frozen=None, fused=None):
     """One full step of the cell; returns (new_state, cache, loss_nats).
 
-    x holds one-hot rows for the current symbol (x_idx, when the caller
-    already has the indices, skips the argmax). mask_mode "sampled" draws a
-    binary update mask; "expected" substitutes the update probability itself
-    (the evaluation convention). target, when given, is the index row of the
-    next symbol, and loss_nats is the batch-mean cross entropy against it;
-    otherwise loss_nats is None. frozen overrides individual intermediate
-    quantities, see FrozenStep.
+    x_idx is the index row (B,) of the current symbols. mask_mode "sampled"
+    draws a binary update mask; "expected" substitutes the update
+    probability itself (the evaluation convention). target, when given, is
+    the index row of the next symbol, and loss_nats is the batch-mean cross
+    entropy against it; otherwise loss_nats is None. frozen overrides
+    individual intermediate quantities, see FrozenStep.
     """
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     if fused is None:
         fused = fuse_gate_weights(params)
-    if x_idx is None:
-        x_idx = np.argmax(x, axis=1)
-    rows = np.arange(x.shape[0])
-    if frozen is not None and frozen.s is not None:
-        s = frozen.s
-        s_val = None
-    else:
-        p_target = state.p_prev[rows, x_idx]
-        if np.any(p_target <= 0.0):
-            raise ValueError(
-                "previous prediction assigns zero probability to an observed symbol"
-            )
-        s_val = np.log(p_target)
-        s = np.zeros_like(state.p_prev)
-        s[rows, x_idx] = s_val
-    f, i, o, u = _gate_forward_onehot(x_idx, s, s_val, state.h, fused)
-    err = prediction_error(state.p_prev, x)
-    z = _update_probability(state, err, params, frozen)
-    if frozen is not None and frozen.mask is not None:
-        mask = frozen.mask
-    elif params.variant in ("standard", "sf") or mask_mode == "expected":
-        mask = z
-    else:
-        mask = sample_update_mask(z, rng)
-    c = cell_update(state.c, f, i, u, mask)
+    if frozen is None:
+        frozen = _NO_OVERRIDES
+    s_val = frozen.s
+    if s_val is None:
+        s_val = surprisal_vector(state.p_prev, x_idx)
+    f, i, o, u = gate_forward(x_idx, s_val, state.h, fused)
+    full = params.variant in ("standard", "sf")
+    z, mask = frozen.z, frozen.mask
+    every_cell = full and z is None and mask is None
+    if z is None:
+        z = _update_probability(state, x_idx, params)
+    if mask is None:
+        mask = z if full or mask_mode == "expected" else sample_update_mask(z, rng)
+    c = cell_update(state.c, f, i, u, None if every_cell else mask)
     c_hat, h = hidden_from_cell(c, o)
     y = matmul(h, fused.WyT) + params.b_y
     p = softmax_rows(y)
     loss = None
     if target is not None:
-        loss = float(-np.log(p[rows, target]).mean())
-    cache = StepCache(x=x, s=s, err=err, z=z, mask=mask, f=f, i=i, o=o, u=u,
-                      h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat, h=h,
-                      y=y, p=p)
+        # sum / B is np.mean's own reduction and division, without its overhead
+        nll = -np.log(p[np.arange(target.shape[0]), target])
+        loss = float(nll.sum() / nll.shape[0])
+    cache = StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
+                      u=u, h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat,
+                      h=h, y=y, p=p)
     return RecurrentState(c=c, h=h, p_prev=p), cache, loss
 
 
@@ -413,7 +401,7 @@ def cross_entropy_bpc(loss_nats):
 def _backward_core(cache, params, d_h_next, d_c_next, target, fused):
     """Sequential part of one backward step: loss gradient, gate chain,
     carry to the previous step. Parameter accumulation happens outside."""
-    batch = cache.x.shape[0]
+    batch = cache.p.shape[0]
     rows = np.arange(batch)
 
     d_y = cache.p / batch
@@ -458,26 +446,16 @@ def backward_step(cache, params, d_h_next, d_c_next, target, grads, fused=None):
     cross-entropy gradient (p - onehot) / B enters here, on top of whatever
     d_h_next / d_c_next arrived from later steps. Returns (d_h_prev,
     d_c_prev). The surprisal vector and the update mask are constants, so
-    nothing flows into the previous prediction or through the mask.
+    nothing flows into the previous prediction or through the mask. This is
+    backward_window over a one-step window.
     """
     if d_h_next.shape != cache.h.shape or d_c_next.shape != cache.c.shape:
         raise ValueError(
             f"backward_step shape mismatch: got {d_h_next.shape}/{d_c_next.shape}, "
             f"expected {cache.h.shape}/{cache.c.shape}"
         )
-    if fused is None:
-        fused = fuse_gate_weights(params)
-    n = cache.c.shape[1]
-    d_y, d_a, d_h_prev, d_c_prev = _backward_core(cache, params, d_h_next,
-                                                  d_c_next, target, fused)
-
-    grads["W_y"] += matmul(d_y.T, cache.h)
-    grads["b_y"] += d_y.sum(axis=0)
-    train_v = params.variant != "standard"
-    d_Vg = matmul(d_a.T, cache.s) if train_v else None
-    _scatter_gate_grads(grads, matmul(d_a.T, cache.x), matmul(d_a.T, cache.h_prev),
-                        d_Vg, d_a.sum(axis=0), n, train_v)
-    return d_h_prev, d_c_prev
+    return backward_window([cache], params, [target], grads, fused=fused,
+                           d_h_final=d_h_next, d_c_final=d_c_next)
 
 
 def backward_window(caches, params, targets, grads, fused=None,
@@ -507,13 +485,19 @@ def backward_window(caches, params, targets, grads, fused=None,
     d_a_flat = np.concatenate(d_a_all)
     grads["W_y"] += matmul(d_y_flat.T, np.concatenate([c.h for c in caches]))
     grads["b_y"] += d_y_flat.sum(axis=0)
+    # the window's one-hot and surprisal rows, rebuilt from the cached
+    # indices so the contractions below see the dense rows they always did
+    x_idx = np.concatenate([c.x_idx for c in caches])
+    x = one_hot(x_idx, params.vocab_size, dtype=params.dtype)
     train_v = params.variant != "standard"
     d_Vg = None
     if train_v:
-        d_Vg = matmul(d_a_flat.T, np.concatenate([c.s for c in caches]))
+        s = np.zeros_like(x)
+        s[np.arange(x_idx.shape[0]), x_idx] = np.concatenate([c.s_val for c in caches])
+        d_Vg = matmul(d_a_flat.T, s)
     _scatter_gate_grads(
         grads,
-        matmul(d_a_flat.T, np.concatenate([c.x for c in caches])),
+        matmul(d_a_flat.T, x),
         matmul(d_a_flat.T, np.concatenate([c.h_prev for c in caches])),
         d_Vg,
         d_a_flat.sum(axis=0),

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .cell import VARIANTS, RecurrentState, forward_step, fuse_gate_weights
-from .numerics import NumericalError, RngState, one_hot, softmax_rows
+from .numerics import NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
     STREAM_SAMPLE,
@@ -218,13 +218,11 @@ def cmd_sample(args):
     current = None
     for sym in prompt_idx:
         if current is not None:
-            x = one_hot([current], params.vocab_size, dtype=params.dtype)
-            state, _, _ = forward_step(state, x, params, rng=rng,
+            state, _, _ = forward_step(state, np.array([current]), params, rng=rng,
                                        mask_mode="expected", fused=fused)
         current = int(sym)
     for _ in range(args.length):
-        x = one_hot([current], params.vocab_size, dtype=params.dtype)
-        state, cache, _ = forward_step(state, x, params, rng=rng,
+        state, cache, _ = forward_step(state, np.array([current]), params, rng=rng,
                                        mask_mode="expected", fused=fused)
         p = softmax_rows(cache.y / args.temperature)[0]
         u = float(rng.uniform((1,))[0])

@@ -18,7 +18,7 @@ from .cell import (
     backward_step,
     forward_step,
 )
-from .numerics import NumericalError, RngState, one_hot
+from .numerics import NumericalError, RngState
 from .optim import xavier_init
 
 DEFAULT_EPS = 1e-5
@@ -129,15 +129,14 @@ def _collect_window(params, state0, inputs, targets, rng_mask, mask_mode):
     caches = []
     state = state0.copy()
     for t in range(inputs.shape[0]):
-        x = one_hot(inputs[t], params.vocab_size, dtype=params.dtype)
-        state, cache, _ = forward_step(state, x, params, rng=rng_mask,
+        state, cache, _ = forward_step(state, inputs[t], params, rng=rng_mask,
                                        mask_mode=mask_mode, target=targets[t])
         caches.append(cache)
     return caches
 
 
 def _frozen_from_caches(caches):
-    return [FrozenStep(s=c.s, z=c.z, mask=c.mask) for c in caches]
+    return [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
 
 
 def window_loss(params, state0, inputs, targets, frozen):
@@ -145,8 +144,7 @@ def window_loss(params, state0, inputs, targets, frozen):
     state = state0.copy()
     total = 0.0
     for t in range(inputs.shape[0]):
-        x = one_hot(inputs[t], params.vocab_size, dtype=params.dtype)
-        state, _, loss = forward_step(state, x, params, mask_mode="sampled",
+        state, _, loss = forward_step(state, inputs[t], params, mask_mode="sampled",
                                       target=targets[t], frozen=frozen[t])
         total += loss
     return total
@@ -155,7 +153,7 @@ def window_loss(params, state0, inputs, targets, frozen):
 def analytic_window_gradient(params, caches, targets):
     """Backward sweep over a cached window; returns the accumulated GradientSet."""
     grads = GradientSet.zeros_like(params)
-    batch = caches[0].x.shape[0]
+    batch = caches[0].x_idx.shape[0]
     d_h = np.zeros((batch, params.hidden_size), dtype=params.dtype)
     d_c = np.zeros_like(d_h)
     for t in reversed(range(len(caches))):
@@ -196,7 +194,7 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
     caches = _collect_window(params, state0, inputs, targets, RngState(seed, 100), mask_mode)
     replay = _collect_window(params, state0, inputs, targets, RngState(seed, 100), mask_mode)
     for a, b in zip(caches, replay):
-        if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s, b.s)):
+        if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s_val, b.s_val)):
             raise NumericalError("mask replay is not bit-identical; rng is broken")
 
     frozen = _frozen_from_caches(caches)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import RecurrentState, forward_step, fuse_gate_weights
-from .numerics import RngState, one_hot
+from .numerics import RngState
 
 
 @dataclass
@@ -116,8 +116,7 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled",
                                    dtype=params.dtype)
     fused = fuse_gate_weights(params)
     for t in range(len(symbols) - 1):
-        x = one_hot(symbols[t: t + 1], params.vocab_size, dtype=params.dtype)
-        state, cache, _ = forward_step(state, x, params, rng=rng,
+        state, cache, _ = forward_step(state, symbols[t: t + 1], params, rng=rng,
                                        mask_mode=mask_mode,
                                        target=symbols[t + 1: t + 2], fused=fused)
         record_step(cache, 0, buffer)

@@ -41,7 +41,7 @@ from .cell import (
     forward_step,
     fuse_gate_weights,
 )
-from .numerics import DTYPES, NumericalError, RngState, one_hot
+from .numerics import DTYPES, NumericalError, RngState
 from .optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init
 
 CHECKPOINT_MAGIC = b"SZO1"
@@ -55,6 +55,11 @@ STREAM_EVAL = 4
 STREAM_SAMPLE = 5
 
 LOG_HEADER = "step\ttrain_bpc\tvalid_bpc\tmean_z\tmean_update_rate\twall_ms"
+
+# config fields a bit-exact resume depends on; steps and the validation-only
+# fields may change between the run that wrote a checkpoint and its resume
+RESUME_FIELDS = ("hidden", "variant", "batch_size", "seq_len", "chunk_len", "seed",
+                 "precision", "lr", "rho", "eps", "clip_norm", "tau", "zoneout_rate")
 
 
 @dataclass
@@ -221,11 +226,9 @@ def run_tbptt_window(states, inputs, targets, params, rng, grads,
     total = 0.0
     state = states
     for t in range(seq_len):
-        x = one_hot(inputs[t], params.vocab_size, dtype=params.dtype)
-        state, cache, loss = forward_step(state, x, params, rng=rng,
+        state, cache, loss = forward_step(state, inputs[t], params, rng=rng,
                                           mask_mode=mask_mode,
-                                          target=targets[t], fused=fused,
-                                          x_idx=inputs[t])
+                                          target=targets[t], fused=fused)
         caches.append(cache)
         total += loss
         if step_hook is not None:
@@ -256,11 +259,9 @@ def evaluate_bpc(params, split, cfg, lanes=1, seed=None):
     fused = fuse_gate_weights(params)
     total = 0.0
     for t in range(seg - 1):
-        x = one_hot(arr[:, t], params.vocab_size, dtype=params.dtype)
-        state, _, loss = forward_step(state, x, params, rng=rng,
+        state, _, loss = forward_step(state, arr[:, t], params, rng=rng,
                                       mask_mode=cfg.eval_mask_mode,
-                                      target=arr[:, t + 1], fused=fused,
-                                      x_idx=arr[:, t])
+                                      target=arr[:, t + 1], fused=fused)
         total += loss
     return cross_entropy_bpc(total / (seg - 1))
 
@@ -290,17 +291,21 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     Emits one LogRecord per val_interval optimizer steps (plus one at step 0)
     and appends the tab-separated line to log_path when given. ckpt_path,
     when given, is rewritten at every chunk boundary and once at the end.
-    resume takes a Checkpoint and continues it exactly.
+    resume takes a Checkpoint and continues it exactly; it raises ValueError
+    naming every RESUME_FIELDS entry in which cfg differs from the
+    checkpoint.
     """
     cfg.validate()
     if resume is not None:
         params = resume.params
         opt = resume.opt
-        if params.hidden_size != cfg.hidden or params.variant != cfg.variant:
-            raise ValueError(
-                f"checkpoint ({params.variant}, N={params.hidden_size}) does not match "
-                f"config ({cfg.variant}, N={cfg.hidden})"
-            )
+        # the parameters themselves say hidden and variant; the config echo
+        # says the rest, as far as the checkpoint recorded it
+        saved = dict(resume.config, hidden=params.hidden_size, variant=params.variant)
+        changed = [f"{k} (checkpoint {saved[k]!r}, config {getattr(cfg, k)!r})"
+                   for k in RESUME_FIELDS if k in saved and saved[k] != getattr(cfg, k)]
+        if changed:
+            raise ValueError("checkpoint does not match config: " + ", ".join(changed))
         rng_data = RngState(*resume.rng["data"])
         rng_mask = RngState(*resume.rng["mask"])
         step = resume.step

@@ -21,7 +21,7 @@ from szlstm.cell import (
     zoneout_rate,
 )
 from szlstm.gradcheck import tiny_window_check
-from szlstm.numerics import RngState, one_hot
+from szlstm.numerics import RngState
 from szlstm.optim import xavier_init
 from szlstm.trace import cell_change_stats, trace_stream
 from szlstm.training import (
@@ -55,12 +55,11 @@ def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
     rng = RngState(seed).fork(3)
     out = []
     for t in range(steps):
-        x = one_hot(sym[t], vocab, dtype=np.float32)
         frozen = None
         if frozen_mask is not None:
             frozen = FrozenStep(mask=np.full((batch, hidden), frozen_mask,
                                              dtype=np.float32))
-        state, cache, _ = forward_step(state, x, params, rng=rng, frozen=frozen)
+        state, cache, _ = forward_step(state, sym[t], params, rng=rng, frozen=frozen)
         if collect == "chp":
             out.append((cache.c, cache.h, cache.p))
         else:

@@ -20,8 +20,7 @@ def window(params, steps=6, seed=4, batch=3):
     rng = RngState(seed).fork(3)
     caches = []
     for t in range(steps):
-        x = one_hot(sym[t], vocab, dtype=params.dtype)
-        state, cache, _ = forward_step(state, x, params, rng=rng, target=sym[t + 1])
+        state, cache, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
         caches.append(cache)
     return caches, sym[1:]
 

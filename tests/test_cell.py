@@ -8,6 +8,7 @@ from szlstm.cell import (
     cell_update,
     cross_entropy_bpc,
     forward_step,
+    fuse_gate_weights,
     gate_forward,
     hidden_from_cell,
     prediction_error,
@@ -15,7 +16,7 @@ from szlstm.cell import (
     surprisal_vector,
     zoneout_rate,
 )
-from szlstm.numerics import RngState, one_hot
+from szlstm.numerics import NumericalError, RngState, one_hot
 from szlstm.optim import xavier_init
 
 from conftest import tiny_params
@@ -24,60 +25,53 @@ from conftest import tiny_params
 class TestSurprisalVector:
     def test_uniform_previous_prediction(self):
         p_prev = np.full((1, 4), 0.25)
-        x = one_hot([2], 4, dtype=np.float64)
-        s = surprisal_vector(p_prev, x)
-        expected = np.zeros((1, 4))
-        expected[0, 2] = np.log(0.25)
-        np.testing.assert_allclose(s, expected, atol=1e-15)
-        assert abs(s[0, 2] - (-1.3862943611198906)) < 1e-12
+        s = surprisal_vector(p_prev, np.array([2]))
+        assert s.shape == (1,)
+        np.testing.assert_allclose(s, [np.log(0.25)], atol=1e-15)
+        assert abs(s[0] - (-1.3862943611198906)) < 1e-12
 
     def test_certain_and_right_means_no_surprise(self):
         p_prev = np.array([[0.0, 0.0, 1.0, 0.0]])
-        x = one_hot([2], 4, dtype=np.float64)
-        np.testing.assert_array_equal(surprisal_vector(p_prev, x), np.zeros((1, 4)))
+        np.testing.assert_array_equal(surprisal_vector(p_prev, np.array([2])), [0.0])
 
     def test_direct_log_evaluation(self):
-        p_prev = np.array([[0.7, 0.2, 0.1]])
-        x = one_hot([1], 3, dtype=np.float64)
-        s = surprisal_vector(p_prev, x)
-        assert abs(s[0, 1] - (-1.6094379124341003)) < 1e-12
-        assert s[0, 0] == 0.0 and s[0, 2] == 0.0
+        p_prev = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1]])
+        s = surprisal_vector(p_prev, np.array([1, 0]))
+        assert abs(s[0] - (-1.6094379124341003)) < 1e-12
+        assert abs(s[1] - np.log(0.7)) < 1e-15
 
     def test_zero_probability_is_an_error(self):
         p_prev = np.array([[1.0, 0.0]])
-        x = one_hot([1], 2, dtype=np.float64)
-        with pytest.raises(ValueError, match="zero probability"):
-            surprisal_vector(p_prev, x)
+        with pytest.raises(NumericalError, match="zero probability"):
+            surprisal_vector(p_prev, np.array([1]))
 
     def test_entries_nonpositive(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((6, 5))
         p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        x = one_hot(rng.integers(0, 5, size=6), 5, dtype=np.float64)
-        assert np.all(surprisal_vector(p_prev, x) <= 0.0)
+        assert np.all(surprisal_vector(p_prev, rng.integers(0, 5, size=6)) <= 0.0)
 
 
 class TestPredictionError:
     def test_perfect_prediction(self):
         x = one_hot([1], 3, dtype=np.float64)
-        np.testing.assert_array_equal(prediction_error(x.copy(), x), np.zeros((1, 3)))
+        np.testing.assert_array_equal(prediction_error(x, np.array([1])), np.zeros((1, 3)))
 
     def test_uniform_case(self):
         p_prev = np.full((1, 4), 0.25)
-        x = one_hot([2], 4, dtype=np.float64)
-        np.testing.assert_allclose(prediction_error(p_prev, x),
+        np.testing.assert_allclose(prediction_error(p_prev, np.array([2])),
                                    [[0.25, 0.25, -0.75, 0.25]], atol=1e-15)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((8, 6))
         p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        x = one_hot(rng.integers(0, 6, size=8), 6, dtype=np.float64)
-        np.testing.assert_allclose(prediction_error(p_prev, x).sum(axis=1), 0.0, atol=1e-12)
+        err = prediction_error(p_prev, rng.integers(0, 6, size=8))
+        np.testing.assert_allclose(err.sum(axis=1), 0.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            prediction_error(np.zeros((1, 3)), np.zeros((1, 4)))
+            prediction_error(np.zeros((1, 3)), np.array([0, 1]))
 
 
 class TestZoneoutRate:
@@ -112,10 +106,9 @@ class TestZoneoutRate:
 class TestGateForward:
     def test_all_zeros(self):
         params = ModelParams.zeros(3, 4, dtype=np.float64)
-        x = one_hot([1, 2], 3, dtype=np.float64)
         h = np.zeros((2, 4))
-        s = np.zeros((2, 3))
-        f, i, o, u = gate_forward(x, h, s, params)
+        f, i, o, u = gate_forward(np.array([1, 2]), np.zeros(2), h,
+                                  fuse_gate_weights(params))
         np.testing.assert_array_equal(f, np.full((2, 4), 0.5))
         np.testing.assert_array_equal(i, np.full((2, 4), 0.5))
         np.testing.assert_array_equal(o, np.full((2, 4), 0.5))
@@ -124,18 +117,21 @@ class TestGateForward:
     def test_unit_erase_bias(self):
         params = ModelParams.zeros(3, 4, dtype=np.float64)
         params.b_f.fill(1.0)
-        f, _, _, _ = gate_forward(one_hot([0], 3, dtype=np.float64),
-                                  np.zeros((1, 4)), np.zeros((1, 3)), params)
+        f, _, _, _ = gate_forward(np.array([0]), np.zeros(1), np.zeros((1, 4)),
+                                  fuse_gate_weights(params))
         np.testing.assert_allclose(f, 1.0 / (1.0 + np.exp(-1.0)), atol=1e-15)
         assert abs(f[0, 0] - 0.7310585786300049) < 1e-12
 
     def test_against_scalar_loop(self):
         params = tiny_params(vocab=4, hidden=3, seed=9)
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 4))       # arbitrary dense inputs
+        x_idx = np.array([3, 1])
         h = rng.standard_normal((2, 3))
-        s = -np.abs(rng.standard_normal((2, 4)))
-        f, i, o, u = gate_forward(x, h, s, params)
+        s_val = -np.abs(rng.standard_normal(2))
+        f, i, o, u = gate_forward(x_idx, s_val, h, fuse_gate_weights(params))
+        # the dense rows the gathers stand for: one-hot input, single-entry surprisal
+        x = one_hot(x_idx, 4, dtype=np.float64)
+        s = x * s_val[:, None]
 
         def preact(W, U, V, b, r):
             out = np.zeros(3)
@@ -238,12 +234,11 @@ def drive(params, steps, seed=0, mask_mode="sampled", frozen_mask=None, batch=2)
     rng = RngState(seed).fork(3)
     caches = []
     for t in range(steps):
-        x = one_hot(sym[t], vocab, dtype=params.dtype)
         frozen = None
         if frozen_mask is not None:
             frozen = FrozenStep(mask=np.full((batch, params.hidden_size),
                                              frozen_mask, dtype=params.dtype))
-        state, cache, _ = forward_step(state, x, params, rng=rng,
+        state, cache, _ = forward_step(state, sym[t], params, rng=rng,
                                        mask_mode=mask_mode, target=sym[t + 1],
                                        frozen=frozen)
         caches.append(cache)
@@ -296,8 +291,7 @@ class TestForwardStep:
         rng = RngState(0).fork(3)
         losses = []
         for t in range(200):
-            x = one_hot(sym[t], vocab, dtype=np.float32)
-            state, _, loss = forward_step(state, x, params, rng=rng, target=sym[t + 1])
+            state, _, loss = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
             losses.append(loss)
         mean = np.mean(losses)
         assert abs(mean - np.log(vocab)) / np.log(vocab) < 0.10
@@ -307,7 +301,7 @@ class TestForwardStep:
         state = RecurrentState.initial(1, params.hidden_size, params.vocab_size,
                                        dtype=params.dtype)
         with pytest.raises(ValueError, match="mask_mode"):
-            forward_step(state, one_hot([0], 5, dtype=np.float64), params,
+            forward_step(state, np.array([0]), params,
                          mask_mode="bogus")
 
 

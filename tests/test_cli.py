@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from szlstm.cell import ModelParams
 from szlstm.cli import dispatch, parse_variant, read_config_file, UsageError
-from szlstm.training import load_checkpoint
+from szlstm.numerics import NumericalError
+from szlstm.optim import AdadeltaState
+from szlstm.training import (
+    TrainConfig,
+    evaluate_bpc,
+    load_checkpoint,
+    load_corpus,
+    save_checkpoint,
+)
 
 
 def run(argv):
@@ -50,6 +59,34 @@ class TestExitCodes:
 
     def test_failed_gradcheck_is_numerical_failure(self, capsys):
         assert run(["gradcheck", "--threshold", "1e-12"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+class TestConfidentlyWrongF32:
+    """An f32 softmax underflows to an exact 0 for a confidently wrong
+    prediction; the surprisal of the symbol that then arrives is log(0)."""
+
+    @pytest.fixture()
+    def model(self, tmp_path):
+        corpus = tmp_path / "abcde.txt"
+        corpus.write_bytes(b"abcde" * 200)
+        # zero weights leave h = 0, so the logits are exactly b_y
+        params = ModelParams.zeros(5, 8, dtype=np.float32)
+        params.b_y[:] = [0, 0, 0, 0, 120]
+        ckpt = str(tmp_path / "confident.ckpt")
+        save_checkpoint(ckpt, params, AdadeltaState(params), None,
+                        np.frombuffer(b"abcde", dtype=np.uint8), step=0)
+        return ckpt, str(corpus)
+
+    def test_evaluation_raises_numerical_error(self, model):
+        ckpt, corpus = model
+        with pytest.raises(NumericalError, match="zero probability"):
+            evaluate_bpc(load_checkpoint(ckpt).params, load_corpus(corpus).split("test"),
+                         TrainConfig())
+
+    def test_eval_command_exits_2(self, model, capsys):
+        assert run(["eval", *model]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from szlstm.cell import FrozenStep, RecurrentState, forward_step
-from szlstm.numerics import RngState, one_hot
+from szlstm.numerics import RngState
 from szlstm.trace import (
     TraceBuffer,
     TraceStep,
@@ -24,12 +24,11 @@ def run_and_record(params, steps, lane=0, buffer=None, frozen_mask=None, seed=0)
     buffer = buffer if buffer is not None else TraceBuffer(window=100)
     caches = []
     for t in range(steps):
-        x = one_hot(sym[t], vocab, dtype=params.dtype)
         frozen = None
         if frozen_mask is not None:
             frozen = FrozenStep(mask=np.full((3, params.hidden_size), frozen_mask,
                                              dtype=params.dtype))
-        state, cache, _ = forward_step(state, x, params, rng=rng,
+        state, cache, _ = forward_step(state, sym[t], params, rng=rng,
                                        target=sym[t + 1], frozen=frozen)
         record_step(cache, lane, buffer)
         caches.append(cache)
@@ -71,8 +70,7 @@ class TestRecordStep:
         state = RecurrentState.initial(3, params.hidden_size, vocab, dtype=params.dtype)
         rng = RngState(0).fork(3)
         for t in range(40):
-            x = one_hot(sym[t], vocab, dtype=params.dtype)
-            state, _, _ = forward_step(state, x, params, rng=rng, target=sym[t + 1])
+            state, _, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
         np.testing.assert_array_equal(state.c, with_trace.c)
         np.testing.assert_array_equal(state.h, with_trace.h)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from szlstm.cell import GradientSet, ModelParams, RecurrentState
-from szlstm.numerics import NumericalError, RngState, one_hot
+from szlstm.numerics import NumericalError, RngState
 from szlstm.optim import xavier_init
 from szlstm.training import (
     Checkpoint,
@@ -114,8 +114,7 @@ class TestRunTbpttWindow:
                                      RngState(9), g_window)
 
         g_manual = GradientSet.zeros_like(params)
-        x = one_hot(inputs[0], corpus.vocab_size, dtype=np.float64)
-        s2, cache, loss2 = forward_step(state0.copy(), x, params, rng=RngState(9),
+        s2, cache, loss2 = forward_step(state0.copy(), inputs[0], params, rng=RngState(9),
                                         target=targets[0])
         backward_step(cache, params, np.zeros_like(cache.h), np.zeros_like(cache.c),
                       targets[0], g_manual)
@@ -275,6 +274,16 @@ class TestCheckpoint:
         for (name, block), (_, other) in zip(full.params.blocks(),
                                              resumed.params.blocks()):
             np.testing.assert_array_equal(block, other, err_msg=name)
+
+    @pytest.mark.parametrize("change", [{"batch_size": 8}, {"seq_len": 5},
+                                        {"batch_size": 8, "seq_len": 5, "lr": 0.5}])
+    def test_resume_refuses_changed_replay_config(self, tmp_path, corpus, change):
+        ck = str(tmp_path / "changed.ckpt")
+        train(small_cfg(steps=5), corpus, ckpt_path=ck)
+        with pytest.raises(ValueError, match="does not match") as info:
+            train(small_cfg(steps=10, **change), corpus, resume=load_checkpoint(ck))
+        for field in change:
+            assert field in str(info.value)
 
     def test_resume_config_mismatch_rejected(self, tmp_path, corpus):
         ck = str(tmp_path / "mismatch.ckpt")
