@@ -18,7 +18,6 @@ from .cell import (
     gate_forward,
     hidden_from_cell,
     prediction_error,
-    project_outputs,
     surprisal_vector,
     zoneout_rate,
 )

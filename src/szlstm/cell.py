@@ -335,12 +335,6 @@ def hidden_from_cell(c, o):
     return c_hat, o * c_hat
 
 
-def project_outputs(h, params):
-    """Vocabulary logits and their row-softmax distribution."""
-    y = matmul(h, params.W_y.T) + params.b_y
-    return y, softmax_rows(y)
-
-
 def _update_probability(state, x_idx, params):
     if params.variant == "adaptive":
         return zoneout_rate(prediction_error(state.p_prev, x_idx), params.W_y, params.tau)

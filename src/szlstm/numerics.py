@@ -27,19 +27,28 @@ def _mix64(x):
 class RngState:
     """Counter-based deterministic random stream.
 
-    Every draw keys a fresh Philox generator with (seed, counter) and bumps
-    the counter, so a stream is fully described by two integers and can be
-    replayed bit-exactly from a checkpoint.
+    Every draw keys a Philox generator with (seed, counter) and bumps the
+    counter, so a stream is fully described by two integers and can be
+    replayed bit-exactly from a checkpoint. The generator is built once;
+    later draws reset it to a fresh generator's state under the new key,
+    which skips the OS entropy pull that building one costs.
     """
 
     def __init__(self, seed, counter=0):
         self.seed = int(seed) & _MASK64
         self.counter = int(counter)
+        self._generator = None
 
     def _next_generator(self):
         key = np.array([self.seed, self.counter], dtype=np.uint64)
         self.counter += 1
-        return np.random.Generator(np.random.Philox(key=key))
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=key))
+            self._fresh_state = self._generator.bit_generator.state
+        else:
+            self._fresh_state["state"]["key"] = key
+            self._generator.bit_generator.state = self._fresh_state
+        return self._generator
 
     def uniform(self, shape):
         """Uniform float64 draws in [0, 1)."""

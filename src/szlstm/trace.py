@@ -16,6 +16,8 @@ import numpy as np
 from .cell import RecurrentState, forward_step, fuse_gate_weights
 from .numerics import RngState
 
+EXPORT_CHUNK = 32  # steps per formatted write in export_gate_map
+
 
 @dataclass
 class TraceStep:
@@ -37,6 +39,8 @@ class TraceBuffer:
     counter: int = 0
 
     def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"trace window must be at least 1 step, got {self.window}")
         self.steps = deque(self.steps, maxlen=self.window)
 
     def __len__(self):
@@ -68,15 +72,24 @@ def record_step(cache, lane, buffer):
 
 
 def export_gate_map(buffer, path):
-    """Write the gate-activation map as CSV rows (t, cell, i, o, f, Z)."""
+    """Write the gate-activation map as CSV rows (t, cell, i, o, f, Z).
+
+    Formats EXPORT_CHUNK steps per write, so memory does not grow with the
+    window. .tolist() gives Python floats that hold the f32/f64 values
+    exactly, so "%.7g" prints what formatting the numpy scalars prints.
+    """
     if not buffer.steps:
         raise ValueError("trace buffer is empty, nothing to export")
+    steps = list(buffer.steps)
+    template = "".join(f"{{t}},{cell},%.7g,%.7g,%.7g,%.7g\n"
+                       for cell in range(steps[0].c.shape[0]))
     with open(path, "w") as fh:
         fh.write("t,cell,i,o,f,Z\n")
-        for step in buffer.steps:
-            for cell in range(step.c.shape[0]):
-                fh.write(f"{step.t},{cell},{step.i[cell]:.7g},{step.o[cell]:.7g},"
-                         f"{step.f[cell]:.7g},{step.mask[cell]:.7g}\n")
+        for start in range(0, len(steps), EXPORT_CHUNK):
+            chunk = steps[start: start + EXPORT_CHUNK]
+            values = np.array([(s.i, s.o, s.f, s.mask) for s in chunk])
+            rows = "".join(template.format(t=s.t) for s in chunk)
+            fh.write(rows % tuple(values.transpose(0, 2, 1).ravel().tolist()))
     return path
 
 
@@ -86,8 +99,7 @@ def export_cell_change(buffer, path):
         raise ValueError("trace buffer is empty, nothing to export")
     with open(path, "w") as fh:
         fh.write("t,dc_l1\n")
-        for step in buffer.steps:
-            fh.write(f"{step.t},{step.dc:.7g}\n")
+        fh.write("".join(f"{s.t},{s.dc:.7g}\n" for s in buffer.steps))
     return path
 
 
@@ -106,11 +118,11 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled",
     Scores symbols[t+1] from symbols[t] like evaluation does; returns the
     filled buffer. Weights are never written.
     """
+    if buffer is None:
+        buffer = TraceBuffer(window=window)
     symbols = np.asarray(symbols)
     if len(symbols) < 2:
         raise ValueError("trace stream needs at least 2 symbols")
-    if buffer is None:
-        buffer = TraceBuffer(window=window)
     rng = RngState(seed)
     state = RecurrentState.initial(1, params.hidden_size, params.vocab_size,
                                    dtype=params.dtype)

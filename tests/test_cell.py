@@ -12,7 +12,6 @@ from szlstm.cell import (
     gate_forward,
     hidden_from_cell,
     prediction_error,
-    project_outputs,
     surprisal_vector,
     zoneout_rate,
 )
@@ -206,23 +205,33 @@ class TestHiddenFromCell:
 
 
 class TestProjectOutputs:
+    """The output distribution forward_step returns as cache.p."""
+
+    @staticmethod
+    def output(params, batch, seed):
+        rng = np.random.default_rng(seed)
+        state = RecurrentState.initial(batch, params.hidden_size, params.vocab_size,
+                                       dtype=params.dtype)
+        state.c[:] = rng.standard_normal(state.c.shape)
+        state.h[:] = rng.standard_normal(state.h.shape)
+        x_idx = rng.integers(0, params.vocab_size, size=batch)
+        _, cache, _ = forward_step(state, x_idx, params, mask_mode="expected")
+        return cache.p
+
     def test_zero_weights_give_uniform(self):
         params = ModelParams.zeros(5, 3, dtype=np.float64)
-        _, p = project_outputs(np.ones((2, 3)), params)
-        np.testing.assert_array_equal(p, np.full((2, 5), 0.2))
+        np.testing.assert_array_equal(self.output(params, 2, 7), np.full((2, 5), 0.2))
 
     def test_bias_shift_invariance(self):
         params = tiny_params(vocab=5, hidden=3, seed=2)
-        h = np.random.default_rng(7).standard_normal((2, 3))
-        _, p1 = project_outputs(h, params)
+        p1 = self.output(params, 2, 7)
         params.b_y += 11.0
-        _, p2 = project_outputs(h, params)
+        p2 = self.output(params, 2, 7)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         params = tiny_params(vocab=6, hidden=4, seed=8)
-        h = np.random.default_rng(8).standard_normal((3, 4))
-        _, p = project_outputs(h, params)
+        p = self.output(params, 3, 8)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 

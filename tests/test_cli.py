@@ -167,6 +167,18 @@ class TestTraceCommand:
         assert len(gates) == 1 + 20 * 12
         assert (tmp_path / "demo_cellchange.csv").exists()
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_non_positive_window_rejected(self, corpus_path, tmp_path, capsys,
+                                          window):
+        assert run(["train", corpus_path, "--steps", "2", "--hidden", "12",
+                    "--batch", "4", "--seq-len", "10", "--chunk-len", "50",
+                    "--run-dir", str(tmp_path), "--run-id", "t"]) == 0
+        capsys.readouterr()
+        code = run(["trace", str(tmp_path / "t.ckpt"), corpus_path,
+                    "--window", window, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"trace window must be at least 1 step, got {window}" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     @pytest.fixture()

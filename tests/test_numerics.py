@@ -190,6 +190,28 @@ class TestRngState:
         next_b = RngState(seed, counter).uniform((3,))
         np.testing.assert_array_equal(next_a, next_b)
 
+    @pytest.mark.parametrize("seed", [0, 9, (1 << 64) - 3])
+    def test_draws_match_a_fresh_philox_per_counter(self, seed):
+        # odd sizes and 32-bit integer draws leave the Philox output buffer
+        # part-used, which the next draw must not see
+        def fresh(counter):
+            key = np.array([seed, counter], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        rng = RngState(seed)
+        for counter in range(300):
+            if counter % 3:
+                size = (1 + counter % 5, 1 + counter % 3)
+                got, want = rng.uniform(size), fresh(counter).random(size)
+            else:
+                high = 2 + counter % 200
+                got = rng.integers(0, high, size=counter % 7)
+                want = fresh(counter).integers(0, high, size=counter % 7)
+            np.testing.assert_array_equal(got, want)
+        assert rng.state() == (seed, 300)
+        np.testing.assert_array_equal(rng.fork(4).uniform((6,)),
+                                      RngState(seed).fork(4).uniform((6,)))
+
 
 def test_one_hot():
     out = one_hot([2, 0], 4)

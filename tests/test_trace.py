@@ -35,6 +35,32 @@ def run_and_record(params, steps, lane=0, buffer=None, frozen_mask=None, seed=0)
     return buffer, caches, state
 
 
+def reference_gate_map(buffer):
+    """The per-row writer export_gate_map must match byte for byte."""
+    out = ["t,cell,i,o,f,Z\n"]
+    for step in buffer.steps:
+        for cell in range(step.c.shape[0]):
+            out.append(f"{step.t},{cell},{step.i[cell]:.7g},{step.o[cell]:.7g},"
+                       f"{step.f[cell]:.7g},{step.mask[cell]:.7g}\n")
+    return "".join(out).encode()
+
+
+def reference_cell_change(buffer):
+    """The per-row writer export_cell_change must match byte for byte."""
+    out = ["t,dc_l1\n"]
+    for step in buffer.steps:
+        out.append(f"{step.t},{step.dc:.7g}\n")
+    return "".join(out).encode()
+
+
+def assert_exports_match_reference(buffer, tmp_path):
+    gates, cells = tmp_path / "gates.csv", tmp_path / "cells.csv"
+    export_gate_map(buffer, str(gates))
+    export_cell_change(buffer, str(cells))
+    assert gates.read_bytes() == reference_gate_map(buffer)
+    assert cells.read_bytes() == reference_cell_change(buffer)
+
+
 class TestRecordStep:
     def test_window_fill(self):
         buffer, _, _ = run_and_record(tiny_params(), 100)
@@ -54,6 +80,11 @@ class TestRecordStep:
         buffer, caches, _ = run_and_record(tiny_params(), 20, lane=1)
         for step, cache in zip(buffer.steps, caches):
             np.testing.assert_array_equal(step.c, cache.c[1])
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match=f"window must be at least 1 step, got {window}"):
+            TraceBuffer(window=window)
 
     def test_lane_out_of_range(self):
         params = tiny_params()
@@ -99,6 +130,37 @@ class TestGateMapExport:
         buffer, _, _ = run_and_record(tiny_params(), 3)
         with pytest.raises(OSError):
             export_gate_map(buffer, str(tmp_path / "no" / "dir" / "x.csv"))
+
+
+class TestExportGolden:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["standard", "adaptive"])
+    @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
+    @pytest.mark.parametrize("window,steps", [(37, 150), (100, 70)])
+    def test_matches_per_row_writer(self, tmp_path, dtype, variant, mask_mode,
+                                    window, steps):
+        params = tiny_params(vocab=7, hidden=40, variant=variant, dtype=dtype)
+        symbols = RngState(4).integers(0, 7, size=steps + 1)
+        buffer = trace_stream(params, symbols, window=window, mask_mode=mask_mode,
+                              seed=5)
+        assert len(buffer) == min(window, steps)
+        assert buffer.steps[0].t == max(0, steps - window)
+        if variant == "adaptive" and mask_mode == "expected":
+            masks = np.concatenate([s.mask for s in buffer.steps])
+            assert np.any((masks > 0) & (masks < 1))
+        assert_exports_match_reference(buffer, tmp_path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, tmp_path, dtype):
+        special = np.array([np.nan, np.inf, -np.inf, 1e-45, 3.4e38, -0.0, 0.1],
+                           dtype=dtype)
+        buffer = TraceBuffer(window=50)
+        for t in range(45):
+            row = np.roll(special, t)
+            buffer.steps.append(TraceStep(
+                t=t, f=row, i=row[::-1].copy(), o=np.roll(row, 3), h=row, c=row,
+                z=row, mask=np.roll(row, 5), dc=float(row[0])))
+        assert_exports_match_reference(buffer, tmp_path)
 
 
 class TestCellChangeStats:
