@@ -21,7 +21,9 @@ probability and the sampled mask are treated as constants: no gradient
 flows into the previous step's prediction or through the mask sampling.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,79 +45,78 @@ PARAM_KEYS = (
 LN2 = float(np.log(2.0))
 
 
-def block_shapes(vocab_size, hidden_size):
-    """Shape of every trainable block, keyed like PARAM_KEYS."""
+def block_layout(vocab_size, hidden_size):
+    """(start, stop, shape) of every trainable block in the flat buffer, keyed
+    like PARAM_KEYS; b_y's stop is the buffer's size."""
     m, n = vocab_size, hidden_size
-    shapes = {}
-    for g in GATES:
-        shapes["W_" + g] = (n, m)
-        shapes["U_" + g] = (n, n)
-        shapes["V_" + g] = (n, m)
-        shapes["b_" + g] = (n,)
-    shapes["W_y"] = (m, n)
-    shapes["b_y"] = (m,)
-    return shapes
+    shapes = [(n, m)] * 4 + [(n, n)] * 4 + [(n, m)] * 4 + [(n,)] * 4 + [(m, n), (m,)]
+    bounds = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    return {k: (a, b, shape) for k, a, b, shape in zip(PARAM_KEYS, bounds, bounds[1:], shapes)}
 
 
-@dataclass
-class ModelParams:
+def block_views(flat, vocab_size, hidden_size):
+    """Named views into a flat buffer laid out in PARAM_KEYS order: the 18
+    blocks, and Wg/Ug/Vg/bg, each gate family's four blocks as one array
+    stacked f|i|o|u along the cell axis, where PARAM_KEYS order puts them."""
+    layout = block_layout(vocab_size, hidden_size)
+    views = {k: flat[a:b].reshape(shape) for k, (a, b, shape) in layout.items()}
+    for family in "WUVb":
+        a, _, shape = layout[family + "_f"]
+        views[family + "g"] = flat[a: layout[family + "_u"][1]].reshape(
+            (4 * shape[0],) + shape[1:])
+    return views
+
+
+class _FlatBlocks:
+    """One contiguous buffer `flat` holding every block in PARAM_KEYS order;
+    `views` are the block_views into it."""
+
+    def __init__(self, flat, vocab_size, hidden_size):
+        self.flat = flat
+        self.vocab_size = vocab_size
+        self.hidden_size = hidden_size
+        self.views = block_views(flat, vocab_size, hidden_size)
+
+    @property
+    def dtype(self):
+        return self.flat.dtype
+
+    def blocks(self):
+        """(name, array) pairs in serialization order."""
+        return [(k, self.views[k]) for k in PARAM_KEYS]
+
+
+class ModelParams(_FlatBlocks):
     """All trainable blocks plus the update-probability floor and variant flags.
 
     W_* and V_* map the M-dim input / surprisal rows to the N cells, U_* are
     the recurrent weights, W_y projects hidden state back to the vocabulary.
-    tau is the guaranteed minimum update probability of the adaptive variant;
-    zoneout_rate is the constant update probability of fixed_zoneout.
+    Every block is an attribute viewing the flat buffer, as are the fused
+    gate regions Wg/Ug/Vg/bg. tau is the guaranteed minimum update
+    probability of the adaptive variant; zoneout_rate is the constant update
+    probability of fixed_zoneout. The transposed copies fuse_gate_weights
+    makes do not follow later writes to the buffer, so a fused set stays
+    valid only until the next parameter write.
     """
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_u: np.ndarray
-    U_f: np.ndarray
-    U_i: np.ndarray
-    U_o: np.ndarray
-    U_u: np.ndarray
-    V_f: np.ndarray
-    V_i: np.ndarray
-    V_o: np.ndarray
-    V_u: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_u: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
-    tau: float = 0.05
-    variant: str = "adaptive"
-    zoneout_rate: float = 0.5
-
-    @classmethod
-    def zeros(cls, vocab_size, hidden_size, variant="adaptive", tau=0.05,
-              zoneout_rate=0.5, dtype=np.float32):
+    def __init__(self, flat, vocab_size, hidden_size, variant="adaptive", tau=0.05,
+                 zoneout_rate=0.5):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {tau}")
-        shapes = block_shapes(vocab_size, hidden_size)
-        arrays = {k: np.zeros(shapes[k], dtype=dtype) for k in PARAM_KEYS}
-        return cls(**arrays, tau=float(tau), variant=variant,
-                   zoneout_rate=float(zoneout_rate))
+        super().__init__(flat, vocab_size, hidden_size)
+        vars(self).update(self.views)
+        self.variant = variant
+        self.tau = float(tau)
+        self.zoneout_rate = float(zoneout_rate)
 
-    @property
-    def hidden_size(self):
-        return self.W_f.shape[0]
-
-    @property
-    def vocab_size(self):
-        return self.W_f.shape[1]
-
-    @property
-    def dtype(self):
-        return self.W_f.dtype
-
-    def blocks(self):
-        """(name, array) pairs in serialization order."""
-        return [(k, getattr(self, k)) for k in PARAM_KEYS]
+    @classmethod
+    def zeros(cls, vocab_size, hidden_size, variant="adaptive", tau=0.05,
+              zoneout_rate=0.5, dtype=np.float32):
+        size = block_layout(vocab_size, hidden_size)["b_y"][1]
+        return cls(np.zeros(size, dtype=dtype), vocab_size, hidden_size, variant=variant,
+                   tau=tau, zoneout_rate=zoneout_rate)
 
     def trainable_keys(self):
         """Blocks the optimizer may touch; the standard variant never trains V_*."""
@@ -123,13 +124,12 @@ class ModelParams:
             return tuple(k for k in PARAM_KEYS if not k.startswith("V_"))
         return PARAM_KEYS
 
-    def copy(self):
-        arrays = {k: getattr(self, k).copy() for k in PARAM_KEYS}
-        return replace(self, **arrays)
-
-    def astype(self, dtype):
-        arrays = {k: getattr(self, k).astype(dtype) for k in PARAM_KEYS}
-        return replace(self, **arrays)
+    def trainable_slices(self):
+        """The trainable_keys blocks as contiguous slices of the flat buffer."""
+        if self.variant != "standard":
+            return (slice(None),)
+        layout = block_layout(self.vocab_size, self.hidden_size)
+        return (slice(0, layout["V_f"][0]), slice(layout["b_f"][0], None))
 
 
 @dataclass
@@ -174,38 +174,36 @@ class StepCache:
     p: np.ndarray       # output distribution, B x M
 
 
-@dataclass
-class GradientSet:
-    """Per-block gradient accumulators, shape-congruent with ModelParams."""
-
-    data: dict
+class GradientSet(_FlatBlocks):
+    """Gradient accumulators in the ModelParams layout, indexed by block name."""
 
     @classmethod
     def zeros_like(cls, params):
-        return cls({k: np.zeros_like(v) for k, v in params.blocks()})
+        return cls(np.zeros_like(params.flat), params.vocab_size, params.hidden_size)
 
     def __getitem__(self, key):
-        return self.data[key]
+        return self.views[key]
 
     def __setitem__(self, key, value):
-        self.data[key] = value
+        view = self.views[key]
+        if value is not view:
+            view[...] = value
 
-    def items(self):
-        return [(k, self.data[k]) for k in PARAM_KEYS if k in self.data]
+    items = _FlatBlocks.blocks
 
     def zero_(self):
-        for _, v in self.items():
-            v.fill(0.0)
+        self.flat.fill(0.0)
 
     def global_norm(self):
+        # per-block float64 sums, added in block order: one sum over the flat
+        # buffer groups the terms differently and can move the clip factor
         total = 0.0
-        for _, v in self.items():
+        for _, v in self.blocks():
             total += float(np.sum(np.square(v, dtype=np.float64)))
         return float(np.sqrt(total))
 
     def scale_(self, factor):
-        for _, v in self.items():
-            v *= factor
+        self.flat *= factor
 
 
 @dataclass
@@ -227,27 +225,28 @@ _NO_OVERRIDES = FrozenStep()
 
 @dataclass
 class _FusedGates:
-    # per-gate blocks stacked f|i|o|u along the cell axis, pre-transposed
-    # and contiguous; rebuilt once per window, shared by all its steps
+    # per-gate blocks stacked f|i|o|u along the cell axis; the transposes are
+    # contiguous copies made once per window and shared by all its steps
     WgT: np.ndarray     # (M, 4N)
     UgT: np.ndarray     # (N, 4N)
     VgT: np.ndarray     # (M, 4N)
-    bg: np.ndarray      # (4N,)
-    Ug: np.ndarray      # (4N, N), for the recurrent backward product
+    bg: np.ndarray      # (4N,), view of params.bg
+    Ug: np.ndarray      # (4N, N), view of params.Ug, for the recurrent backward product
     WyT: np.ndarray     # (N, M)
 
 
 def fuse_gate_weights(params):
-    """Stack and pre-transpose the gate weights so steps run few wide matmuls."""
-    Wg = np.concatenate([params.W_f, params.W_i, params.W_o, params.W_u], axis=0)
-    Ug = np.concatenate([params.U_f, params.U_i, params.U_o, params.U_u], axis=0)
-    Vg = np.concatenate([params.V_f, params.V_i, params.V_o, params.V_u], axis=0)
+    """Pre-transpose the gate weights so steps run few wide matmuls.
+
+    Transposed views would save the copies, but their matmuls round
+    differently at small batch and run slower at B = 32.
+    """
     return _FusedGates(
-        WgT=np.ascontiguousarray(Wg.T),
-        UgT=np.ascontiguousarray(Ug.T),
-        VgT=np.ascontiguousarray(Vg.T),
-        bg=np.concatenate([params.b_f, params.b_i, params.b_o, params.b_u]),
-        Ug=Ug,
+        WgT=np.ascontiguousarray(params.Wg.T),
+        UgT=np.ascontiguousarray(params.Ug.T),
+        VgT=np.ascontiguousarray(params.Vg.T),
+        bg=params.bg,
+        Ug=params.Ug,
         WyT=np.ascontiguousarray(params.W_y.T),
     )
 
@@ -352,7 +351,8 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
     draws a binary update mask; "expected" substitutes the update
     probability itself (the evaluation convention). target, when given, is
     the index row of the next symbol, and loss_nats is the batch-mean cross
-    entropy against it; otherwise loss_nats is None. frozen overrides
+    entropy against it; otherwise loss_nats is None. A target the output
+    gives zero probability raises NumericalError. frozen overrides
     individual intermediate quantities, see FrozenStep.
     """
     if mask_mode not in ("sampled", "expected"):
@@ -378,8 +378,12 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
     p = softmax_rows(y)
     loss = None
     if target is not None:
+        p_target = p[np.arange(target.shape[0]), target]
+        # the same one-reduction guard as surprisal_vector; NaN passes it
+        if p_target.min() <= 0.0:
+            raise NumericalError("output assigns zero probability to a target symbol")
         # sum / B is np.mean's own reduction and division, without its overhead
-        nll = -np.log(p[np.arange(target.shape[0]), target])
+        nll = -np.log(p_target)
         loss = float(nll.sum() / nll.shape[0])
     cache = StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
                       u=u, h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat,
@@ -423,16 +427,6 @@ def _backward_core(cache, params, d_h_next, d_c_next, target, fused):
     return d_y, d_a, d_h_prev, d_c_prev
 
 
-def _scatter_gate_grads(grads, d_Wg, d_Ug, d_Vg, d_bg, n, train_v):
-    for gi, g in enumerate(GATES):
-        rows_g = slice(gi * n, (gi + 1) * n)
-        grads["W_" + g] += d_Wg[rows_g]
-        grads["U_" + g] += d_Ug[rows_g]
-        grads["b_" + g] += d_bg[rows_g]
-        if train_v:
-            grads["V_" + g] += d_Vg[rows_g]
-
-
 def backward_step(cache, params, d_h_next, d_c_next, target, grads, fused=None):
     """Backward through one cached step; accumulates parameter gradients.
 
@@ -463,7 +457,6 @@ def backward_window(caches, params, targets, grads, fused=None,
     """
     if fused is None:
         fused = fuse_gate_weights(params)
-    n = params.hidden_size
     seq_len = len(caches)
     d_h = d_h_final if d_h_final is not None else np.zeros_like(caches[-1].h)
     d_c = d_c_final if d_c_final is not None else np.zeros_like(caches[-1].c)
@@ -483,19 +476,11 @@ def backward_window(caches, params, targets, grads, fused=None,
     # indices so the contractions below see the dense rows they always did
     x_idx = np.concatenate([c.x_idx for c in caches])
     x = one_hot(x_idx, params.vocab_size, dtype=params.dtype)
-    train_v = params.variant != "standard"
-    d_Vg = None
-    if train_v:
+    grads["Wg"] += matmul(d_a_flat.T, x)
+    grads["Ug"] += matmul(d_a_flat.T, np.concatenate([c.h_prev for c in caches]))
+    if params.variant != "standard":
         s = np.zeros_like(x)
         s[np.arange(x_idx.shape[0]), x_idx] = np.concatenate([c.s_val for c in caches])
-        d_Vg = matmul(d_a_flat.T, s)
-    _scatter_gate_grads(
-        grads,
-        matmul(d_a_flat.T, x),
-        matmul(d_a_flat.T, np.concatenate([c.h_prev for c in caches])),
-        d_Vg,
-        d_a_flat.sum(axis=0),
-        n,
-        train_v,
-    )
+        grads["Vg"] += matmul(d_a_flat.T, s)
+    grads["bg"] += d_a_flat.sum(axis=0)
     return d_h, d_c

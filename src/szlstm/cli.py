@@ -134,15 +134,20 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg = build_config(args)
+def _load_model_and_corpus(args):
+    """The checkpoint and corpus named by args; their vocabularies must match."""
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
-    if corpus.vocab_size != ckpt.params.vocab_size:
-        raise UsageError(
-            f"corpus vocabulary ({corpus.vocab_size}) does not match "
-            f"checkpoint ({ckpt.params.vocab_size})"
-        )
+    try:
+        corpus.check_vocab(ckpt.vocab)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return ckpt, corpus
+
+
+def cmd_eval(args):
+    cfg = build_config(args)
+    ckpt, corpus = _load_model_and_corpus(args)
     bpc = evaluate_bpc(ckpt.params, corpus.split(args.split), cfg,
                        lanes=args.lanes, seed=cfg.seed)
     print(f"{args.split}_bpc\t{bpc:.6f}")
@@ -167,13 +172,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_trace(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    if corpus.vocab_size != ckpt.params.vocab_size:
-        raise UsageError(
-            f"corpus vocabulary ({corpus.vocab_size}) does not match "
-            f"checkpoint ({ckpt.params.vocab_size})"
-        )
+    ckpt, corpus = _load_model_and_corpus(args)
     split = corpus.split(args.split)
     if args.offset < 0 or args.offset + args.window + 1 > len(split):
         raise UsageError(

@@ -37,14 +37,16 @@ def xavier_init(params, rng):
 
 
 class AdadeltaState:
-    """Running E[g^2] and E[dx^2] accumulators, one block per trainable block."""
+    """Running E[g^2] and E[dx^2] accumulators in the ModelParams layout; both
+    start at zero unless an (E[g^2], E[dx^2]) pair, such as a checkpoint's,
+    is adopted through accumulators."""
 
-    def __init__(self, params, rho=0.95, eps=1e-6, lr=0.001):
+    def __init__(self, params, rho=0.95, eps=1e-6, lr=0.001, accumulators=None):
         self.rho = float(rho)
         self.eps = float(eps)
         self.lr = float(lr)
-        self.eg2 = GradientSet.zeros_like(params)
-        self.edx2 = GradientSet.zeros_like(params)
+        self.eg2, self.edx2 = accumulators or (GradientSet.zeros_like(params),
+                                               GradientSet.zeros_like(params))
 
 
 def adadelta_step(params, grads, state):
@@ -52,22 +54,24 @@ def adadelta_step(params, grads, state):
 
     The E[dx^2] accumulator tracks the unscaled accumulator-ratio step and lr
     only scales the applied update, the same convention the major frameworks
-    use; lr=1 recovers the canonical method. Non-finite gradients abort with
-    the offending block named rather than poisoning the accumulators.
+    use; lr=1 recovers the canonical method. Each trainable slice of the flat
+    buffers is updated in one pass. Non-finite gradients abort with the
+    offending block named rather than poisoning the accumulators.
     """
     rho, eps, lr = state.rho, state.eps, state.lr
-    for name in params.trainable_keys():
-        g = grads[name]
+    for sl in params.trainable_slices():
+        g = grads.flat[sl]
         if not np.all(np.isfinite(g)):
+            name = next(k for k in params.trainable_keys() if not np.all(np.isfinite(grads[k])))
             raise NumericalError(f"non-finite gradient in block {name}")
-        eg2 = state.eg2[name]
-        edx2 = state.edx2[name]
+        eg2 = state.eg2.flat[sl]
+        edx2 = state.edx2.flat[sl]
         eg2 *= rho
         eg2 += (1.0 - rho) * g * g
         delta = np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
         edx2 *= rho
         edx2 += (1.0 - rho) * delta * delta
-        getattr(params, name)[...] -= lr * delta
+        params.flat[sl] -= lr * delta
     return params
 
 

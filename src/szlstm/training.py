@@ -14,9 +14,10 @@ Checkpoint format (version 1), all integers and floats little-endian:
     header       UTF-8 JSON: step, precision, variant, tau, zoneout_rate,
                  hidden/vocab sizes, vocab byte values, optimizer
                  hyperparameters, rng stream states, config echo
-    arrays       raw C-order little-endian float arrays: the 18 parameter
-                 blocks in PARAM_KEYS order, then the E[g^2] accumulators,
-                 then the E[dx^2] accumulators, same order
+    arrays       raw little-endian floats: the flat parameter buffer (the 18
+                 blocks in PARAM_KEYS order, each C-order), then the flat
+                 E[g^2] accumulator buffer, then the flat E[dx^2] buffer,
+                 both in the same layout
 
 A checkpoint is written only at chunk boundaries, so resuming reproduces the
 uninterrupted run bit for bit: lane states restart at the next chunk anyway
@@ -31,12 +32,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cell import (
-    PARAM_KEYS,
     VARIANTS,
     GradientSet,
     ModelParams,
     RecurrentState,
     backward_window,
+    block_layout,
     cross_entropy_bpc,
     forward_step,
     fuse_gate_weights,
@@ -99,6 +100,17 @@ class Corpus:
     def decode(self, indices):
         """Bytes for a sequence of symbol indices."""
         return self.vocab[np.asarray(indices)].tobytes()
+
+    def check_vocab(self, vocab):
+        """Raise ValueError unless a model's vocabulary is this corpus's, byte
+        for byte (symbol indices mean bytes, so equal sizes are not enough)."""
+        if np.array_equal(self.vocab, vocab):
+            return
+        n = min(len(self.vocab), len(vocab))
+        i = int(np.argmax(np.append(self.vocab[:n] != vocab[:n], True)))
+        ours, theirs = (f"0x{v[i]:02x}" if i < len(v) else "none" for v in (self.vocab, vocab))
+        raise ValueError(f"corpus vocabulary differs from the checkpoint's at symbol {i}: "
+                         f"corpus byte {ours}, checkpoint byte {theirs}")
 
 
 def load_corpus(path):
@@ -293,10 +305,12 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     when given, is rewritten at every chunk boundary and once at the end.
     resume takes a Checkpoint and continues it exactly; it raises ValueError
     naming every RESUME_FIELDS entry in which cfg differs from the
-    checkpoint.
+    checkpoint, and ValueError if the corpus vocabulary is not the
+    checkpoint's.
     """
     cfg.validate()
     if resume is not None:
+        corpus.check_vocab(resume.vocab)
         params = resume.params
         opt = resume.opt
         # the parameters themselves say hidden and variant; the config echo
@@ -448,54 +462,48 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
         fh.write(np.array([CHECKPOINT_VERSION], dtype="<u4").tobytes())
         fh.write(np.array([len(blob)], dtype="<u8").tobytes())
         fh.write(blob)
-        for _, block in params.blocks():
-            fh.write(np.ascontiguousarray(block, dtype=dtype_le).tobytes())
-        for accum in (opt.eg2, opt.edx2):
-            for _, block in accum.items():
-                fh.write(np.ascontiguousarray(block, dtype=dtype_le).tobytes())
+        for buffer in (params, opt.eg2, opt.edx2):
+            fh.write(np.ascontiguousarray(buffer.flat, dtype=dtype_le))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; magic, version and shape mismatches all hard-fail."""
+    """Read a checkpoint's three array sections with one readinto into one
+    buffer, which parameters and accumulators view; bad magic, version,
+    truncation and trailing bytes all hard-fail."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise ValueError(f"truncated checkpoint {path}: short read in {what}")
-        chunk = raw[pos: pos + n]
-        pos += n
-        return chunk
+        def take(n, what):
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise ValueError(f"truncated checkpoint {path}: short read in {what}")
+            return chunk
 
-    pos = 0
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic)")
-    version = int(np.frombuffer(take(4, "version"), dtype="<u4")[0])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    hlen = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
-    header = json.loads(take(hlen, "header").decode("utf-8"))
+        if take(4, "magic") != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path} is not a checkpoint (bad magic)")
+        version = int(np.frombuffer(take(4, "version"), dtype="<u4")[0])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        hlen = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
+        header = json.loads(take(hlen, "header").decode("utf-8"))
 
-    dtype = DTYPES[header["precision"]]
-    dtype_le = "<f8" if dtype == np.float64 else "<f4"
-    params = ModelParams.zeros(header["vocab_size"], header["hidden"],
-                               variant=header["variant"], tau=header["tau"],
-                               zoneout_rate=header["zoneout_rate"], dtype=dtype)
+        dtype = DTYPES[header["precision"]]
+        vocab_size, hidden = header["vocab_size"], header["hidden"]
+        count = block_layout(vocab_size, hidden)["b_y"][1]
+        arrays = np.empty(3 * count, dtype="<f8" if dtype == np.float64 else "<f4")
+        left = size - fh.tell()
+        if left < arrays.nbytes or fh.readinto(arrays) != arrays.nbytes:
+            raise ValueError(f"truncated checkpoint {path}: short read in arrays")
+        if left > arrays.nbytes:
+            raise ValueError(f"checkpoint {path} has {left - arrays.nbytes} trailing bytes")
 
-    def read_block(shape, what):
-        count = int(np.prod(shape, dtype=np.int64))
-        buf = take(count * np.dtype(dtype_le).itemsize, what)
-        return np.frombuffer(buf, dtype=dtype_le).astype(dtype).reshape(shape)
-
-    for name, block in params.blocks():
-        block[...] = read_block(block.shape, name)
-    opt = AdadeltaState(params, rho=header["rho"], eps=header["eps"], lr=header["lr"])
-    for tag, accum in (("eg2", opt.eg2), ("edx2", opt.edx2)):
-        for name, block in accum.items():
-            block[...] = read_block(block.shape, f"{tag}.{name}")
-    if pos != len(raw):
-        raise ValueError(f"checkpoint {path} has {len(raw) - pos} trailing bytes")
+    arrays = arrays.astype(dtype, copy=False)
+    params = ModelParams(arrays[:count], vocab_size, hidden, variant=header["variant"],
+                         tau=header["tau"], zoneout_rate=header["zoneout_rate"])
+    accumulators = (GradientSet(arrays[count: 2 * count], vocab_size, hidden),
+                    GradientSet(arrays[2 * count:], vocab_size, hidden))
+    opt = AdadeltaState(params, rho=header["rho"], eps=header["eps"], lr=header["lr"],
+                        accumulators=accumulators)
 
     return Checkpoint(
         params=params,

@@ -61,10 +61,10 @@ class TestExitCodes:
         assert run(["gradcheck", "--threshold", "1e-12"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
 class TestConfidentlyWrongF32:
     """An f32 softmax underflows to an exact 0 for a confidently wrong
-    prediction; the surprisal of the symbol that then arrives is log(0)."""
+    prediction; the loss of the symbol that then arrives, and its surprisal
+    one step later, would be log(0)."""
 
     @pytest.fixture()
     def model(self, tmp_path):
@@ -87,6 +87,38 @@ class TestConfidentlyWrongF32:
     def test_eval_command_exits_2(self, model, capsys):
         assert run(["eval", *model]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_single_scored_step_raises_numerical_error(self, model):
+        # one step: the target's zero probability shows in the loss, and no
+        # later step takes its surprisal
+        ckpt, _ = model
+        with pytest.raises(NumericalError, match="zero probability"):
+            evaluate_bpc(load_checkpoint(ckpt).params, np.array([4, 0]), TrainConfig())
+
+
+class TestVocabularyMismatch:
+    """A model scores symbol indices, which mean the bytes of its training
+    corpus: a corpus of as many different bytes is still refused."""
+
+    @pytest.fixture()
+    def model(self, tmp_path):
+        params = ModelParams.zeros(3, 4, dtype=np.float32)
+        ckpt = str(tmp_path / "abc.ckpt")
+        save_checkpoint(ckpt, params, AdadeltaState(params), None,
+                        np.frombuffer(b"abc", dtype=np.uint8), step=0)
+        corpus = tmp_path / "xyz.txt"
+        corpus.write_bytes(b"xyzzy" * 400)
+        return ckpt, str(corpus)
+
+    def test_eval_names_first_differing_byte(self, model, capsys):
+        assert run(["eval", *model]) == 1
+        err = capsys.readouterr().err
+        assert "symbol 0: corpus byte 0x78, checkpoint byte 0x61" in err
+
+    def test_trace_names_first_differing_byte(self, model, tmp_path, capsys):
+        assert run(["trace", *model, "--window", "5", "--out-dir", str(tmp_path)]) == 1
+        assert "corpus byte 0x78, checkpoint byte 0x61" in capsys.readouterr().err
+        assert not (tmp_path / "trace_gates.csv").exists()
 
 
 class TestGradcheckCommand:

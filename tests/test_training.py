@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,19 @@ class TestEvaluateBpc:
             evaluate_bpc(params, corpus.split("valid"), cfg, lanes=0)
 
 
+# sha256 of the final checkpoint of TestCheckpoint's pinned tiny run
+GOLDEN_CHECKPOINTS = {
+    ("standard", "f32"):
+        "5cf9e92ba7176bb6419642d27df326051c5b75b1ffc56d431e939b2009fb562d",
+    ("standard", "f64"):
+        "383e2874abd0412ff7356139ae5b056f0a849f8b41e4c21ccd9a6e4d1320967f",
+    ("adaptive", "f32"):
+        "acec67aab32dcad821c2e07479a10d4287d15c352df35483eb7fbb63aee4916c",
+    ("adaptive", "f64"):
+        "267f56ed9a6a48fa6cf87ee54c087abcdfc6a1fc7efb2bab49014333cede6876",
+}
+
+
 class TestCheckpoint:
     def _roundtrip(self, tmp_path, corpus, cfg=None):
         cfg = cfg or small_cfg()
@@ -264,6 +279,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ["standard", "adaptive"])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, corpus, variant, precision):
+        """A fixed tiny run writes exactly these bytes, and load then save
+        writes them again. The digests pin this build's arithmetic as well as
+        the file layout; a BLAS that rounds differently changes them."""
+        cfg = small_cfg(seq_len=5, batch_size=3, chunk_len=20, hidden=8, steps=6,
+                        val_interval=3, val_prefix=200, seed=7, variant=variant,
+                        precision=precision)
+        path = tmp_path / "golden.ckpt"
+        train(cfg, corpus, ckpt_path=str(path))
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_CHECKPOINTS[variant, precision]
+        ckpt = load_checkpoint(str(path))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(str(again), ckpt.params, ckpt.opt, ckpt.config, ckpt.vocab,
+                        ckpt.step, rng=ckpt.rng)
+        assert again.read_bytes() == blob
+
     def test_resume_matches_uninterrupted_run(self, tmp_path, corpus):
         cfg = small_cfg(steps=20)
         full = train(cfg, corpus)
@@ -284,6 +318,16 @@ class TestCheckpoint:
             train(small_cfg(steps=10, **change), corpus, resume=load_checkpoint(ck))
         for field in change:
             assert field in str(info.value)
+
+    def test_resume_refuses_other_vocabulary(self, tmp_path, corpus):
+        ck = str(tmp_path / "vocab.ckpt")
+        train(small_cfg(steps=5), corpus, ckpt_path=ck)
+        shifted = tmp_path / "shifted.bin"
+        shifted.write_bytes((corpus.data + 1).tobytes())
+        other = load_corpus(str(shifted))
+        assert other.vocab_size == corpus.vocab_size
+        with pytest.raises(ValueError, match="vocabulary differs"):
+            train(small_cfg(steps=10), other, resume=load_checkpoint(ck))
 
     def test_resume_config_mismatch_rejected(self, tmp_path, corpus):
         ck = str(tmp_path / "mismatch.ckpt")
