@@ -1,9 +1,11 @@
 """Generate text from a freshly trained model at a few temperatures.
 
-Uses the library API end to end: train, checkpoint, reload, sample.
+Uses the library API end to end: train, checkpoint, reload, sample. Exits
+with the first non-zero exit code of those commands.
 """
 
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -19,13 +21,15 @@ with open(corpus_path, "wb") as fh:
     fh.write(b"".join(words[i] for i in picks))
 
 run_dir = tempfile.mkdtemp(prefix="szlstm_sample_")
-dispatch(["train", corpus_path, "--steps", "600", "--hidden", "64",
-          "--batch", "16", "--seq-len", "25", "--chunk-len", "500",
-          "--seed", "1", "--lr", "1.0", "--run-dir", run_dir, "--run-id", "demo"])
+status = dispatch(["train", corpus_path, "--steps", "600", "--hidden", "64",
+                   "--batch", "16", "--seq-len", "25", "--chunk-len", "500",
+                   "--seed", "1", "--lr", "1.0", "--run-dir", run_dir, "--run-id", "demo"])
 
 ckpt = os.path.join(run_dir, "demo.ckpt")
 for temperature in ("0.5", "1.0"):
     print(f"--- temperature {temperature} ---")
-    dispatch(["sample", ckpt, "--prompt", "<page>", "--length", "120",
-              "--temperature", temperature, "--seed", "4"])
+    code = dispatch(["sample", ckpt, "--prompt", "<page>", "--length", "120",
+                     "--temperature", temperature, "--seed", "4"])
+    status = status or code
     print()
+sys.exit(status)

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import NumericalError, matmul, one_hot, sample_bernoulli, sigmoid, softmax_rows
+from .numerics import NumericalError, matmul, sample_bernoulli, sigmoid, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 
@@ -396,13 +396,15 @@ def cross_entropy_bpc(loss_nats):
     return loss_nats / LN2
 
 
-def _backward_core(cache, params, d_h_next, d_c_next, target, fused):
+def _backward_core(cache, params, d_h_next, d_c_next, target, fused, d_y, d_a):
     """Sequential part of one backward step: loss gradient, gate chain,
-    carry to the previous step. Parameter accumulation happens outside."""
+    carry to the previous step. Writes the step's output and gate
+    pre-activation gradients into d_y (B x M) and d_a (B x 4N); parameter
+    accumulation happens outside."""
     batch = cache.p.shape[0]
     rows = np.arange(batch)
 
-    d_y = cache.p / batch
+    np.divide(cache.p, batch, out=d_y)
     d_y[rows, target] -= 1.0 / batch
 
     d_h = d_h_next + matmul(d_y, params.W_y)
@@ -414,7 +416,7 @@ def _backward_core(cache, params, d_h_next, d_c_next, target, fused):
     d_i = d_c * cache.mask * cache.u
     d_u = d_c * cache.mask * cache.i
 
-    d_a = np.concatenate(
+    np.concatenate(
         [
             d_f * cache.f * (1.0 - cache.f),
             d_i * cache.i * (1.0 - cache.i),
@@ -422,9 +424,10 @@ def _backward_core(cache, params, d_h_next, d_c_next, target, fused):
             d_u * (1.0 - cache.u * cache.u),
         ],
         axis=1,
+        out=d_a,
     )
     d_h_prev = matmul(d_a, fused.Ug)
-    return d_y, d_a, d_h_prev, d_c_prev
+    return d_h_prev, d_c_prev
 
 
 def backward_step(cache, params, d_h_next, d_c_next, target, grads, fused=None):
@@ -450,37 +453,48 @@ def backward_window(caches, params, targets, grads, fused=None,
                     d_h_final=None, d_c_final=None):
     """Reverse sweep over a whole cached window with batched accumulation.
 
-    Mathematically the composition of backward_step over the window, but the
-    parameter contractions run as single wide matmuls over all (step, lane)
-    pairs, which is far faster at training shapes. Returns (d_h_prev,
+    Mathematically the composition of backward_step over the window. Each
+    step writes its output and gate gradients into rows t*B..(t+1)*B of two
+    window buffers; W_y, U_* and the biases then contract them in single wide
+    matmuls over all (step, lane) pairs. The one-hot input and the
+    single-entry surprisal rows are never built: the window's rows are
+    sorted by symbol, and each symbol's run of gate gradients is contracted
+    with its [1, s] coefficients into that symbol's column of W_* and V_*.
+    Symbols absent from the window get zero columns. Returns (d_h_prev,
     d_c_prev) at the window start.
     """
     if fused is None:
         fused = fuse_gate_weights(params)
     seq_len = len(caches)
+    batch, n = caches[-1].h.shape
     d_h = d_h_final if d_h_final is not None else np.zeros_like(caches[-1].h)
     d_c = d_c_final if d_c_final is not None else np.zeros_like(caches[-1].c)
-    d_y_all = [None] * seq_len
-    d_a_all = [None] * seq_len
+    d_y_flat = np.empty((seq_len * batch, params.vocab_size), dtype=caches[-1].p.dtype)
+    d_a_flat = np.empty((seq_len * batch, 4 * n), dtype=np.result_type(caches[-1].c, d_h, d_c))
     for t in reversed(range(seq_len)):
-        d_y, d_a, d_h, d_c = _backward_core(caches[t], params, d_h, d_c,
-                                            targets[t], fused)
-        d_y_all[t] = d_y
-        d_a_all[t] = d_a
+        rows = slice(t * batch, (t + 1) * batch)
+        d_h, d_c = _backward_core(caches[t], params, d_h, d_c, targets[t], fused,
+                                  d_y_flat[rows], d_a_flat[rows])
 
-    d_y_flat = np.concatenate(d_y_all)
-    d_a_flat = np.concatenate(d_a_all)
     grads["W_y"] += matmul(d_y_flat.T, np.concatenate([c.h for c in caches]))
     grads["b_y"] += d_y_flat.sum(axis=0)
-    # the window's one-hot and surprisal rows, rebuilt from the cached
-    # indices so the contractions below see the dense rows they always did
-    x_idx = np.concatenate([c.x_idx for c in caches])
-    x = one_hot(x_idx, params.vocab_size, dtype=params.dtype)
-    grads["Wg"] += matmul(d_a_flat.T, x)
     grads["Ug"] += matmul(d_a_flat.T, np.concatenate([c.h_prev for c in caches]))
-    if params.variant != "standard":
-        s = np.zeros_like(x)
-        s[np.arange(x_idx.shape[0]), x_idx] = np.concatenate([c.s_val for c in caches])
-        grads["Vg"] += matmul(d_a_flat.T, s)
     grads["bg"] += d_a_flat.sum(axis=0)
+
+    # per-symbol input contractions. The stable sort keeps each symbol's rows
+    # in window order, and coef keeps both rows [1, s] for every variant: a
+    # one-row product runs as a gemv, which rounds unlike the dense product
+    x_idx = np.concatenate([c.x_idx for c in caches])
+    order = np.argsort(x_idx, kind="stable")
+    sym = x_idx[order]
+    coef = np.ones((sym.shape[0], 2), dtype=d_a_flat.dtype)
+    coef[:, 1] = np.concatenate([c.s_val for c in caches])[order]
+    starts = np.flatnonzero(np.r_[True, sym[1:] != sym[:-1]])
+    stops = np.r_[starts[1:], sym.shape[0]]
+    out = np.zeros((2, params.vocab_size, 4 * n), dtype=d_a_flat.dtype)
+    for a, e in zip(starts.tolist(), stops.tolist()):
+        out[:, sym[a]] = coef[a:e].T @ d_a_flat[order[a:e]]
+    grads["Wg"] += out[0].T
+    if params.variant != "standard":
+        grads["Vg"] += out[1].T
     return d_h, d_c

@@ -9,6 +9,9 @@ import numpy as np
 from .cell import GradientSet
 from .numerics import NumericalError
 
+# elements per Adadelta piece: 256 KiB of f32, 512 KiB of f64
+ADADELTA_CHUNK = 1 << 16
+
 
 def xavier_init(params, rng):
     """Fill every weight matrix uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
@@ -55,23 +58,27 @@ def adadelta_step(params, grads, state):
     The E[dx^2] accumulator tracks the unscaled accumulator-ratio step and lr
     only scales the applied update, the same convention the major frameworks
     use; lr=1 recovers the canonical method. Each trainable slice of the flat
-    buffers is updated in one pass. Non-finite gradients abort with the
-    offending block named rather than poisoning the accumulators.
+    buffers is updated in ADADELTA_CHUNK-element pieces, which keeps the
+    temporaries cache-sized; the update is elementwise, so the bits do not
+    depend on the piece size. Non-finite gradients abort with the offending
+    block named rather than poisoning the accumulators.
     """
     rho, eps, lr = state.rho, state.eps, state.lr
     for sl in params.trainable_slices():
-        g = grads.flat[sl]
-        if not np.all(np.isfinite(g)):
+        g_all = grads.flat[sl]
+        if not np.all(np.isfinite(g_all)):
             name = next(k for k in params.trainable_keys() if not np.all(np.isfinite(grads[k])))
             raise NumericalError(f"non-finite gradient in block {name}")
-        eg2 = state.eg2.flat[sl]
-        edx2 = state.edx2.flat[sl]
-        eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        delta = np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
-        edx2 *= rho
-        edx2 += (1.0 - rho) * delta * delta
-        params.flat[sl] -= lr * delta
+        p_all, eg2_all, edx2_all = params.flat[sl], state.eg2.flat[sl], state.edx2.flat[sl]
+        for a in range(0, g_all.shape[0], ADADELTA_CHUNK):
+            piece = slice(a, a + ADADELTA_CHUNK)
+            g, eg2, edx2 = g_all[piece], eg2_all[piece], edx2_all[piece]
+            eg2 *= rho
+            eg2 += (1.0 - rho) * g * g
+            delta = np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+            edx2 *= rho
+            edx2 += (1.0 - rho) * delta * delta
+            p_all[piece] -= lr * delta
     return params
 
 

@@ -4,9 +4,11 @@ import pytest
 from szlstm.cell import (
     GradientSet,
     RecurrentState,
+    _backward_core,
     backward_step,
     backward_window,
     forward_step,
+    fuse_gate_weights,
 )
 from szlstm.numerics import RngState, one_hot
 
@@ -108,3 +110,84 @@ def test_gradient_set_helpers():
     np.testing.assert_array_equal(grads["b_y"], np.full(params.vocab_size, 1.5))
     grads.zero_()
     assert grads.global_norm() == 0.0
+
+
+# 3200 window rows: longer than one BLAS K-block, so the dense contraction
+# below sums each column in pieces while backward_window sums each symbol's
+# rows in one sequence; the results agree to rounding, not bit for bit
+LONG_BATCH, LONG_STEPS, LONG_VOCAB = 32, 100, 20
+
+
+def symbol_window(params, sym, seed=6):
+    """Forward over the (T + 1, B) symbol rows sym; returns (caches, targets)."""
+    state = RecurrentState.initial(sym.shape[1], params.hidden_size, params.vocab_size,
+                                   dtype=params.dtype)
+    rng = RngState(seed)
+    caches = []
+    for t in range(sym.shape[0] - 1):
+        state, cache, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
+        caches.append(cache)
+    return caches, sym[1:]
+
+
+def dense_input_grads(caches, params, targets):
+    """The W_*/V_* gate gradients (4N x M) as one dense matmul each against the
+    window's one-hot rows and its surprisal rows (zero but at the symbol)."""
+    fused = fuse_gate_weights(params)
+    batch, n = caches[-1].h.shape
+    d_y = np.empty((batch, params.vocab_size), dtype=params.dtype)
+    d_a = np.empty((len(caches) * batch, 4 * n), dtype=params.dtype)
+    d_h, d_c = np.zeros_like(caches[-1].h), np.zeros_like(caches[-1].c)
+    for t in reversed(range(len(caches))):
+        d_h, d_c = _backward_core(caches[t], params, d_h, d_c, targets[t], fused,
+                                  d_y, d_a[t * batch: (t + 1) * batch])
+    x = one_hot(np.concatenate([c.x_idx for c in caches]), params.vocab_size,
+                dtype=params.dtype)
+    s = x * np.concatenate([c.s_val for c in caches])[:, None]
+    return d_a.T @ x, d_a.T @ s
+
+
+def assert_input_grads_match(params, caches, targets):
+    grads = GradientSet.zeros_like(params)
+    backward_window(caches, params, targets, grads)
+    ref_w, ref_v = dense_input_grads(caches, params, targets)
+    pairs = [(grads["Wg"], ref_w)]
+    if params.variant == "standard":
+        np.testing.assert_array_equal(grads["Vg"], 0.0)
+    else:
+        pairs.append((grads["Vg"], ref_v))
+    # within 1e-12 (f64) or 1e-5 (f32) of the block's largest entry: an entry
+    # that cancels to a small value carries the rounding of its large terms
+    tol = 1e-12 if params.dtype == np.float64 else 1e-5
+    for got, ref in pairs:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+def test_long_window_input_grads_match_dense_contraction(variant, dtype):
+    params = tiny_params(vocab=LONG_VOCAB, variant=variant, dtype=dtype)
+    sym = RngState(7).integers(0, LONG_VOCAB, size=(LONG_STEPS + 1, LONG_BATCH))
+    caches, targets = symbol_window(params, sym)
+    assert_input_grads_match(params, caches, targets)
+
+
+def test_symbols_absent_from_window_get_zero_columns():
+    params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
+    sym = RngState(8).integers(0, LONG_VOCAB - 5, size=(LONG_STEPS + 1, LONG_BATCH))
+    caches, targets = symbol_window(params, sym)
+    grads = assert_input_grads_match(params, caches, targets)
+    for family in ("Wg", "Vg"):
+        assert np.all(grads[family][:, : LONG_VOCAB - 5] != 0.0)
+        np.testing.assert_array_equal(grads[family][:, LONG_VOCAB - 5:], 0.0)
+
+
+def test_window_of_one_symbol():
+    params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
+    sym = np.full((LONG_STEPS + 1, LONG_BATCH), 3)
+    caches, targets = symbol_window(params, sym)
+    grads = assert_input_grads_match(params, caches, targets)
+    for family in ("Wg", "Vg"):
+        assert np.all(grads[family][:, 3] != 0.0)
+        np.testing.assert_array_equal(np.delete(grads[family], 3, axis=1), 0.0)

@@ -1,6 +1,7 @@
 """The quick demos run start to finish against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -9,13 +10,17 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_demo(script, tmp_path):
+def run_script(path, tmp_path):
     # TMPDIR keeps the files a demo writes to the temp directory inside tmp_path
     env = dict(os.environ, TMPDIR=str(tmp_path))
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_demo(script, tmp_path):
+    proc = run_script(os.path.join(ROOT, "demos", script), tmp_path)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -25,9 +30,39 @@ def test_demo_runs(script, tmp_path):
     run_demo(script, tmp_path)
 
 
+def test_train_demo_ends_below_uniform_rate(tmp_path):
+    out = run_demo("03_train_tiny.py", tmp_path)
+    uniform = float(re.search(r"uniform rate would be ([0-9.]+) bpc", out).group(1))
+    final = float(re.search(r"validation ended at ([0-9.]+) bpc", out).group(1))
+    assert final < uniform
+
+
+def test_trace_demo_writes_gate_maps(tmp_path):
+    out = run_demo("04_trace_export.py", tmp_path)
+    for variant in ("adaptive", "standard"):
+        lines = [line for line in out.splitlines() if line.lstrip().startswith(variant + ":")]
+        assert len(lines) == 1, out
+        path = lines[0].split("-> ")[1]
+        assert path.endswith(f"{variant}_gates.csv") and os.path.isfile(path)
+
+
 def test_sample_demo_trains_reloads_and_samples(tmp_path):
     lines = run_demo("05_sample_text.py", tmp_path).splitlines()
     assert any(line.startswith("done: step 600") for line in lines)
     for temperature in ("0.5", "1.0"):
         header = lines.index(f"--- temperature {temperature} ---")
         assert lines[header + 1].startswith("<page>")
+
+
+def test_sample_demo_exits_with_failed_command_code(tmp_path):
+    with open(os.path.join(ROOT, "demos", "05_sample_text.py")) as fh:
+        source = fh.read()
+    # 'q' is not in the demo corpus; a short run keeps the copy quick
+    patched = source.replace('"--prompt", "<page>"', '"--prompt", "q!!"')
+    patched = patched.replace('"--steps", "600"', '"--steps", "3"')
+    assert patched.count("q!!") == 1 and '"--steps", "3"' in patched
+    copy = tmp_path / "sample_bad_prompt.py"
+    copy.write_text(patched)
+    proc = run_script(str(copy), tmp_path)
+    assert proc.returncode != 0
+    assert "not in the model vocabulary" in proc.stderr

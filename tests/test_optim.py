@@ -3,7 +3,13 @@ import pytest
 
 from szlstm.cell import GradientSet, ModelParams
 from szlstm.numerics import NumericalError, RngState
-from szlstm.optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init
+from szlstm.optim import (
+    ADADELTA_CHUNK,
+    AdadeltaState,
+    adadelta_step,
+    clip_gradients,
+    xavier_init,
+)
 
 
 class TestXavierInit:
@@ -108,6 +114,39 @@ class TestAdadeltaStep:
         grads["V_f"] += 1.0  # poisoned on purpose; must be ignored
         adadelta_step(params, grads, state)
         np.testing.assert_array_equal(params.V_f, np.zeros_like(params.V_f))
+
+    @pytest.mark.parametrize("variant", ["adaptive", "standard"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_chunked_update_matches_one_pass_formula(self, variant, dtype):
+        params = ModelParams.zeros(150, 100, variant=variant, dtype=dtype)
+        # several pieces and a ragged tail in the first trainable slice
+        first = params.trainable_slices()[0].stop or params.flat.size
+        assert first > ADADELTA_CHUNK and first % ADADELTA_CHUNK
+        xavier_init(params, RngState(4))
+        state = AdadeltaState(params, lr=0.5)
+        rho, eps, lr = state.rho, state.eps, state.lr
+        p, eg2, edx2 = params.flat.copy(), state.eg2.flat.copy(), state.edx2.flat.copy()
+        train = np.zeros(p.shape, dtype=bool)
+        for sl in params.trainable_slices():
+            train[sl] = True
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            grads = GradientSet.zeros_like(params)
+            grads.flat[...] = rng.standard_normal(grads.flat.shape).astype(dtype)
+            adadelta_step(params, grads, state)
+            g = grads.flat[train]
+            e = eg2[train] * rho + (1.0 - rho) * g * g
+            delta = np.sqrt(edx2[train] + eps) / np.sqrt(e + eps) * g
+            eg2[train] = e
+            edx2[train] = edx2[train] * rho + (1.0 - rho) * delta * delta
+            p[train] = p[train] - lr * delta
+            np.testing.assert_array_equal(params.flat, p)
+            np.testing.assert_array_equal(state.eg2.flat, eg2)
+            np.testing.assert_array_equal(state.edx2.flat, edx2)
+        if variant == "standard":
+            # the random V_* gradients reached neither V_* nor its accumulators
+            for buf in (params.views, state.eg2.views, state.edx2.views):
+                np.testing.assert_array_equal(buf["Vg"], 0.0)
 
 
 class TestClipGradients:
