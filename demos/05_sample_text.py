@@ -1,7 +1,8 @@
 """Generate text from a freshly trained model at a few temperatures.
 
-Uses the library API end to end: train, checkpoint, reload, sample. Exits
-with the first non-zero exit code of those commands.
+Drives the command line through szlstm.cli.dispatch: `train` writes a
+checkpoint, and `sample` reloads it at each temperature. Exits with the
+first non-zero exit code of those commands.
 """
 
 import os
@@ -10,7 +11,6 @@ import tempfile
 
 import numpy as np
 
-from szlstm import TrainConfig, load_checkpoint, load_corpus, train
 from szlstm.cli import dispatch
 
 words = [b"<page>", b"</page>", b"<title>", b"</title>", b"the ", b"of ",

@@ -18,6 +18,7 @@ from .cell import (
     gate_forward,
     hidden_from_cell,
     prediction_error,
+    run_lanes,
     surprisal_vector,
     zoneout_rate,
 )
@@ -30,7 +31,6 @@ from .numerics import (
     sample_bernoulli,
     sigmoid,
     softmax_rows,
-    tanh,
 )
 from .optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init
 from .gradcheck import (

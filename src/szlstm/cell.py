@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import NumericalError, matmul, sample_bernoulli, sigmoid, softmax_rows
+from .numerics import NumericalError, matmul, sample_bernoulli, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 
@@ -261,9 +261,7 @@ def surprisal_vector(p_prev, x_idx):
     p_target = p_prev[np.arange(x_idx.shape[0]), x_idx]
     # one reduction with np.any(p_target <= 0.0)'s answer; NaN passes both
     if p_target.min() <= 0.0:
-        raise NumericalError(
-            "previous prediction assigns zero probability to an observed symbol"
-        )
+        raise NumericalError("previous prediction assigns zero probability to an observed symbol")
     return np.log(p_target)
 
 
@@ -296,7 +294,9 @@ def sample_update_mask(z, rng):
 
 
 def _activate_gates(a, n):
-    sig = sigmoid(a[:, : 3 * n])
+    # numerics.sigmoid's expression without its np.errstate, which the
+    # step's caller holds once for a whole run of steps
+    sig = 1.0 / (1.0 + np.exp(-a[:, : 3 * n]))
     u = np.tanh(a[:, 3 * n:])
     return sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], u
 
@@ -307,10 +307,11 @@ def gate_forward(x_idx, s_val, h_prev, fused):
     The one-hot input row and the single-entry surprisal row turn their
     matmuls into row gathers of the fused weights. All variants run the same
     expression; the standard variant simply keeps its surprisal weights at
-    zero.
+    zero. Callers hold np.errstate(over="ignore"): exp overflows to inf on
+    very negative pre-activations, which gives exactly the right 0.
     """
     a = fused.WgT[x_idx]
-    a += matmul(h_prev, fused.UgT)
+    a += h_prev @ fused.UgT
     a += fused.VgT[x_idx] * s_val[:, None]
     a += fused.bg
     return _activate_gates(a, h_prev.shape[1])
@@ -334,13 +335,60 @@ def hidden_from_cell(c, o):
     return c_hat, o * c_hat
 
 
-def _update_probability(state, x_idx, params):
+def _update_probability(c_prev, p_prev, x_idx, params):
     if params.variant == "adaptive":
-        return zoneout_rate(prediction_error(state.p_prev, x_idx), params.W_y, params.tau)
+        return zoneout_rate(prediction_error(p_prev, x_idx), params.W_y, params.tau)
     if params.variant == "fixed_zoneout":
-        return np.full_like(state.c, params.zoneout_rate)
+        return np.full_like(c_prev, params.zoneout_rate)
     # standard / sf: every cell updates every step
-    return np.ones_like(state.c)
+    return np.ones_like(c_prev)
+
+
+def _sampled(mask_mode):
+    if mask_mode not in ("sampled", "expected"):
+        raise ValueError(f"unknown mask_mode {mask_mode!r}")
+    return mask_mode == "sampled"
+
+
+def _score(p, rows, target):
+    # (log p of each row's target, their negated batch mean). Under the caller's
+    # np.errstate(divide="ignore") a zero probability (underflowed outputs) gives
+    # a +inf loss, as no other log p <= 0 terms can; a NaN passes, as elsewhere
+    logp = np.log(p[rows, target])
+    # sum / B is np.mean's own reduction and division, without its overhead
+    loss = float(-np.add.reduce(logp) / logp.shape[0])
+    if loss == math.inf:
+        raise NumericalError("output assigns zero probability to a target symbol")
+    return logp, loss
+
+
+def _step(c_prev, h_prev, p_prev, x_idx, s_val, params, fused, rng, sampled, frozen, keep):
+    """The cell arithmetic of one step, shared by forward_step and run_lanes.
+
+    Returns (c, h, p, cache); cache is the step's StepCache when keep is
+    true, else None. The caller holds np.errstate(over="ignore").
+    """
+    f, i, o, u = gate_forward(x_idx, s_val, h_prev, fused)
+    full = params.variant in ("standard", "sf")
+    z, mask = frozen.z, frozen.mask
+    if not (full and z is None and mask is None):
+        if z is None:
+            z = _update_probability(c_prev, p_prev, x_idx, params)
+        if mask is None:
+            mask = z if full or not sampled else sample_update_mask(z, rng)
+    c = cell_update(c_prev, f, i, u, mask)
+    c_hat, h = hidden_from_cell(c, o)
+    y = h @ fused.WyT
+    y += params.b_y
+    p = softmax_rows(y)
+    if not keep:
+        return c, h, p, None
+    if z is None:
+        # every cell updated; the backward pass and the trace read all-ones rows
+        z = mask = np.ones_like(c)
+    return c, h, p, StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
+                              u=u, h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h,
+                              y=y, p=p)
 
 
 def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=None,
@@ -355,8 +403,7 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
     gives zero probability raises NumericalError. frozen overrides
     individual intermediate quantities, see FrozenStep.
     """
-    if mask_mode not in ("sampled", "expected"):
-        raise ValueError(f"unknown mask_mode {mask_mode!r}")
+    sampled = _sampled(mask_mode)
     if fused is None:
         fused = fuse_gate_weights(params)
     if frozen is None:
@@ -364,31 +411,55 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
     s_val = frozen.s
     if s_val is None:
         s_val = surprisal_vector(state.p_prev, x_idx)
-    f, i, o, u = gate_forward(x_idx, s_val, state.h, fused)
-    full = params.variant in ("standard", "sf")
-    z, mask = frozen.z, frozen.mask
-    every_cell = full and z is None and mask is None
-    if z is None:
-        z = _update_probability(state, x_idx, params)
-    if mask is None:
-        mask = z if full or mask_mode == "expected" else sample_update_mask(z, rng)
-    c = cell_update(state.c, f, i, u, None if every_cell else mask)
-    c_hat, h = hidden_from_cell(c, o)
-    y = matmul(h, fused.WyT) + params.b_y
-    p = softmax_rows(y)
     loss = None
-    if target is not None:
-        p_target = p[np.arange(target.shape[0]), target]
-        # the same one-reduction guard as surprisal_vector; NaN passes it
-        if p_target.min() <= 0.0:
-            raise NumericalError("output assigns zero probability to a target symbol")
-        # sum / B is np.mean's own reduction and division, without its overhead
-        nll = -np.log(p_target)
-        loss = float(nll.sum() / nll.shape[0])
-    cache = StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
-                      u=u, h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat,
-                      h=h, y=y, p=p)
+    with np.errstate(over="ignore", divide="ignore"):
+        c, h, p, cache = _step(state.c, state.h, state.p_prev, x_idx, s_val, params, fused,
+                               rng, sampled, frozen, True)
+        if target is not None:
+            loss = _score(p, np.arange(target.shape[0]), target)[1]
     return RecurrentState(c=c, h=h, p_prev=p), cache, loss
+
+
+def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
+              fused=None, on_step=None):
+    """Walk every lane of state over symbols; returns (final_state, loss_nats).
+
+    symbols is a (T+1, B) index array: step t is forward_step on row t
+    scored against row t+1, and loss_nats sums the T batch-mean losses as
+    Python floats. Row t+1 also arrives at step t+1, so its surprisal is
+    the log-probability step t's loss took. np.errstate, the row index and
+    the fused weights are set up once per call. state None starts fresh
+    lanes. on_step(cache) receives each step's StepCache; without it none
+    is built. frozen holds one FrozenStep per step. Sampled mode draws one
+    mask per step from rng for fixed_zoneout and adaptive (unless frozen)
+    and none for standard and sf.
+    """
+    sampled = _sampled(mask_mode)
+    if fused is None:
+        fused = fuse_gate_weights(params)
+    batch = symbols.shape[1]
+    rows = np.arange(batch)
+    if state is None:
+        state = RecurrentState.initial(batch, params.hidden_size, params.vocab_size,
+                                       dtype=params.dtype)
+    c, h, p = state.c, state.h, state.p_prev
+    s_val = None
+    total = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        for t, x_idx in enumerate(symbols[:-1]):
+            overrides = _NO_OVERRIDES if frozen is None else frozen[t]
+            if overrides.s is not None:
+                s_val = overrides.s
+            elif s_val is None:
+                s_val = surprisal_vector(p, x_idx)
+            c, h, p, cache = _step(c, h, p, x_idx, s_val, params, fused, rng, sampled,
+                                   overrides, on_step is not None)
+            if cache is not None:
+                on_step(cache)
+            # the target's log-probability is also the next step's surprisal
+            s_val, loss = _score(p, rows, symbols[t + 1])
+            total += loss
+    return RecurrentState(c=c, h=h, p_prev=p), total
 
 
 def cross_entropy_bpc(loss_nats):

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .cell import VARIANTS, RecurrentState, forward_step, fuse_gate_weights
+from .cell import VARIANTS, forward_step, fuse_gate_weights, run_lanes
 from .numerics import NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
@@ -208,18 +208,15 @@ def cmd_sample(args):
         raise UsageError(f"prompt byte 0x{bad:02x} is not in the model vocabulary")
     if args.temperature <= 0:
         raise UsageError(f"--temperature must be positive, got {args.temperature}")
+    if args.length < 0:
+        raise UsageError(f"--length must be nonnegative, got {args.length}")
 
     rng = RngState(args.seed if args.seed is not None else 0).fork(STREAM_SAMPLE)
-    state = RecurrentState.initial(1, params.hidden_size, params.vocab_size,
-                                   dtype=params.dtype)
     fused = fuse_gate_weights(params)
+    # the prompt's last symbol is left as the first generation step's input
+    state, _ = run_lanes(params, prompt_idx[:, None], None, rng, "expected", fused=fused)
+    current = int(prompt_idx[-1])
     out = []
-    current = None
-    for sym in prompt_idx:
-        if current is not None:
-            state, _, _ = forward_step(state, np.array([current]), params, rng=rng,
-                                       mask_mode="expected", fused=fused)
-        current = int(sym)
     for _ in range(args.length):
         state, cache, _ = forward_step(state, np.array([current]), params, rng=rng,
                                        mask_mode="expected", fused=fused)
@@ -228,8 +225,8 @@ def cmd_sample(args):
         current = int(np.searchsorted(np.cumsum(p), u, side="right"))
         current = min(current, params.vocab_size - 1)
         out.append(current)
-    sys.stdout.write(args.prompt + vocab[np.array(out)].tobytes().decode("utf-8", "replace"))
-    sys.stdout.write("\n")
+    text = vocab[np.array(out, dtype=np.intp)].tobytes().decode("utf-8", "replace")
+    sys.stdout.write(args.prompt + text + "\n")
     return 0
 
 

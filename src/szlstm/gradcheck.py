@@ -16,7 +16,7 @@ from .cell import (
     ModelParams,
     RecurrentState,
     backward_step,
-    forward_step,
+    run_lanes,
 )
 from .numerics import NumericalError, RngState
 from .optim import xavier_init
@@ -125,31 +125,6 @@ def _random_distribution(rng, batch_size, vocab):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _collect_window(params, state0, inputs, targets, rng_mask, mask_mode):
-    caches = []
-    state = state0.copy()
-    for t in range(inputs.shape[0]):
-        state, cache, _ = forward_step(state, inputs[t], params, rng=rng_mask,
-                                       mask_mode=mask_mode, target=targets[t])
-        caches.append(cache)
-    return caches
-
-
-def _frozen_from_caches(caches):
-    return [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
-
-
-def window_loss(params, state0, inputs, targets, frozen):
-    """Summed per-step batch-mean loss of a replayed window with frozen masks."""
-    state = state0.copy()
-    total = 0.0
-    for t in range(inputs.shape[0]):
-        state, _, loss = forward_step(state, inputs[t], params, mask_mode="sampled",
-                                      target=targets[t], frozen=frozen[t])
-        total += loss
-    return total
-
-
 def analytic_window_gradient(params, caches, targets):
     """Backward sweep over a cached window; returns the accumulated GradientSet."""
     grads = GradientSet.zeros_like(params)
@@ -178,8 +153,6 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel
     lane_stream = root.fork(2).integers(0, vocab, size=(seq_len + 1, batch_size))
-    inputs = lane_stream[:-1]
-    targets = lane_stream[1:]
 
     # a generic nonzero starting point conditions the check better than the
     # zero state: recurrent-weight gradients then get contributions from
@@ -191,22 +164,25 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
         p_prev=_random_distribution(state_rng, batch_size, vocab),
     )
 
-    caches = _collect_window(params, state0, inputs, targets, RngState(seed, 100), mask_mode)
-    replay = _collect_window(params, state0, inputs, targets, RngState(seed, 100), mask_mode)
+    caches, replay = [], []
+    for kept in (caches, replay):
+        run_lanes(params, lane_stream, state0, RngState(seed, 100), mask_mode,
+                  on_step=kept.append)
     for a, b in zip(caches, replay):
         if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s_val, b.s_val)):
             raise NumericalError("mask replay is not bit-identical; rng is broken")
 
-    frozen = _frozen_from_caches(caches)
+    frozen = [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
     blocks = {k: getattr(params, k) for k in params.trainable_keys()}
 
     def loss_fn():
-        return window_loss(params, state0, inputs, targets, frozen)
+        # the summed per-step batch-mean loss of the window replayed with frozen masks
+        return run_lanes(params, lane_stream, state0, frozen=frozen)[1]
 
     base = loss_fn()
     if not np.isfinite(base):
         raise NumericalError("non-finite window loss at the unperturbed parameters")
 
     numeric = numerical_gradient(loss_fn, blocks, eps=eps)
-    analytic = analytic_window_gradient(params, caches, targets)
+    analytic = analytic_window_gradient(params, caches, lane_stream[1:])
     return compare_gradients({k: analytic[k] for k in blocks}, numeric)

@@ -86,15 +86,11 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def tanh(x):
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(x)
-
-
 def softmax_rows(y):
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
-    e = np.exp(y - y.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    # the ufunc reductions y.max and e.sum call, without their Python wrappers
+    e = np.exp(y - np.maximum.reduce(y, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def sample_bernoulli(probs, rng):

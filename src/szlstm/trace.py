@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import RecurrentState, forward_step, fuse_gate_weights
+from .cell import run_lanes
 from .numerics import RngState
 
 EXPORT_CHUNK = 32  # steps per formatted write in export_gate_map
@@ -56,17 +56,8 @@ def record_step(cache, lane, buffer):
     if not 0 <= lane < cache.c.shape[0]:
         raise ValueError(f"lane {lane} out of range for batch of {cache.c.shape[0]}")
     dc = float(np.abs(cache.c[lane] - cache.c_prev[lane]).mean())
-    buffer.steps.append(TraceStep(
-        t=buffer.counter,
-        f=cache.f[lane].copy(),
-        i=cache.i[lane].copy(),
-        o=cache.o[lane].copy(),
-        h=cache.h[lane].copy(),
-        c=cache.c[lane].copy(),
-        z=cache.z[lane].copy(),
-        mask=cache.mask[lane].copy(),
-        dc=dc,
-    ))
+    rows = {k: getattr(cache, k)[lane].copy() for k in ("f", "i", "o", "h", "c", "z", "mask")}
+    buffer.steps.append(TraceStep(t=buffer.counter, dc=dc, **rows))
     buffer.counter += 1
     return buffer
 
@@ -123,13 +114,6 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled",
     symbols = np.asarray(symbols)
     if len(symbols) < 2:
         raise ValueError("trace stream needs at least 2 symbols")
-    rng = RngState(seed)
-    state = RecurrentState.initial(1, params.hidden_size, params.vocab_size,
-                                   dtype=params.dtype)
-    fused = fuse_gate_weights(params)
-    for t in range(len(symbols) - 1):
-        state, cache, _ = forward_step(state, symbols[t: t + 1], params, rng=rng,
-                                       mask_mode=mask_mode,
-                                       target=symbols[t + 1: t + 2], fused=fused)
-        record_step(cache, 0, buffer)
+    run_lanes(params, symbols[:, None], None, RngState(seed), mask_mode,
+              on_step=lambda cache: record_step(cache, 0, buffer))
     return buffer

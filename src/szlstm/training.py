@@ -35,12 +35,11 @@ from .cell import (
     VARIANTS,
     GradientSet,
     ModelParams,
-    RecurrentState,
     backward_window,
     block_layout,
     cross_entropy_bpc,
-    forward_step,
     fuse_gate_weights,
+    run_lanes,
 )
 from .numerics import DTYPES, NumericalError, RngState
 from .optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init
@@ -222,31 +221,28 @@ def sample_training_chunks(corpus, cfg, rng):
     return rng.integers(0, limit, size=cfg.batch_size)
 
 
-def run_tbptt_window(states, inputs, targets, params, rng, grads,
-                     mask_mode="sampled", fused=None, step_hook=None):
-    """One truncated-BPTT window: forward with caching, then a reverse sweep.
+def run_tbptt_window(states, symbols, params, rng, grads, mask_mode="sampled",
+                     fused=None, step_hook=None):
+    """One truncated-BPTT window: run_lanes keeping every step's cache, then
+    a reverse sweep.
 
-    inputs and targets are (seq_len, batch) index arrays with targets[t] the
-    symbol after inputs[t]. Gradients accumulate into grads; the returned
-    states carry no gradient across the boundary. Returns (states,
-    loss_nats) with the loss averaged per symbol.
+    symbols is the window's (seq_len + 1, batch) index array; step t reads
+    row t and is scored against row t + 1. states None starts fresh lanes.
+    Gradients accumulate into grads; the returned states carry no gradient
+    across the boundary. step_hook(cache), when given, sees each step's
+    cache in order after the forward pass. Returns (states, loss_nats) with
+    the loss averaged per symbol.
     """
     if fused is None:
         fused = fuse_gate_weights(params)
-    seq_len = inputs.shape[0]
     caches = []
-    total = 0.0
-    state = states
-    for t in range(seq_len):
-        state, cache, loss = forward_step(state, inputs[t], params, rng=rng,
-                                          mask_mode=mask_mode,
-                                          target=targets[t], fused=fused)
-        caches.append(cache)
-        total += loss
-        if step_hook is not None:
+    state, total = run_lanes(params, symbols, states, rng, mask_mode, fused=fused,
+                             on_step=caches.append)
+    if step_hook is not None:
+        for cache in caches:
             step_hook(cache)
-    backward_window(caches, params, targets, grads, fused=fused)
-    return state, total / seq_len
+    backward_window(caches, params, symbols[1:], grads, fused=fused)
+    return state, total / len(caches)
 
 
 def evaluate_bpc(params, split, cfg, lanes=1, seed=None):
@@ -264,25 +260,11 @@ def evaluate_bpc(params, split, cfg, lanes=1, seed=None):
     seg = len(split) // lanes
     if seg < 2:
         raise ValueError(f"split of {len(split)} symbols is too short for {lanes} lanes")
-    arr = split[: seg * lanes].reshape(lanes, seg)
-    state = RecurrentState.initial(lanes, params.hidden_size, params.vocab_size,
-                                   dtype=params.dtype)
+    # (seg, lanes): row t holds every lane's t-th symbol
+    symbols = np.ascontiguousarray(split[: seg * lanes].reshape(lanes, seg).T)
     rng = RngState(cfg.seed if seed is None else seed).fork(STREAM_EVAL)
-    fused = fuse_gate_weights(params)
-    total = 0.0
-    for t in range(seg - 1):
-        state, _, loss = forward_step(state, arr[:, t], params, rng=rng,
-                                      mask_mode=cfg.eval_mask_mode,
-                                      target=arr[:, t + 1], fused=fused)
-        total += loss
+    _, total = run_lanes(params, symbols, None, rng, cfg.eval_mask_mode)
     return cross_entropy_bpc(total / (seg - 1))
-
-
-def _window_slices(corpus, offsets, window_index, seq_len):
-    base = offsets + window_index * seq_len
-    idx = base[:, None] + np.arange(seq_len + 1)[None, :]
-    seq = corpus.encoded[idx]          # (batch, seq_len + 1)
-    return seq[:, :-1].T.copy(), seq[:, 1:].T.copy()
 
 
 def init_model(corpus, cfg, rng_init=None):
@@ -367,25 +349,21 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
 
     emit(step, float("nan"), 0.0, 0.0, 0)
 
-    states = None
-    offsets = None
-    window_index = 0
-    windows_left = 0
+    window_index = cfg.windows_per_chunk   # the first step starts a chunk
     interval_nats = []
     z_sum = mask_sum = 0.0
     n_sym = 0
-    wpc = cfg.windows_per_chunk
 
     while step < cfg.steps:
-        if windows_left == 0:
+        if window_index == cfg.windows_per_chunk:
             # chunk boundary; the checkpoint written here resumes bit-exactly
             save(ckpt_path)
             offsets = sample_training_chunks(corpus, cfg, rng_data)
-            states = RecurrentState.initial(cfg.batch_size, cfg.hidden,
-                                            corpus.vocab_size, dtype=cfg.dtype)
-            windows_left = wpc
+            states = None   # fresh lanes
             window_index = 0
-        inputs, targets = _window_slices(corpus, offsets, window_index, cfg.seq_len)
+        base = offsets + window_index * cfg.seq_len
+        # (seq_len + 1, batch): each lane's window inputs plus its final target
+        symbols = corpus.encoded[base[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
 
         stats = {"z": 0.0, "mask": 0.0, "n": 0}
 
@@ -395,10 +373,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
             stats["n"] += cache.z.size
 
         grads.zero_()
-        fused = fuse_gate_weights(params)
-        states, loss_nats = run_tbptt_window(states, inputs, targets, params,
-                                             rng_mask, grads, mask_mode="sampled",
-                                             fused=fused, step_hook=hook)
+        states, loss_nats = run_tbptt_window(states, symbols, params, rng_mask, grads,
+                                             mask_mode="sampled", step_hook=hook)
         if not np.isfinite(loss_nats):
             raise NumericalError(
                 f"non-finite loss at step {step + 1} "
@@ -415,7 +391,6 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         adadelta_step(params, grads, opt)
         step += 1
         window_index += 1
-        windows_left -= 1
 
         if step % cfg.val_interval == 0 or step == cfg.steps:
             train_bpc = cross_entropy_bpc(float(np.mean(interval_nats)))

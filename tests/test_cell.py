@@ -12,6 +12,7 @@ from szlstm.cell import (
     gate_forward,
     hidden_from_cell,
     prediction_error,
+    run_lanes,
     surprisal_vector,
     zoneout_rate,
 )
@@ -312,6 +313,87 @@ class TestForwardStep:
         with pytest.raises(ValueError, match="mask_mode"):
             forward_step(state, np.array([0]), params,
                          mask_mode="bogus")
+
+
+CACHE_FIELDS = ("x_idx", "s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev",
+                "c", "c_hat", "h", "y", "p")
+
+
+class TestRunLanes:
+    """run_lanes is forward_step walked over a symbol array, bit for bit."""
+
+    @staticmethod
+    def stream(params, steps=12, batch=3):
+        sym = RngState(5).integers(0, params.vocab_size, size=(steps + 1, batch))
+        state = RecurrentState.initial(batch, params.hidden_size, params.vocab_size,
+                                       dtype=params.dtype)
+        return sym, state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
+    @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+    def test_equals_forward_step_loop(self, variant, mask_mode, dtype):
+        params = tiny_params(variant=variant, dtype=dtype)
+        sym, state0 = self.stream(params)
+        state, total, ref_caches = state0, 0.0, []
+        ref_rng = RngState(8)
+        for t in range(sym.shape[0] - 1):
+            state, cache, loss = forward_step(state, sym[t], params, rng=ref_rng,
+                                              mask_mode=mask_mode, target=sym[t + 1])
+            total += loss
+            ref_caches.append(cache)
+        rng, caches = RngState(8), []
+        out, loss = run_lanes(params, sym, state0, rng, mask_mode, on_step=caches.append)
+        assert loss == total
+        assert rng.state() == ref_rng.state()
+        for name in ("c", "h", "p_prev"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(state, name), err_msg=name)
+        for t, (cache, ref) in enumerate(zip(caches, ref_caches, strict=True)):
+            for name in CACHE_FIELDS:
+                np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
+                                              err_msg=f"step {t}: {name}")
+
+    @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+    def test_frozen_overrides_match_forward_step(self, variant):
+        params = tiny_params(variant=variant)
+        sym, state0 = self.stream(params, steps=6)
+        draws = RngState(3).uniform((6, 3, params.hidden_size))
+        frozen = [FrozenStep(s=-draws[t, :, 0], z=draws[t], mask=(draws[t] < 0.5) * 1.0)
+                  for t in range(6)]
+        state, total = state0, 0.0
+        for t in range(6):
+            state, _, loss = forward_step(state, sym[t], params, target=sym[t + 1],
+                                          frozen=frozen[t])
+            total += loss
+        out, loss = run_lanes(params, sym, state0, frozen=frozen)
+        assert loss == total
+        np.testing.assert_array_equal(out.c, state.c)
+        np.testing.assert_array_equal(out.p_prev, state.p_prev)
+
+    @pytest.mark.parametrize("variant,draws", [("standard", 0), ("sf", 0),
+                                               ("fixed_zoneout", 12), ("adaptive", 12)])
+    def test_mask_draws_per_step(self, variant, draws):
+        params = tiny_params(variant=variant)
+        sym, state0 = self.stream(params)
+        rng = RngState(4, 10)
+        run_lanes(params, sym, state0, rng, "sampled")
+        assert rng.state() == (4, 10 + draws)
+        run_lanes(params, sym, state0, rng, "expected")
+        assert rng.state() == (4, 10 + draws)
+
+    def test_single_symbol_runs_no_step(self):
+        params = tiny_params()
+        sym, state0 = self.stream(params, steps=0)
+        out, loss = run_lanes(params, sym, state0, RngState(0))
+        assert loss == 0.0 and out.c is state0.c
+
+    def test_zero_probability_target_raises(self):
+        # zero weights leave h = 0, so the logits are exactly b_y
+        params = ModelParams.zeros(5, 4, dtype=np.float32)
+        params.b_y[:] = [0, 0, 0, 0, 120]
+        state = RecurrentState.initial(1, 4, 5, dtype=np.float32)
+        with pytest.raises(NumericalError, match="target symbol"):
+            run_lanes(params, np.array([[4], [4], [0]]), state, mask_mode="expected")
 
 
 class TestCrossEntropyBpc:

@@ -241,3 +241,15 @@ class TestSampleCommand:
     def test_temperature_must_be_positive(self, checkpoint, capsys):
         assert run(["sample", checkpoint, "--prompt", "the ",
                     "--temperature", "0"]) == 1
+
+    def test_zero_length_prints_the_prompt(self, checkpoint, capsys):
+        capsys.readouterr()
+        assert run(["sample", checkpoint, "--prompt", "the ", "--length", "0"]) == 0
+        assert capsys.readouterr().out == "the \n"
+
+    def test_negative_length_rejected(self, checkpoint, capsys):
+        capsys.readouterr()
+        assert run(["sample", checkpoint, "--prompt", "the ", "--length", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--length must be nonnegative, got -1" in captured.err
+        assert captured.out == ""

@@ -1,5 +1,6 @@
 """The quick demos run start to finish against the current API."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,12 +11,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(path, tmp_path):
+def run_script(path, tmp_path, *args):
     # TMPDIR keeps the files a demo writes to the temp directory inside tmp_path
     env = dict(os.environ, TMPDIR=str(tmp_path))
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, path, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -52,6 +53,25 @@ def test_sample_demo_trains_reloads_and_samples(tmp_path):
     for temperature in ("0.5", "1.0"):
         header = lines.index(f"--- temperature {temperature} ---")
         assert lines[header + 1].startswith("<page>")
+
+
+def test_desk_demo_reports_every_variant(tmp_path):
+    # a 150 KB cut of the benchmark's synthetic corpus holds one 10000-symbol
+    # training chunk; two steps keep the desk-shape run to seconds
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", os.path.join(ROOT, "benchmarks", "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(corpus.generate(7, n_bytes=150_000))
+    proc = run_script(os.path.join(ROOT, "demos", "06_desk_benchmark.py"), tmp_path,
+                      str(path), "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for variant in ("adaptive", "standard"):
+        mine = [line.strip() for line in lines if line.strip().startswith(variant + ":")]
+        assert len([line for line in mine if re.search(r"test [0-9.]+ bpc$", line)]) == 1, mine
+        assert len([line for line in mine if "mean cell change" in line]) == 1, mine
 
 
 def test_sample_demo_exits_with_failed_command_code(tmp_path):

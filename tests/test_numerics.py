@@ -8,7 +8,6 @@ from szlstm.numerics import (
     sample_bernoulli,
     sigmoid,
     softmax_rows,
-    tanh,
 )
 
 
@@ -78,25 +77,6 @@ class TestSigmoid:
         x = np.zeros((3, 4), dtype=np.float32)
         out = sigmoid(x)
         assert out.shape == x.shape and out.dtype == x.dtype
-
-
-class TestTanh:
-    def test_zero(self):
-        assert tanh(np.array([0.0]))[0] == 0.0
-
-    def test_odd_symmetry(self):
-        v = np.array([0.1, 1.0, 10.0])
-        np.testing.assert_array_equal(tanh(-v), -tanh(v))
-
-    def test_reference_value(self):
-        # reference evaluation of (e^2 - 1) / (e^2 + 1)
-        e2 = np.exp(2.0)
-        assert abs(tanh(np.array([1.0]))[0] - (e2 - 1.0) / (e2 + 1.0)) < 1e-12
-
-    def test_range(self):
-        v = np.linspace(-50, 50, 101)
-        out = tanh(v)
-        assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 class TestSoftmaxRows:

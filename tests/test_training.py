@@ -112,7 +112,7 @@ class TestRunTbpttWindow:
         state0 = RecurrentState.initial(1, 12, corpus.vocab_size, dtype=np.float64)
 
         g_window = GradientSet.zeros_like(params)
-        s1, loss1 = run_tbptt_window(state0.copy(), inputs, targets, params,
+        s1, loss1 = run_tbptt_window(state0.copy(), seq[:, None], params,
                                      RngState(9), g_window)
 
         g_manual = GradientSet.zeros_like(params)
@@ -132,11 +132,10 @@ class TestRunTbpttWindow:
         offsets = sample_training_chunks(corpus, cfg, RngState(1))
         base = offsets[:, None] + np.arange(cfg.seq_len + 1)[None, :]
         seq = corpus.encoded[base]
-        inputs, targets = seq[:, :-1].T.copy(), seq[:, 1:].T.copy()
         states = RecurrentState.initial(cfg.batch_size, cfg.hidden,
                                         corpus.vocab_size, dtype=np.float32)
         grads = GradientSet.zeros_like(params)
-        out, _ = run_tbptt_window(states, inputs, targets, params, RngState(2), grads)
+        out, _ = run_tbptt_window(states, seq.T.copy(), params, RngState(2), grads)
         snapshot = out.c.copy()
         params.W_y += 1.0  # later parameter edits must not reach returned states
         np.testing.assert_array_equal(out.c, snapshot)
