@@ -9,7 +9,6 @@ from .cell import (
     ModelParams,
     RecurrentState,
     StepCache,
-    backward_step,
     backward_window,
     cell_update,
     cross_entropy_bpc,
@@ -29,7 +28,6 @@ from .numerics import (
     matmul,
     one_hot,
     sample_bernoulli,
-    sigmoid,
     softmax_rows,
 )
 from .optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init

@@ -294,8 +294,8 @@ def sample_update_mask(z, rng):
 
 
 def _activate_gates(a, n):
-    # numerics.sigmoid's expression without its np.errstate, which the
-    # step's caller holds once for a whole run of steps
+    # the logistic 1 / (1 + exp(-a)) under the np.errstate the step's caller
+    # holds once for a whole run of steps: exp overflowing to inf gives 0
     sig = 1.0 / (1.0 + np.exp(-a[:, : 3 * n]))
     u = np.tanh(a[:, 3 * n:])
     return sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], u
@@ -365,8 +365,8 @@ def _score(p, rows, target):
 def _step(c_prev, h_prev, p_prev, x_idx, s_val, params, fused, rng, sampled, frozen, keep):
     """The cell arithmetic of one step, shared by forward_step and run_lanes.
 
-    Returns (c, h, p, cache); cache is the step's StepCache when keep is
-    true, else None. The caller holds np.errstate(over="ignore").
+    Returns (c, h, y, p, cache); cache is the step's StepCache when keep
+    is true, else None. The caller holds np.errstate(over="ignore").
     """
     f, i, o, u = gate_forward(x_idx, s_val, h_prev, fused)
     full = params.variant in ("standard", "sf")
@@ -382,11 +382,11 @@ def _step(c_prev, h_prev, p_prev, x_idx, s_val, params, fused, rng, sampled, fro
     y += params.b_y
     p = softmax_rows(y)
     if not keep:
-        return c, h, p, None
+        return c, h, y, p, None
     if z is None:
         # every cell updated; the backward pass and the trace read all-ones rows
         z = mask = np.ones_like(c)
-    return c, h, p, StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
+    return c, h, y, p, StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
                               u=u, h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h,
                               y=y, p=p)
 
@@ -413,7 +413,7 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
         s_val = surprisal_vector(state.p_prev, x_idx)
     loss = None
     with np.errstate(over="ignore", divide="ignore"):
-        c, h, p, cache = _step(state.c, state.h, state.p_prev, x_idx, s_val, params, fused,
+        c, h, _, p, cache = _step(state.c, state.h, state.p_prev, x_idx, s_val, params, fused,
                                rng, sampled, frozen, True)
         if target is not None:
             loss = _score(p, np.arange(target.shape[0]), target)[1]
@@ -421,7 +421,7 @@ def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=Non
 
 
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
-              fused=None, on_step=None):
+              fused=None, on_step=None, choose=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
     symbols is a (T+1, B) index array: step t is forward_step on row t
@@ -432,7 +432,10 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     lanes. on_step(cache) receives each step's StepCache; without it none
     is built. frozen holds one FrozenStep per step. Sampled mode draws one
     mask per step from rng for fixed_zoneout and adaptive (unless frozen)
-    and none for standard and sf.
+    and none for standard and sf. choose(y, p), when given, receives step
+    t's logits and output distribution and returns the index row written
+    into symbols[t+1] before that row is scored and read by step t+1; this
+    is how text is generated.
     """
     sampled = _sampled(mask_mode)
     if fused is None:
@@ -452,10 +455,12 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 s_val = overrides.s
             elif s_val is None:
                 s_val = surprisal_vector(p, x_idx)
-            c, h, p, cache = _step(c, h, p, x_idx, s_val, params, fused, rng, sampled,
-                                   overrides, on_step is not None)
+            c, h, y, p, cache = _step(c, h, p, x_idx, s_val, params, fused, rng, sampled,
+                                      overrides, on_step is not None)
             if cache is not None:
                 on_step(cache)
+            if choose is not None:
+                symbols[t + 1] = choose(y, p)
             # the target's log-probability is also the next step's surprisal
             s_val, loss = _score(p, rows, symbols[t + 1])
             total += loss
@@ -501,47 +506,31 @@ def _backward_core(cache, params, d_h_next, d_c_next, target, fused, d_y, d_a):
     return d_h_prev, d_c_prev
 
 
-def backward_step(cache, params, d_h_next, d_c_next, target, grads, fused=None):
-    """Backward through one cached step; accumulates parameter gradients.
-
-    target is the index row the step was scored against; its softmax +
-    cross-entropy gradient (p - onehot) / B enters here, on top of whatever
-    d_h_next / d_c_next arrived from later steps. Returns (d_h_prev,
-    d_c_prev). The surprisal vector and the update mask are constants, so
-    nothing flows into the previous prediction or through the mask. This is
-    backward_window over a one-step window.
-    """
-    if d_h_next.shape != cache.h.shape or d_c_next.shape != cache.c.shape:
-        raise ValueError(
-            f"backward_step shape mismatch: got {d_h_next.shape}/{d_c_next.shape}, "
-            f"expected {cache.h.shape}/{cache.c.shape}"
-        )
-    return backward_window([cache], params, [target], grads, fused=fused,
-                           d_h_final=d_h_next, d_c_final=d_c_next)
-
-
-def backward_window(caches, params, targets, grads, fused=None,
-                    d_h_final=None, d_c_final=None):
+def backward_window(caches, params, targets, grads, fused=None):
     """Reverse sweep over a whole cached window with batched accumulation.
 
-    Mathematically the composition of backward_step over the window. Each
-    step writes its output and gate gradients into rows t*B..(t+1)*B of two
-    window buffers; W_y, U_* and the biases then contract them in single wide
-    matmuls over all (step, lane) pairs. The one-hot input and the
-    single-entry surprisal rows are never built: the window's rows are
-    sorted by symbol, and each symbol's run of gate gradients is contracted
-    with its [1, s] coefficients into that symbol's column of W_* and V_*.
-    Symbols absent from the window get zero columns. Returns (d_h_prev,
-    d_c_prev) at the window start.
+    targets is the (T, B) index array the steps were scored against; no
+    gradient arrives from beyond the window, and none flows through the
+    surprisal or the mask. Each step writes its output and gate gradients
+    into rows t*B..(t+1)*B of two window buffers; W_y, U_* and the biases
+    then contract them in single wide matmuls over all (step, lane) pairs.
+    The one-hot input and the single-entry surprisal rows are never built:
+    the window's rows are sorted by symbol, and each symbol's run of gate
+    gradients is contracted with its [1, s] coefficients into that symbol's
+    column of W_* and V_*. Symbols absent from the window get zero columns.
+    Returns (d_h_prev, d_c_prev) at the window start.
     """
     if fused is None:
         fused = fuse_gate_weights(params)
     seq_len = len(caches)
     batch, n = caches[-1].h.shape
-    d_h = d_h_final if d_h_final is not None else np.zeros_like(caches[-1].h)
-    d_c = d_c_final if d_c_final is not None else np.zeros_like(caches[-1].c)
+    if np.shape(targets) != (seq_len, batch):
+        raise ValueError(f"backward_window shape mismatch: targets {np.shape(targets)}, "
+                         f"expected {(seq_len, batch)}")
+    d_h = np.zeros_like(caches[-1].h)
+    d_c = np.zeros_like(caches[-1].c)
     d_y_flat = np.empty((seq_len * batch, params.vocab_size), dtype=caches[-1].p.dtype)
-    d_a_flat = np.empty((seq_len * batch, 4 * n), dtype=np.result_type(caches[-1].c, d_h, d_c))
+    d_a_flat = np.empty((seq_len * batch, 4 * n), dtype=d_c.dtype)
     for t in reversed(range(seq_len)):
         rows = slice(t * batch, (t + 1) * batch)
         d_h, d_c = _backward_core(caches[t], params, d_h, d_c, targets[t], fused,

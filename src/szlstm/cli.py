@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .cell import VARIANTS, forward_step, fuse_gate_weights, run_lanes
+from .cell import VARIANTS, fuse_gate_weights, run_lanes
 from .numerics import NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
@@ -215,17 +215,18 @@ def cmd_sample(args):
     fused = fuse_gate_weights(params)
     # the prompt's last symbol is left as the first generation step's input
     state, _ = run_lanes(params, prompt_idx[:, None], None, rng, "expected", fused=fused)
-    current = int(prompt_idx[-1])
-    out = []
-    for _ in range(args.length):
-        state, cache, _ = forward_step(state, np.array([current]), params, rng=rng,
-                                       mask_mode="expected", fused=fused)
-        p = softmax_rows(cache.y / args.temperature)[0]
+    symbols = np.full((args.length + 1, 1), prompt_idx[-1], dtype=np.intp)
+
+    def choose(y, p):
+        # y / 1.0 == y bit for bit, so temperature 1 draws from the step's own p
+        if args.temperature != 1.0:
+            p = softmax_rows(y / args.temperature)
         u = float(rng.uniform((1,))[0])
-        current = int(np.searchsorted(np.cumsum(p), u, side="right"))
-        current = min(current, params.vocab_size - 1)
-        out.append(current)
-    text = vocab[np.array(out, dtype=np.intp)].tobytes().decode("utf-8", "replace")
+        return min(int(np.searchsorted(np.cumsum(p[0]), u, side="right")),
+                   params.vocab_size - 1)
+
+    run_lanes(params, symbols, state, rng, "expected", fused=fused, choose=choose)
+    text = vocab[symbols[1:, 0]].tobytes().decode("utf-8", "replace")
     sys.stdout.write(args.prompt + text + "\n")
     return 0
 

@@ -15,7 +15,7 @@ from .cell import (
     GradientSet,
     ModelParams,
     RecurrentState,
-    backward_step,
+    backward_window,
     run_lanes,
 )
 from .numerics import NumericalError, RngState
@@ -126,25 +126,24 @@ def _random_distribution(rng, batch_size, vocab):
 
 
 def analytic_window_gradient(params, caches, targets):
-    """Backward sweep over a cached window; returns the accumulated GradientSet."""
+    """The GradientSet of one backward_window call over the cached window,
+    the call run_tbptt_window makes in training."""
     grads = GradientSet.zeros_like(params)
-    batch = caches[0].x_idx.shape[0]
-    d_h = np.zeros((batch, params.hidden_size), dtype=params.dtype)
-    d_c = np.zeros_like(d_h)
-    for t in reversed(range(len(caches))):
-        d_h, d_c = backward_step(caches[t], params, d_h, d_c, targets[t], grads)
+    backward_window(caches, params, targets, grads)
     return grads
 
 
 def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
                       zoneout_rate=0.5, tau=0.05, seed=DEFAULT_SEED, eps=DEFAULT_EPS,
-                      mask_mode="sampled"):
+                      mask_mode="sampled", symbols=None):
     """Full harness on a small window; returns the GradReport.
 
     Builds a float64 model, collects a window with sampled masks (replayed
     twice and asserted bit-identical), freezes the per-step surprisal /
     rate / mask, and compares the analytic sweep against central
-    differences over every coordinate of every trainable block.
+    differences over every coordinate of every trainable block. symbols,
+    when given, is the (seq_len + 1, batch_size) index array to run in
+    place of a random one; its shape sets seq_len and batch_size.
     """
     root = RngState(seed)
     params = ModelParams.zeros(vocab, hidden, variant=variant, tau=tau,
@@ -153,6 +152,9 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel
     lane_stream = root.fork(2).integers(0, vocab, size=(seq_len + 1, batch_size))
+    if symbols is not None:
+        lane_stream = np.asarray(symbols)
+        batch_size = lane_stream.shape[1]
 
     # a generic nonzero starting point conditions the check better than the
     # zero state: recurrent-weight gradients then get contributions from

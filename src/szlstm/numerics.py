@@ -76,16 +76,6 @@ def matmul(a, b):
     return a @ b
 
 
-def sigmoid(x):
-    """Elementwise logistic function, overflow-safe on both tails.
-
-    exp may overflow to inf for very negative inputs; 1/(1+inf) is exactly
-    the correct 0, so the warning is suppressed rather than branched around.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def softmax_rows(y):
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
     # the ufunc reductions y.max and e.sum call, without their Python wrappers

@@ -22,6 +22,14 @@ Checkpoint format (version 1), all integers and floats little-endian:
 A checkpoint is written only at chunk boundaries, so resuming reproduces the
 uninterrupted run bit for bit: lane states restart at the next chunk anyway
 and every random draw is replayed from the stored stream counters.
+
+Checkpoint saves: a save writes PATH.spare in place, then hard-links PATH
+to PATH.old, renames PATH.spare over PATH and PATH.old to PATH.spare. PATH
+always names a complete checkpoint, and the previous one stays on disk as
+PATH.spare, so a path costs two checkpoints of disk. Reusing the spare's
+file is what makes a save cheap: no save truncates or unlinks a file full
+of data. A process that dies mid-save leaves PATH as it was; there is no
+fsync, so a power loss or OS crash can still lose recent writes.
 """
 
 import json
@@ -414,7 +422,8 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
-    """Write the versioned binary checkpoint format documented above."""
+    """Write the versioned binary checkpoint format documented above into
+    path + ".spare" and swap it in, as "Checkpoint saves" above describes."""
     header = {
         "step": int(step),
         "precision": "f64" if params.dtype == np.float64 else "f32",
@@ -432,13 +441,24 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
     }
     blob = json.dumps(header).encode("utf-8")
     dtype_le = "<f8" if params.dtype == np.float64 else "<f4"
-    with open(path, "wb") as fh:
+    path = os.path.realpath(path)   # a symlinked path keeps its link
+    spare, old = path + ".spare", path + ".old"
+    with open(spare, "r+b" if os.path.exists(spare) else "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array([CHECKPOINT_VERSION], dtype="<u4").tobytes())
         fh.write(np.array([len(blob)], dtype="<u8").tobytes())
         fh.write(blob)
         for buffer in (params, opt.eg2, opt.edx2):
             fh.write(np.ascontiguousarray(buffer.flat, dtype=dtype_le))
+        fh.truncate()
+    if os.path.lexists(old):
+        os.unlink(old)   # left by a save interrupted between its renames
+    previous = os.path.exists(path)
+    if previous:
+        os.link(path, old)
+    os.replace(spare, path)
+    if previous:
+        os.replace(old, spare)
 
 
 def load_checkpoint(path):

@@ -5,7 +5,6 @@ from szlstm.cell import (
     GradientSet,
     RecurrentState,
     _backward_core,
-    backward_step,
     backward_window,
     forward_step,
     fuse_gate_weights,
@@ -33,19 +32,17 @@ def test_frozen_step_blocks_write_gradients():
     cache = caches[0]
     cache.mask[...] = 0.0
     grads = GradientSet.zeros_like(params)
-    d_h = np.zeros_like(cache.h)
-    d_c = np.random.default_rng(0).standard_normal(cache.c.shape)
-    d_h_prev, d_c_prev = backward_step(cache, params, d_h, d_c, targets[0], grads)
+    d_h_prev, d_c_prev = backward_window([cache], params, targets, grads)
     # with every cell frozen the write path carries nothing for this step
     assert np.array_equal(grads["W_u"], np.zeros_like(grads["W_u"]))
     assert np.array_equal(grads["U_u"], np.zeros_like(grads["U_u"]))
     assert np.array_equal(grads["V_u"], np.zeros_like(grads["V_u"]))
     assert np.array_equal(grads["b_f"], np.zeros_like(grads["b_f"]))
-    # the cell gradient passes straight through, plus the hidden-path term
+    # the cell gradient passes straight through, unscaled by the erase gate
     h_path = (cache.p / cache.p.shape[0])
     h_path[np.arange(cache.p.shape[0]), targets[0]] -= 1.0 / cache.p.shape[0]
     d_h_local = h_path @ params.W_y
-    expected = d_c + d_h_local * cache.o * (1.0 - cache.c_hat ** 2)
+    expected = d_h_local * cache.o * (1.0 - cache.c_hat ** 2)
     np.testing.assert_allclose(d_c_prev, expected, atol=1e-12)
 
 
@@ -56,8 +53,7 @@ def test_zero_upstream_and_exact_prediction_leaves_grads_untouched():
     # force the prediction to exactly match the target one-hot
     cache.p = one_hot(targets[0], params.vocab_size, dtype=params.dtype)
     grads = GradientSet.zeros_like(params)
-    backward_step(cache, params, np.zeros_like(cache.h), np.zeros_like(cache.c),
-                  targets[0], grads)
+    backward_window([cache], params, targets, grads)
     for name, block in grads.items():
         np.testing.assert_array_equal(block, np.zeros_like(block), err_msg=name)
 
@@ -66,10 +62,7 @@ def test_standard_variant_accumulates_no_feedback_gradient():
     params = tiny_params(variant="standard")
     caches, targets = window(params, steps=4)
     grads = GradientSet.zeros_like(params)
-    d_h = np.zeros_like(caches[0].h)
-    d_c = np.zeros_like(caches[0].c)
-    for t in reversed(range(4)):
-        d_h, d_c = backward_step(caches[t], params, d_h, d_c, targets[t], grads)
+    backward_window(caches, params, targets, grads)
     for g in "fiou":
         np.testing.assert_array_equal(grads["V_" + g], np.zeros_like(grads["V_" + g]))
     assert grads.global_norm() > 0
@@ -77,22 +70,42 @@ def test_standard_variant_accumulates_no_feedback_gradient():
 
 def test_shape_mismatch_is_rejected():
     params = tiny_params()
-    caches, targets = window(params, steps=1)
+    caches, targets = window(params, steps=2)
     grads = GradientSet.zeros_like(params)
-    with pytest.raises(ValueError, match="shape"):
-        backward_step(caches[0], params, np.zeros((1, 1)), np.zeros((1, 1)),
-                      targets[0], grads)
+    for wrong in (targets[:1], targets[:, :1], np.concatenate([targets, targets])):
+        with pytest.raises(ValueError, match="shape"):
+            backward_window(caches, params, wrong, grads)
+
+
+def per_step_composition(caches, params, targets):
+    """The window's gradients as a sum of per-step terms: each step's
+    output and gate gradients contracted with that step's dense rows
+    (h, h_prev, one-hot input, surprisal row) on its own."""
+    fused = fuse_gate_weights(params)
+    grads = GradientSet.zeros_like(params)
+    batch, n = caches[-1].h.shape
+    d_y = np.empty((batch, params.vocab_size), dtype=params.dtype)
+    d_a = np.empty((batch, 4 * n), dtype=params.dtype)
+    d_h, d_c = np.zeros_like(caches[-1].h), np.zeros_like(caches[-1].c)
+    for t in reversed(range(len(caches))):
+        c = caches[t]
+        d_h, d_c = _backward_core(c, params, d_h, d_c, targets[t], fused, d_y, d_a)
+        x = one_hot(c.x_idx, params.vocab_size, dtype=params.dtype)
+        grads["W_y"] += d_y.T @ c.h
+        grads["b_y"] += d_y.sum(axis=0)
+        grads["Ug"] += d_a.T @ c.h_prev
+        grads["bg"] += d_a.sum(axis=0)
+        grads["Wg"] += d_a.T @ x
+        if params.variant != "standard":
+            grads["Vg"] += d_a.T @ (x * c.s_val[:, None])
+    return grads, d_h, d_c
 
 
 @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
 def test_window_backward_matches_per_step_composition(variant):
     params = tiny_params(variant=variant)
     caches, targets = window(params, steps=7)
-    g_steps = GradientSet.zeros_like(params)
-    d_h = np.zeros_like(caches[0].h)
-    d_c = np.zeros_like(caches[0].c)
-    for t in reversed(range(7)):
-        d_h, d_c = backward_step(caches[t], params, d_h, d_c, targets[t], g_steps)
+    g_steps, d_h, d_c = per_step_composition(caches, params, targets)
     g_window = GradientSet.zeros_like(params)
     d_h2, d_c2 = backward_window(caches, params, targets, g_window)
     np.testing.assert_allclose(d_h2, d_h, atol=1e-13)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from szlstm.cell import (
     surprisal_vector,
     zoneout_rate,
 )
-from szlstm.numerics import NumericalError, RngState, one_hot
+from szlstm.numerics import NumericalError, RngState, one_hot, softmax_rows
 from szlstm.optim import xavier_init
 
 from conftest import tiny_params
@@ -386,6 +388,47 @@ class TestRunLanes:
         sym, state0 = self.stream(params, steps=0)
         out, loss = run_lanes(params, sym, state0, RngState(0))
         assert loss == 0.0 and out.c is state0.c
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_finite_on_extreme_gate_biases(self, dtype):
+        # +-1000 pre-activations overflow exp in the gate sigmoids; the
+        # overflow must give exact 0/1 gates and no RuntimeWarning
+        params = tiny_params(variant="adaptive", dtype=dtype)
+        params.bg[:] = np.where(np.arange(params.bg.size) % 2, 1000.0, -1000.0)
+        sym, state0 = self.stream(params)
+        caches = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, loss = run_lanes(params, sym, state0, RngState(1), "sampled",
+                                  on_step=caches.append)
+        assert np.isfinite(loss)
+        for name in ("c", "h", "p_prev"):
+            assert np.all(np.isfinite(getattr(out, name))), name
+        gates = np.concatenate([np.concatenate([c.f, c.i, c.o], axis=1) for c in caches])
+        assert set(np.unique(gates).tolist()) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+    def test_choose_fills_the_next_row_before_it_is_scored(self, variant):
+        params = tiny_params(variant=variant)
+        _, state0 = self.stream(params)
+        symbols = np.zeros((9, 3), dtype=np.intp)
+        symbols[0] = [0, 2, 4]
+        seen = []
+
+        def choose(y, p):
+            np.testing.assert_array_equal(p, softmax_rows(y))
+            seen.append(p.copy())
+            return np.argmax(p, axis=1)
+
+        out, loss = run_lanes(params, symbols, state0, RngState(2), "sampled", choose=choose)
+        assert len(seen) == 8
+        for t, p in enumerate(seen):
+            np.testing.assert_array_equal(symbols[t + 1], np.argmax(p, axis=1))
+        # the filled rows, walked as a given symbol array, give the same run
+        ref, ref_loss = run_lanes(params, symbols.copy(), state0, RngState(2), "sampled")
+        assert loss == ref_loss
+        np.testing.assert_array_equal(out.c, ref.c)
+        np.testing.assert_array_equal(out.p_prev, ref.p_prev)
 
     def test_zero_probability_target_raises(self):
         # zero weights leave h = 0, so the logits are exactly b_y

@@ -52,16 +52,25 @@ GOLDEN_BPC = {
     ('adaptive', 'f64', 'sampled', 3): '0x1.67fb641d68280p+1',
 }
 
-# stdout of `szlstm sample --prompt fab --length 48 --temperature 0.7 --seed 9`
+# stdout of `szlstm sample --prompt fab --length 48 --temperature T --seed 9`,
+# keyed (variant, precision, T)
 GOLDEN_SAMPLES = {
-    ('standard', 'f32'): 'fabdfbdfbdcdcahefhgcdcfcfccgdcfgeffbgefcdacfcbfbfhd\n',
-    ('standard', 'f64'): 'fabdfbdfbdcdcahefhgcdcfcfccgdcfgeffbgefcdacfcbfbfhd\n',
-    ('sf', 'f32'): 'fabdhecdhcbgcaedhggafdhefcbgaffffcdcgahcbabdcbeahhd\n',
-    ('sf', 'f64'): 'fabdhecdhcbgcaedhggafdhefcbgaffffcdcgahcbabdcbeahhd\n',
-    ('fixed_zoneout', 'f32'): 'fabcgdchdcbeaaheefgcedeefdcfdcegfeebheeddcbgbdgchhd\n',
-    ('fixed_zoneout', 'f64'): 'fabcgdchdcbeaaheefgcedeefdcfdcegfeebheeddcbgbdgchhd\n',
-    ('adaptive', 'f32'): 'fabbgaehebcddahheffefbcdgdhedffheedbgfeffcbhaehaehe\n',
-    ('adaptive', 'f64'): 'fabbgaehebcddahheffefbcdgdhedffheedbgfeffcbhaehaehe\n',
+    ('standard', 'f32', '0.7'): 'fabdfbdfbdcdcahefhgcdcfcfccgdcfgeffbgefcdacfcbfbfhd\n',
+    ('standard', 'f64', '0.7'): 'fabdfbdfbdcdcahefhgcdcfcfccgdcfgeffbgefcdacfcbfbfhd\n',
+    ('sf', 'f32', '0.7'): 'fabdhecdhcbgcaedhggafdhefcbgaffffcdcgahcbabdcbeahhd\n',
+    ('sf', 'f64', '0.7'): 'fabdhecdhcbgcaedhggafdhefcbgaffffcdcgahcbabdcbeahhd\n',
+    ('fixed_zoneout', 'f32', '0.7'): 'fabcgdchdcbeaaheefgcedeefdcfdcegfeebheeddcbgbdgchhd\n',
+    ('fixed_zoneout', 'f64', '0.7'): 'fabcgdchdcbeaaheefgcedeefdcfdcegfeebheeddcbgbdgchhd\n',
+    ('adaptive', 'f32', '0.7'): 'fabbgaehebcddahheffefbcdgdhedffheedbgfeffcbhaehaehe\n',
+    ('adaptive', 'f64', '0.7'): 'fabbgaehebcddahheffefbcdgdhedffheedbgfeffcbhaehaehe\n',
+    ('standard', 'f32', '1.0'): 'fabdfcbgecbfeagefhgcedefhcdgdefhdfcbhfdcdbcfbcfbfhd\n',
+    ('standard', 'f64', '1.0'): 'fabdfcbgecbfeagefhgcedefhcdgdefhdfcbhfdcdbcfbcfbfhd\n',
+    ('sf', 'f32', '1.0'): 'fabdhebgedcdfbeeeefdhedhgdhgedhhdfcbhedcdcbhaefbghb\n',
+    ('sf', 'f64', '1.0'): 'fabdhebgedcdfbeeeefdhedhgdhgedhhdfcbhedcdcbhaefbghb\n',
+    ('fixed_zoneout', 'f32', '1.0'): 'fabdhebgedcffadhgggcgdhefdchcdhheedcheeddcbgbdgbghc\n',
+    ('fixed_zoneout', 'f64', '1.0'): 'fabdhebgedcffadhgggcgdhefdchcdhheedcheeddcbgbdgbghc\n',
+    ('adaptive', 'f32', '1.0'): 'fabbgcbhdcbffahceghceedggdfgeffhedebheedebdgcbhaghb\n',
+    ('adaptive', 'f64', '1.0'): 'fabbgcbhdcbffahceghceedggdfgeffhedebheedebdgcbhaghb\n',
 }
 
 
@@ -78,9 +87,7 @@ def test_evaluate_bpc_bits_are_pinned(variant, precision, mask_mode, lanes):
     assert bpc.hex() == GOLDEN_BPC[variant, precision, mask_mode, lanes]
 
 
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_sample_text_is_pinned(variant, precision, tmp_path, capsys):
+def sampled_text(variant, precision, temperature, tmp_path, capsys):
     params = tiny_params(vocab=8, hidden=16, variant=variant, seed=6,
                          dtype=DTYPES[precision])
     params.flat *= 4.0  # sharper outputs, so the text follows the model state
@@ -88,5 +95,20 @@ def test_sample_text_is_pinned(variant, precision, tmp_path, capsys):
     save_checkpoint(path, params, AdadeltaState(params), None,
                     np.frombuffer(b"abcdefgh", dtype=np.uint8), step=0)
     assert dispatch(["sample", path, "--prompt", "fab", "--length", "48",
-                     "--temperature", "0.7", "--seed", "9"]) == 0
-    assert capsys.readouterr().out == GOLDEN_SAMPLES[variant, precision]
+                     "--temperature", temperature, "--seed", "9"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sample_text_is_pinned(variant, precision, tmp_path, capsys):
+    text = sampled_text(variant, precision, "0.7", tmp_path, capsys)
+    assert text == GOLDEN_SAMPLES[variant, precision, "0.7"]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sample_text_at_temperature_one_is_pinned(variant, precision, tmp_path, capsys):
+    """At temperature 1 the sample draws from the step's own output row."""
+    text = sampled_text(variant, precision, "1.0", tmp_path, capsys)
+    assert text == GOLDEN_SAMPLES[variant, precision, "1.0"]

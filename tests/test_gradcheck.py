@@ -85,3 +85,23 @@ def test_tiny_window_check_standard_skips_feedback_blocks():
 def test_expected_mask_mode_also_checks_out():
     report = tiny_window_check("adaptive", mask_mode="expected")
     assert report.passed()
+
+
+# symbol 2 runs across steps within a lane and across lanes within a step,
+# so backward_window's per-symbol contraction sums rows from many (step,
+# lane) pairs; symbol 3 appears once
+REPEATS = np.array([[2, 2, 0],
+                    [2, 1, 2],
+                    [4, 2, 2],
+                    [2, 3, 1],
+                    [0, 2, 2],
+                    [2, 2, 4],
+                    [1, 2, 0]])
+
+
+@pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+def test_repeated_symbols_over_a_multi_step_window(variant):
+    # eps 1e-4: this instance has coordinates near 2e-6, where central
+    # differences at the default 1e-5 carry about 4e-11 of rounding
+    report = tiny_window_check(variant, symbols=REPEATS, eps=1e-4)
+    assert report.passed(), report.format_table()

@@ -6,7 +6,6 @@ from szlstm.numerics import (
     matmul,
     one_hot,
     sample_bernoulli,
-    sigmoid,
     softmax_rows,
 )
 
@@ -55,28 +54,6 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-class TestSigmoid:
-    def test_zero(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-
-    def test_saturation(self):
-        assert abs(sigmoid(np.array([30.0]))[0] - 1.0) < 1e-9
-
-    def test_symmetry(self):
-        v = np.array([-5.0, -1.0, 0.3, 7.0])
-        np.testing.assert_allclose(sigmoid(v) + sigmoid(-v), 1.0, atol=1e-15)
-
-    def test_finite_on_extreme_inputs(self):
-        out = sigmoid(np.array([-1000.0, 1000.0], dtype=np.float32))
-        assert np.all(np.isfinite(out))
-        assert out[0] == 0.0 and out[1] == 1.0
-
-    def test_preserves_shape_and_dtype(self):
-        x = np.zeros((3, 4), dtype=np.float32)
-        out = sigmoid(x)
-        assert out.shape == x.shape and out.dtype == x.dtype
 
 
 class TestSoftmaxRows:

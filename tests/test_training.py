@@ -3,9 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from szlstm.cell import GradientSet, ModelParams, RecurrentState
+from szlstm import training
+from szlstm.cell import GradientSet, ModelParams, RecurrentState, backward_window, forward_step
 from szlstm.numerics import NumericalError, RngState
-from szlstm.optim import xavier_init
+from szlstm.optim import AdadeltaState, xavier_init
 from szlstm.training import (
     Checkpoint,
     TrainConfig,
@@ -18,7 +19,8 @@ from szlstm.training import (
     save_checkpoint,
     train,
 )
-from szlstm.cell import backward_step, forward_step
+
+from conftest import tiny_params
 
 
 def small_cfg(**kw):
@@ -118,8 +120,7 @@ class TestRunTbpttWindow:
         g_manual = GradientSet.zeros_like(params)
         s2, cache, loss2 = forward_step(state0.copy(), inputs[0], params, rng=RngState(9),
                                         target=targets[0])
-        backward_step(cache, params, np.zeros_like(cache.h), np.zeros_like(cache.c),
-                      targets[0], g_manual)
+        backward_window([cache], params, targets, g_manual)
 
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
@@ -296,6 +297,114 @@ class TestCheckpoint:
         save_checkpoint(str(again), ckpt.params, ckpt.opt, ckpt.config, ckpt.vocab,
                         ckpt.step, rng=ckpt.rng)
         assert again.read_bytes() == blob
+
+    def _save(self, path, params, opt, step):
+        save_checkpoint(str(path), params, opt, small_cfg(), np.arange(params.vocab_size,
+                        dtype=np.uint8), step=step, rng={"data": (1, step)})
+        return path.read_bytes()
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        before = self._save(path, params, opt, 1)
+
+        class FailingFile:
+            """Writes half of the first array section, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):
+                    raw = data.view(np.uint8)
+                    self.fh.write(raw[: raw.size // 2])
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(training, "open",
+                            lambda *a, **kw: FailingFile(open(*a, **kw)), raising=False)
+        params.flat += 1.0
+        with pytest.raises(OSError, match="no space"):
+            self._save(path, params, opt, 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(str(path)).step == 1
+        # the half-written spare is rewritten by the next save
+        after = self._save(path, params, opt, 3)
+        assert load_checkpoint(str(path)).step == 3
+        assert after != before
+
+    def test_previous_checkpoint_stays_as_spare(self, tmp_path):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        spare = tmp_path / "model.ckpt.spare"
+        first = self._save(path, params, opt, 1)
+        assert not spare.exists()
+        second = self._save(path, params, opt, 2)
+        assert second != first
+        assert spare.read_bytes() == first
+        assert load_checkpoint(str(path)).step == 2
+        assert load_checkpoint(str(spare)).step == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.spare"]
+
+    def test_save_rewrites_the_spare_file(self, tmp_path):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        spare = tmp_path / "model.ckpt.spare"
+        self._save(path, params, opt, 1)
+        second = self._save(path, params, opt, 2)
+        inodes = (path.stat().st_ino, spare.stat().st_ino)
+        self._save(path, params, opt, 3)
+        # the third save wrote into the spare's inode and kept the second as spare
+        assert (path.stat().st_ino, spare.stat().st_ino) == inodes[::-1]
+        assert spare.read_bytes() == second
+        assert load_checkpoint(str(path)).step == 3
+
+    def test_stale_old_link_is_removed(self, tmp_path):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        first = self._save(path, params, opt, 1)
+        stale = tmp_path / "model.ckpt.old"
+        stale.write_bytes(b"left by an interrupted save")
+        self._save(path, params, opt, 2)
+        assert not stale.exists()
+        assert (tmp_path / "model.ckpt.spare").read_bytes() == first
+        assert load_checkpoint(str(path)).step == 2
+
+    def test_save_through_a_symlink_keeps_the_link(self, tmp_path):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        target = tmp_path / "run7.ckpt"
+        self._save(target, params, opt, 1)
+        link = tmp_path / "latest.ckpt"
+        link.symlink_to(target.name)
+        saved = self._save(link, params, opt, 2)
+        assert link.is_symlink()
+        assert target.read_bytes() == saved
+        assert load_checkpoint(str(tmp_path / "run7.ckpt.spare")).step == 1
+
+    def test_resume_into_same_path_matches_uninterrupted_run(self, tmp_path, corpus):
+        cfg = small_cfg(steps=20)
+        full_ck = tmp_path / "full.ckpt"
+        full = train(cfg, corpus, ckpt_path=str(full_ck))
+        ck = tmp_path / "resume.ckpt"
+        train(small_cfg(steps=10), corpus, ckpt_path=str(ck))
+        resumed = train(cfg, corpus, resume=load_checkpoint(str(ck)), ckpt_path=str(ck))
+        assert resumed.losses == full.losses[10:]
+        assert ck.read_bytes() == full_ck.read_bytes()
 
     def test_resume_matches_uninterrupted_run(self, tmp_path, corpus):
         cfg = small_cfg(steps=20)
