@@ -432,10 +432,9 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     lanes. on_step(cache) receives each step's StepCache; without it none
     is built. frozen holds one FrozenStep per step. Sampled mode draws one
     mask per step from rng for fixed_zoneout and adaptive (unless frozen)
-    and none for standard and sf. choose(y, p), when given, receives step
-    t's logits and output distribution and returns the index row written
-    into symbols[t+1] before that row is scored and read by step t+1; this
-    is how text is generated.
+    and none for standard and sf. choose(y, p), when given, gets step t's
+    logits and distribution and returns the row written into symbols[t+1]
+    before that row is scored and read by step t+1 (text generation).
     """
     sampled = _sampled(mask_mode)
     if fused is None:

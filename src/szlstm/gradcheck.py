@@ -135,15 +135,13 @@ def analytic_window_gradient(params, caches, targets):
 
 def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
                       zoneout_rate=0.5, tau=0.05, seed=DEFAULT_SEED, eps=DEFAULT_EPS,
-                      mask_mode="sampled", symbols=None):
+                      mask_mode="sampled"):
     """Full harness on a small window; returns the GradReport.
 
     Builds a float64 model, collects a window with sampled masks (replayed
     twice and asserted bit-identical), freezes the per-step surprisal /
     rate / mask, and compares the analytic sweep against central
-    differences over every coordinate of every trainable block. symbols,
-    when given, is the (seq_len + 1, batch_size) index array to run in
-    place of a random one; its shape sets seq_len and batch_size.
+    differences over every coordinate of every trainable block.
     """
     root = RngState(seed)
     params = ModelParams.zeros(vocab, hidden, variant=variant, tau=tau,
@@ -152,9 +150,6 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel
     lane_stream = root.fork(2).integers(0, vocab, size=(seq_len + 1, batch_size))
-    if symbols is not None:
-        lane_stream = np.asarray(symbols)
-        batch_size = lane_stream.shape[1]
 
     # a generic nonzero starting point conditions the check better than the
     # zero state: recurrent-weight gradients then get contributions from

@@ -23,15 +23,16 @@ A checkpoint is written only at chunk boundaries, so resuming reproduces the
 uninterrupted run bit for bit: lane states restart at the next chunk anyway
 and every random draw is replayed from the stored stream counters.
 
-Checkpoint saves: a save writes PATH.spare in place, then hard-links PATH
-to PATH.old, renames PATH.spare over PATH and PATH.old to PATH.spare. PATH
-always names a complete checkpoint, and the previous one stays on disk as
-PATH.spare, so a path costs two checkpoints of disk. Reusing the spare's
-file is what makes a save cheap: no save truncates or unlinks a file full
-of data. A process that dies mid-save leaves PATH as it was; there is no
-fsync, so a power loss or OS crash can still lose recent writes.
+Checkpoint saves: a save rewrites PATH.spare in place, hard-links PATH to
+PATH.old, renames PATH.spare over PATH (taking PATH's mode) and PATH.old to
+PATH.spare; without hard links it only renames PATH.spare over PATH. PATH
+always names a complete checkpoint and the previous one stays as PATH.spare:
+two checkpoints of disk. No save truncates or unlinks a full file, which is
+what makes it cheap. A process that dies mid-save leaves PATH as it was;
+with no fsync, a power loss or OS crash can still lose recent writes.
 """
 
+import errno
 import json
 import os
 import time
@@ -422,8 +423,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
-    """Write the versioned binary checkpoint format documented above into
-    path + ".spare" and swap it in, as "Checkpoint saves" above describes."""
+    """Write the checkpoint format above as "Checkpoint saves" describes."""
     header = {
         "step": int(step),
         "precision": "f64" if params.dtype == np.float64 else "f32",
@@ -443,6 +443,7 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
     dtype_le = "<f8" if params.dtype == np.float64 else "<f4"
     path = os.path.realpath(path)   # a symlinked path keeps its link
     spare, old = path + ".spare", path + ".old"
+    previous = os.path.exists(path)
     with open(spare, "r+b" if os.path.exists(spare) else "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array([CHECKPOINT_VERSION], dtype="<u4").tobytes())
@@ -453,9 +454,14 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
         fh.truncate()
     if os.path.lexists(old):
         os.unlink(old)   # left by a save interrupted between its renames
-    previous = os.path.exists(path)
     if previous:
-        os.link(path, old)
+        os.chmod(spare, os.stat(path).st_mode & 0o7777)   # the spare takes PATH's place
+        try:
+            os.link(path, old)
+        except OSError as err:   # no hard links here: replace PATH, keep no spare
+            if err.errno not in (errno.EPERM, errno.ENOTSUP, errno.EOPNOTSUPP, errno.EXDEV):
+                raise
+            previous = False
     os.replace(spare, path)
     if previous:
         os.replace(old, spare)

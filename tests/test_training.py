@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -383,6 +385,46 @@ class TestCheckpoint:
         assert not stale.exists()
         assert (tmp_path / "model.ckpt.spare").read_bytes() == first
         assert load_checkpoint(str(path)).step == 2
+
+    def test_saves_keep_the_checkpoint_mode(self, tmp_path):
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        self._save(path, params, opt, 1)
+        path.chmod(0o600)
+        for step in (2, 3, 4):
+            self._save(path, params, opt, step)
+            assert path.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("code", [errno.EPERM, errno.ENOTSUP, errno.EXDEV],
+                             ids=["EPERM", "ENOTSUP", "EXDEV"])
+    def test_save_without_hard_links_replaces_the_checkpoint(self, tmp_path, monkeypatch,
+                                                             code):
+        def no_links(src, dst):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(training.os, "link", no_links)
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        for step in (1, 2, 3):
+            saved = self._save(path, params, opt, step)
+            assert load_checkpoint(str(path)).step == step
+        assert saved == path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_save_raises_other_link_errors(self, tmp_path, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        params = tiny_params()
+        opt = AdadeltaState(params)
+        path = tmp_path / "model.ckpt"
+        first = self._save(path, params, opt, 1)
+        monkeypatch.setattr(training.os, "link", no_space)
+        with pytest.raises(OSError):
+            self._save(path, params, opt, 2)
+        assert path.read_bytes() == first
 
     def test_save_through_a_symlink_keeps_the_link(self, tmp_path):
         params = tiny_params()
