@@ -7,7 +7,7 @@ update probability and the realized update rate react to each.
 
 import numpy as np
 
-from szlstm import ModelParams, RecurrentState, RngState, forward_step
+from szlstm import ModelParams, RngState, run_lanes
 from szlstm.optim import xavier_init
 
 VOCAB = 16
@@ -23,18 +23,17 @@ stream = np.concatenate([repetitive, noisy])
 params = ModelParams.zeros(VOCAB, HIDDEN, variant="adaptive", tau=0.05)
 xavier_init(params, RngState(7).fork(1))
 
-state = RecurrentState.initial(1, HIDDEN, VOCAB, dtype=np.float32)
-mask_rng = RngState(7).fork(3)
+# one lane from a fresh state; every step's cache is kept for the printout
+caches = []
+run_lanes(params, stream[:, None], rng=RngState(7).fork(3), on_step=caches.append)
 
 print(f"{'step':>5} {'phase':>10} {'mean z':>8} {'updates':>8} {'surprisal':>10}")
-for t in range(len(stream) - 1):
-    state, cache, _ = forward_step(state, stream[t: t + 1], params, rng=mask_rng,
-                                   target=stream[t + 1: t + 2])
-    if t % 25 == 0:
-        phase = "repeat" if t < len(repetitive) else "noise"
-        surprisal = float(-cache.s_val.sum())
-        print(f"{t:>5} {phase:>10} {float(cache.z.mean()):>8.3f} "
-              f"{float(cache.mask.mean()):>8.3f} {surprisal:>10.3f}")
+for t in range(0, len(caches), 25):
+    cache = caches[t]
+    phase = "repeat" if t < len(repetitive) else "noise"
+    surprisal = float(-cache.s_val.sum())
+    print(f"{t:>5} {phase:>10} {float(cache.z.mean()):>8.3f} "
+          f"{float(cache.mask.mean()):>8.3f} {surprisal:>10.3f}")
 
 print()
 print("An untrained model is surprised by everything, so both phases update")

@@ -12,7 +12,6 @@ from .cell import (
     backward_window,
     cell_update,
     cross_entropy_bpc,
-    forward_step,
     fuse_gate_weights,
     gate_forward,
     hidden_from_cell,
@@ -26,7 +25,6 @@ from .numerics import (
     NumericalError,
     RngState,
     matmul,
-    one_hot,
     sample_bernoulli,
     softmax_rows,
 )

@@ -149,9 +149,6 @@ class RecurrentState:
             p_prev=np.full((batch_size, vocab_size), 1.0 / vocab_size, dtype=dtype),
         )
 
-    def copy(self):
-        return RecurrentState(self.c.copy(), self.h.copy(), self.p_prev.copy())
-
 
 @dataclass
 class StepCache:
@@ -170,7 +167,6 @@ class StepCache:
     c: np.ndarray
     c_hat: np.ndarray
     h: np.ndarray
-    y: np.ndarray       # logits, B x M
     p: np.ndarray       # output distribution, B x M
 
 
@@ -288,11 +284,6 @@ def zoneout_rate(err, W_y, tau):
     return np.minimum(tau + np.abs(back), 1.0)
 
 
-def sample_update_mask(z, rng):
-    """Binary mask: 1 fires an update with probability z, 0 freezes the cell."""
-    return sample_bernoulli(z, rng)
-
-
 def _activate_gates(a, n):
     # the logistic 1 / (1 + exp(-a)) under the np.errstate the step's caller
     # holds once for a whole run of steps: exp overflowing to inf gives 0
@@ -344,12 +335,6 @@ def _update_probability(c_prev, p_prev, x_idx, params):
     return np.ones_like(c_prev)
 
 
-def _sampled(mask_mode):
-    if mask_mode not in ("sampled", "expected"):
-        raise ValueError(f"unknown mask_mode {mask_mode!r}")
-    return mask_mode == "sampled"
-
-
 def _score(p, rows, target):
     # (log p of each row's target, their negated batch mean). Under the caller's
     # np.errstate(divide="ignore") a zero probability (underflowed outputs) gives
@@ -362,81 +347,29 @@ def _score(p, rows, target):
     return logp, loss
 
 
-def _step(c_prev, h_prev, p_prev, x_idx, s_val, params, fused, rng, sampled, frozen, keep):
-    """The cell arithmetic of one step, shared by forward_step and run_lanes.
-
-    Returns (c, h, y, p, cache); cache is the step's StepCache when keep
-    is true, else None. The caller holds np.errstate(over="ignore").
-    """
-    f, i, o, u = gate_forward(x_idx, s_val, h_prev, fused)
-    full = params.variant in ("standard", "sf")
-    z, mask = frozen.z, frozen.mask
-    if not (full and z is None and mask is None):
-        if z is None:
-            z = _update_probability(c_prev, p_prev, x_idx, params)
-        if mask is None:
-            mask = z if full or not sampled else sample_update_mask(z, rng)
-    c = cell_update(c_prev, f, i, u, mask)
-    c_hat, h = hidden_from_cell(c, o)
-    y = h @ fused.WyT
-    y += params.b_y
-    p = softmax_rows(y)
-    if not keep:
-        return c, h, y, p, None
-    if z is None:
-        # every cell updated; the backward pass and the trace read all-ones rows
-        z = mask = np.ones_like(c)
-    return c, h, y, p, StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
-                              u=u, h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h,
-                              y=y, p=p)
-
-
-def forward_step(state, x_idx, params, rng=None, mask_mode="sampled", target=None,
-                 frozen=None, fused=None):
-    """One full step of the cell; returns (new_state, cache, loss_nats).
-
-    x_idx is the index row (B,) of the current symbols. mask_mode "sampled"
-    draws a binary update mask; "expected" substitutes the update
-    probability itself (the evaluation convention). target, when given, is
-    the index row of the next symbol, and loss_nats is the batch-mean cross
-    entropy against it; otherwise loss_nats is None. A target the output
-    gives zero probability raises NumericalError. frozen overrides
-    individual intermediate quantities, see FrozenStep.
-    """
-    sampled = _sampled(mask_mode)
-    if fused is None:
-        fused = fuse_gate_weights(params)
-    if frozen is None:
-        frozen = _NO_OVERRIDES
-    s_val = frozen.s
-    if s_val is None:
-        s_val = surprisal_vector(state.p_prev, x_idx)
-    loss = None
-    with np.errstate(over="ignore", divide="ignore"):
-        c, h, _, p, cache = _step(state.c, state.h, state.p_prev, x_idx, s_val, params, fused,
-                               rng, sampled, frozen, True)
-        if target is not None:
-            loss = _score(p, np.arange(target.shape[0]), target)[1]
-    return RecurrentState(c=c, h=h, p_prev=p), cache, loss
-
-
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
               fused=None, on_step=None, choose=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
-    symbols is a (T+1, B) index array: step t is forward_step on row t
-    scored against row t+1, and loss_nats sums the T batch-mean losses as
+    symbols is a (T+1, B) index array: step t reads row t and is scored
+    against row t+1, and loss_nats sums the T batch-mean cross entropies as
     Python floats. Row t+1 also arrives at step t+1, so its surprisal is
-    the log-probability step t's loss took. np.errstate, the row index and
-    the fused weights are set up once per call. state None starts fresh
-    lanes. on_step(cache) receives each step's StepCache; without it none
-    is built. frozen holds one FrozenStep per step. Sampled mode draws one
-    mask per step from rng for fixed_zoneout and adaptive (unless frozen)
-    and none for standard and sf. choose(y, p), when given, gets step t's
-    logits and distribution and returns the row written into symbols[t+1]
-    before that row is scored and read by step t+1 (text generation).
+    the log-probability step t's loss took. A target the output gives zero
+    probability raises NumericalError. np.errstate, the row index and the
+    fused weights are set up once per call. state None starts fresh lanes;
+    the input state is never written. mask_mode "sampled" draws one binary
+    update mask per step from rng for fixed_zoneout and adaptive, and none
+    for standard and sf; "expected" substitutes the update probability
+    itself (the evaluation convention). frozen holds one FrozenStep per
+    step. on_step(cache) receives each step's StepCache; without it none is
+    built. choose(y, p), when given, gets step t's logits and distribution
+    and returns the row written into symbols[t+1] before that row is scored
+    and read by step t+1 (text generation).
     """
-    sampled = _sampled(mask_mode)
+    if mask_mode not in ("sampled", "expected"):
+        raise ValueError(f"unknown mask_mode {mask_mode!r}")
+    sampled = mask_mode == "sampled"
+    full = params.variant in ("standard", "sf")
     if fused is None:
         fused = fuse_gate_weights(params)
     batch = symbols.shape[1]
@@ -454,10 +387,26 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 s_val = overrides.s
             elif s_val is None:
                 s_val = surprisal_vector(p, x_idx)
-            c, h, y, p, cache = _step(c, h, p, x_idx, s_val, params, fused, rng, sampled,
-                                      overrides, on_step is not None)
-            if cache is not None:
-                on_step(cache)
+            f, i, o, u = gate_forward(x_idx, s_val, h, fused)
+            z, mask = overrides.z, overrides.mask
+            if not (full and z is None and mask is None):
+                if z is None:
+                    z = _update_probability(c, p, x_idx, params)
+                if mask is None:
+                    mask = z if full or not sampled else sample_bernoulli(z, rng)
+            c_prev, h_prev = c, h
+            c = cell_update(c_prev, f, i, u, mask)
+            c_hat, h = hidden_from_cell(c, o)
+            y = h @ fused.WyT
+            y += params.b_y
+            p = softmax_rows(y)
+            if on_step is not None:
+                if z is None:
+                    # every cell updated; the backward pass and the trace read all-ones rows
+                    z = mask = np.ones_like(c)
+                on_step(StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
+                                  u=u, h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h,
+                                  p=p))
             if choose is not None:
                 symbols[t + 1] = choose(y, p)
             # the target's log-probability is also the next step's surprisal
@@ -508,7 +457,8 @@ def _backward_core(cache, params, d_h_next, d_c_next, target, fused, d_y, d_a):
 def backward_window(caches, params, targets, grads, fused=None):
     """Reverse sweep over a whole cached window with batched accumulation.
 
-    targets is the (T, B) index array the steps were scored against; no
+    caches are consecutive steps of one run, as run_lanes passes them to
+    on_step. targets is the (T, B) index array they were scored against; no
     gradient arrives from beyond the window, and none flows through the
     surprisal or the mask. Each step writes its output and gate gradients
     into rows t*B..(t+1)*B of two window buffers; W_y, U_* and the biases
@@ -535,9 +485,13 @@ def backward_window(caches, params, targets, grads, fused=None):
         d_h, d_c = _backward_core(caches[t], params, d_h, d_c, targets[t], fused,
                                   d_y_flat[rows], d_a_flat[rows])
 
-    grads["W_y"] += matmul(d_y_flat.T, np.concatenate([c.h for c in caches]))
+    # step t's h_prev is step t-1's h, so one array of T+1 row blocks holds
+    # both; it is freed before the per-symbol contractions allocate theirs
+    hidden = np.concatenate([caches[0].h_prev] + [c.h for c in caches])
+    grads["W_y"] += matmul(d_y_flat.T, hidden[batch:])
     grads["b_y"] += d_y_flat.sum(axis=0)
-    grads["Ug"] += matmul(d_a_flat.T, np.concatenate([c.h_prev for c in caches]))
+    grads["Ug"] += matmul(d_a_flat.T, hidden[:-batch])
+    del hidden
     grads["bg"] += d_a_flat.sum(axis=0)
 
     # per-symbol input contractions. The stable sort keeps each symbol's rows

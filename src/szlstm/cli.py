@@ -18,6 +18,7 @@ from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
     STREAM_SAMPLE,
     TrainConfig,
+    encode_bytes,
     evaluate_bpc,
     load_checkpoint,
     load_corpus,
@@ -72,8 +73,15 @@ def read_config_file(path):
     return values
 
 
-def _add_model_flags(p):
+def _add_eval_flags(p):
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
+    p.add_argument("--mask-mode", choices=("expected", "sampled"), default=None,
+                   help="evaluation mask convention (default expected)")
+    p.add_argument("--config", default=None, help="key=value config file; flags override it")
+
+
+def _add_model_flags(p):
+    _add_eval_flags(p)
     p.add_argument("--variant", default=None,
                    help="standard | sf | fixed:RATE | adaptive (default adaptive)")
     p.add_argument("--tau", type=float, default=None,
@@ -85,11 +93,8 @@ def _add_model_flags(p):
                    help="symbols per sampled chunk (default 10000)")
     p.add_argument("--steps", type=int, default=None, help="total optimizer steps")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--mask-mode", choices=("expected", "sampled"), default=None,
-                   help="evaluation mask convention (default expected)")
     p.add_argument("--lr", type=float, default=None,
                    help="Adadelta step scale (default 0.001; desk-scale runs want 1.0)")
-    p.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
 def build_config(args):
@@ -197,15 +202,10 @@ def cmd_sample(args):
     ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
     vocab = ckpt.vocab
-    table = np.full(256, -1, dtype=np.int16)
-    table[vocab] = np.arange(len(vocab), dtype=np.int16)
     prompt = args.prompt.encode("utf-8")
     if not prompt:
         raise UsageError("--prompt must not be empty")
-    prompt_idx = table[np.frombuffer(prompt, dtype=np.uint8)]
-    if np.any(prompt_idx < 0):
-        bad = prompt[int(np.argmax(prompt_idx < 0))]
-        raise UsageError(f"prompt byte 0x{bad:02x} is not in the model vocabulary")
+    prompt_idx = encode_bytes(vocab, prompt)
     if args.temperature <= 0:
         raise UsageError(f"--temperature must be positive, got {args.temperature}")
     if args.length < 0:
@@ -253,7 +253,8 @@ def build_parser():
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--lanes", type=int, default=1,
                    help="parallel contiguous segments (1 = strict sequential pass)")
-    _add_model_flags(p)
+    # the model itself comes from the checkpoint
+    _add_eval_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")

@@ -23,7 +23,6 @@ from .optim import xavier_init
 
 DEFAULT_EPS = 1e-5
 PASS_THRESHOLD = 1e-5
-MIN_SAMPLES_PER_BLOCK = 64
 
 # Pinned instance for the acceptance check. Central differences bottom out
 # around 1e-10 absolute, so instances with an accidentally tiny gradient
@@ -62,25 +61,18 @@ class GradReport:
         return "\n".join(lines)
 
 
-def numerical_gradient(loss_fn, arrays, eps=DEFAULT_EPS, samples_per_block=None, rng=None):
+def numerical_gradient(loss_fn, arrays, eps=DEFAULT_EPS):
     """Central differences (L(x+eps) - L(x-eps)) / (2 eps) per coordinate.
 
     loss_fn takes no arguments and must read the arrays in `arrays`, which
-    are perturbed in place and restored. With samples_per_block set, large
-    blocks are subsampled (never below MIN_SAMPLES_PER_BLOCK); unchecked
-    coordinates come back NaN so comparisons can skip them.
+    are perturbed in place and restored. Every coordinate is checked.
     """
     out = {}
     for name, block in arrays.items():
         if block.dtype != np.float64:
             raise ValueError(f"gradient check requires float64 blocks, {name} is {block.dtype}")
-        if samples_per_block is None or block.size <= max(samples_per_block, MIN_SAMPLES_PER_BLOCK):
-            coords = np.arange(block.size)
-        else:
-            take = max(int(samples_per_block), MIN_SAMPLES_PER_BLOCK)
-            coords = np.unique(rng.integers(0, block.size, size=take))
-        numeric = np.full(block.size, np.nan)
-        for r in coords:
+        numeric = np.empty(block.size)
+        for r in range(block.size):
             old = block.flat[r]
             block.flat[r] = old + eps
             lo_plus = loss_fn()
@@ -95,27 +87,16 @@ def numerical_gradient(loss_fn, arrays, eps=DEFAULT_EPS, samples_per_block=None,
 
 
 def compare_gradients(analytic, numeric):
-    """Per-coordinate relative error |a - n| / max(|a|, |n|, 1e-8), per block.
-
-    NaN coordinates in the numeric set (skipped by subsampling) are ignored.
-    """
+    """Per-coordinate relative error |a - n| / max(|a|, |n|, 1e-8), per block."""
     reports = []
     for name in numeric:
         a = np.asarray(analytic[name], dtype=np.float64)
         n = numeric[name]
         if a.shape != n.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {a.shape} vs {n.shape}")
-        checked = ~np.isnan(n)
-        rel = np.zeros_like(a)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(np.where(checked, n, 0.0))), 1e-8)
-        rel[checked] = (np.abs(a - np.where(checked, n, a)) / denom)[checked]
-        n_checked = int(checked.sum())
-        if n_checked:
-            worst = int(np.argmax(rel))
-            reports.append(BlockReport(name, float(rel.max()),
-                                       float(rel.sum() / n_checked), worst, n_checked))
-        else:
-            reports.append(BlockReport(name, 0.0, 0.0, -1, 0))
+        rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
+        reports.append(BlockReport(name, float(rel.max()), float(rel.sum() / rel.size),
+                                   int(np.argmax(rel)), rel.size))
     return GradReport(reports)
 
 

@@ -95,11 +95,3 @@ def sample_bernoulli(probs, rng):
         )
     u = rng.uniform(probs.shape)
     return (u < probs).astype(probs.dtype)
-
-
-def one_hot(indices, width, dtype=np.float32):
-    """Rows of zeros with a single 1 at each index."""
-    indices = np.asarray(indices)
-    out = np.zeros((indices.shape[0], width), dtype=dtype)
-    out[np.arange(indices.shape[0]), indices] = 1
-    return out

@@ -94,21 +94,6 @@ class Corpus:
             return self.encoded[self.valid_end:]
         raise ValueError(f"unknown split {name!r}, expected train/valid/test")
 
-    def encode_bytes(self, raw):
-        """Symbol indices for raw bytes; rejects bytes absent from the vocabulary."""
-        arr = np.frombuffer(raw, dtype=np.uint8)
-        table = np.full(256, -1, dtype=np.int16)
-        table[self.vocab] = np.arange(self.vocab_size, dtype=np.int16)
-        idx = table[arr]
-        if np.any(idx < 0):
-            bad = int(arr[np.argmax(idx < 0)])
-            raise ValueError(f"byte 0x{bad:02x} does not occur in the corpus vocabulary")
-        return idx.astype(np.uint8)
-
-    def decode(self, indices):
-        """Bytes for a sequence of symbol indices."""
-        return self.vocab[np.asarray(indices)].tobytes()
-
     def check_vocab(self, vocab):
         """Raise ValueError unless a model's vocabulary is this corpus's, byte
         for byte (symbol indices mean bytes, so equal sizes are not enough)."""
@@ -121,6 +106,19 @@ class Corpus:
                          f"corpus byte {ours}, checkpoint byte {theirs}")
 
 
+def encode_bytes(vocab, raw):
+    """Symbol indices (uint8) of raw bytes under a byte vocabulary; raises
+    ValueError naming the first byte absent from it."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    table = np.full(256, -1, dtype=np.int16)
+    table[vocab] = np.arange(len(vocab), dtype=np.int16)
+    idx = table[data]
+    if idx.size and idx.min() < 0:
+        bad = int(data[np.argmax(idx < 0)])
+        raise ValueError(f"byte 0x{bad:02x} is not in the model vocabulary")
+    return idx.astype(np.uint8)
+
+
 def load_corpus(path):
     """Read a byte corpus, build its vocabulary and record split offsets."""
     with open(path, "rb") as fh:
@@ -129,9 +127,7 @@ def load_corpus(path):
         raise ValueError(f"corpus file {path} is empty")
     data = np.frombuffer(raw, dtype=np.uint8)
     vocab = np.unique(data)
-    table = np.zeros(256, dtype=np.int16)
-    table[vocab] = np.arange(len(vocab), dtype=np.int16)
-    encoded = table[data].astype(np.uint8)
+    encoded = encode_bytes(vocab, raw)
     length = len(data)
     train_end = length * 9 // 10
     valid_end = train_end + length // 20

@@ -26,7 +26,21 @@ def corpus(corpus_path):
     return load_corpus(corpus_path)
 
 
+# every StepCache field that backward_window or trace.record_step reads
+CACHE_FIELDS = ("x_idx", "s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev",
+                "c", "c_hat", "h", "p")
+
+
 def tiny_params(vocab=5, hidden=8, variant="adaptive", seed=3, dtype=np.float64, **kw):
     params = ModelParams.zeros(vocab, hidden, variant=variant, dtype=dtype, **kw)
     xavier_init(params, RngState(seed).fork(1))
     return params
+
+
+def one_hot(indices, width, dtype=np.float32):
+    """Rows of zeros with a single 1 at each index: the dense input rows the
+    cell's index gathers stand for."""
+    indices = np.asarray(indices)
+    out = np.zeros((indices.shape[0], width), dtype=dtype)
+    out[np.arange(indices.shape[0]), indices] = 1
+    return out

@@ -12,16 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from szlstm.cell import (
-    FrozenStep,
-    ModelParams,
-    RecurrentState,
-    forward_step,
-    sample_update_mask,
-    zoneout_rate,
-)
+from szlstm.cell import FrozenStep, ModelParams, run_lanes, zoneout_rate
 from szlstm.gradcheck import tiny_window_check
-from szlstm.numerics import RngState
+from szlstm.numerics import RngState, sample_bernoulli
 from szlstm.optim import xavier_init
 from szlstm.trace import cell_change_stats, trace_stream
 from szlstm.training import (
@@ -50,20 +43,16 @@ def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
     if zero_feedback:
         for g in "fiou":
             getattr(params, "V_" + g).fill(0.0)
-    sym = RngState(seed).fork(2).integers(0, vocab, size=(steps, batch))
-    state = RecurrentState.initial(batch, hidden, vocab, dtype=np.float32)
-    rng = RngState(seed).fork(3)
+    sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, batch))
+    frozen = None
+    if frozen_mask is not None:
+        frozen = [FrozenStep(mask=np.full((batch, hidden), frozen_mask, dtype=np.float32))] * steps
     out = []
-    for t in range(steps):
-        frozen = None
-        if frozen_mask is not None:
-            frozen = FrozenStep(mask=np.full((batch, hidden), frozen_mask,
-                                             dtype=np.float32))
-        state, cache, _ = forward_step(state, sym[t], params, rng=rng, frozen=frozen)
-        if collect == "chp":
-            out.append((cache.c, cache.h, cache.p))
-        else:
-            out.append(cache)
+
+    def keep(cache):
+        out.append((cache.c, cache.h, cache.p) if collect == "chp" else cache)
+
+    state, _ = run_lanes(params, sym, None, RngState(seed).fork(3), frozen=frozen, on_step=keep)
     return out, state
 
 
@@ -229,7 +218,7 @@ def test_criterion_8_determinism_and_persistence(corpus, tmp_path):
 
 def test_criterion_9_mask_statistics():
     z = np.full((100, 1000), 0.3, dtype=np.float32)
-    mask = sample_update_mask(z, RngState(123))
+    mask = sample_bernoulli(z, RngState(123))
     mean = float(mask.mean())
     assert abs(mean - 0.3) <= 0.01
     report(9, True, f"empirical update rate {mean:.4f} within 0.3 +- 0.01 "

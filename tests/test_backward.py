@@ -3,27 +3,26 @@ import pytest
 
 from szlstm.cell import (
     GradientSet,
-    RecurrentState,
     _backward_core,
     backward_window,
-    forward_step,
     fuse_gate_weights,
+    run_lanes,
 )
-from szlstm.numerics import RngState, one_hot
+from szlstm.numerics import RngState
 
-from conftest import tiny_params
+from conftest import one_hot, tiny_params
+
+
+def symbol_window(params, sym, rng):
+    """Forward over the (T + 1, B) symbol rows sym; returns (caches, targets)."""
+    caches = []
+    run_lanes(params, sym, None, rng, on_step=caches.append)
+    return caches, sym[1:]
 
 
 def window(params, steps=6, seed=4, batch=3):
-    vocab = params.vocab_size
-    sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, batch))
-    state = RecurrentState.initial(batch, params.hidden_size, vocab, dtype=params.dtype)
-    rng = RngState(seed).fork(3)
-    caches = []
-    for t in range(steps):
-        state, cache, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
-        caches.append(cache)
-    return caches, sym[1:]
+    sym = RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, batch))
+    return symbol_window(params, sym, RngState(seed).fork(3))
 
 
 def test_frozen_step_blocks_write_gradients():
@@ -131,18 +130,6 @@ def test_gradient_set_helpers():
 LONG_BATCH, LONG_STEPS, LONG_VOCAB = 32, 100, 20
 
 
-def symbol_window(params, sym, seed=6):
-    """Forward over the (T + 1, B) symbol rows sym; returns (caches, targets)."""
-    state = RecurrentState.initial(sym.shape[1], params.hidden_size, params.vocab_size,
-                                   dtype=params.dtype)
-    rng = RngState(seed)
-    caches = []
-    for t in range(sym.shape[0] - 1):
-        state, cache, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
-        caches.append(cache)
-    return caches, sym[1:]
-
-
 def dense_input_grads(caches, params, targets):
     """The W_*/V_* gate gradients (4N x M) as one dense matmul each against the
     window's one-hot rows and its surprisal rows (zero but at the symbol)."""
@@ -182,14 +169,14 @@ def assert_input_grads_match(params, caches, targets):
 def test_long_window_input_grads_match_dense_contraction(variant, dtype):
     params = tiny_params(vocab=LONG_VOCAB, variant=variant, dtype=dtype)
     sym = RngState(7).integers(0, LONG_VOCAB, size=(LONG_STEPS + 1, LONG_BATCH))
-    caches, targets = symbol_window(params, sym)
+    caches, targets = symbol_window(params, sym, RngState(6))
     assert_input_grads_match(params, caches, targets)
 
 
 def test_symbols_absent_from_window_get_zero_columns():
     params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
     sym = RngState(8).integers(0, LONG_VOCAB - 5, size=(LONG_STEPS + 1, LONG_BATCH))
-    caches, targets = symbol_window(params, sym)
+    caches, targets = symbol_window(params, sym, RngState(6))
     grads = assert_input_grads_match(params, caches, targets)
     for family in ("Wg", "Vg"):
         assert np.all(grads[family][:, : LONG_VOCAB - 5] != 0.0)
@@ -199,7 +186,7 @@ def test_symbols_absent_from_window_get_zero_columns():
 def test_window_of_one_symbol():
     params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
     sym = np.full((LONG_STEPS + 1, LONG_BATCH), 3)
-    caches, targets = symbol_window(params, sym)
+    caches, targets = symbol_window(params, sym, RngState(6))
     grads = assert_input_grads_match(params, caches, targets)
     for family in ("Wg", "Vg"):
         assert np.all(grads[family][:, 3] != 0.0)

@@ -9,7 +9,6 @@ from szlstm.cell import (
     RecurrentState,
     cell_update,
     cross_entropy_bpc,
-    forward_step,
     fuse_gate_weights,
     gate_forward,
     hidden_from_cell,
@@ -18,10 +17,10 @@ from szlstm.cell import (
     surprisal_vector,
     zoneout_rate,
 )
-from szlstm.numerics import NumericalError, RngState, one_hot, softmax_rows
+from szlstm.numerics import NumericalError, RngState, softmax_rows
 from szlstm.optim import xavier_init
 
-from conftest import tiny_params
+from conftest import CACHE_FIELDS, one_hot, tiny_params
 
 
 class TestSurprisalVector:
@@ -208,7 +207,7 @@ class TestHiddenFromCell:
 
 
 class TestProjectOutputs:
-    """The output distribution forward_step returns as cache.p."""
+    """The output distribution a step's cache holds as p."""
 
     @staticmethod
     def output(params, batch, seed):
@@ -218,8 +217,10 @@ class TestProjectOutputs:
         state.c[:] = rng.standard_normal(state.c.shape)
         state.h[:] = rng.standard_normal(state.h.shape)
         x_idx = rng.integers(0, params.vocab_size, size=batch)
-        _, cache, _ = forward_step(state, x_idx, params, mask_mode="expected")
-        return cache.p
+        caches = []
+        run_lanes(params, np.stack([x_idx, x_idx]), state, mask_mode="expected",
+                  on_step=caches.append)
+        return caches[0].p
 
     def test_zero_weights_give_uniform(self):
         params = ModelParams.zeros(5, 3, dtype=np.float64)
@@ -238,22 +239,12 @@ class TestProjectOutputs:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
-def drive(params, steps, seed=0, mask_mode="sampled", frozen_mask=None, batch=2):
-    """Run `steps` forward steps on a shared random symbol stream."""
-    vocab = params.vocab_size
-    sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, batch))
-    state = RecurrentState.initial(batch, params.hidden_size, vocab, dtype=params.dtype)
-    rng = RngState(seed).fork(3)
+def drive(params, steps, seed=0, mask_mode="sampled", batch=2):
+    """Run `steps` steps on a shared random symbol stream; returns (state, caches)."""
+    sym = RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, batch))
     caches = []
-    for t in range(steps):
-        frozen = None
-        if frozen_mask is not None:
-            frozen = FrozenStep(mask=np.full((batch, params.hidden_size),
-                                             frozen_mask, dtype=params.dtype))
-        state, cache, _ = forward_step(state, sym[t], params, rng=rng,
-                                       mask_mode=mask_mode, target=sym[t + 1],
-                                       frozen=frozen)
-        caches.append(cache)
+    state, _ = run_lanes(params, sym, None, RngState(seed).fork(3), mask_mode,
+                         on_step=caches.append)
     return state, caches
 
 
@@ -299,30 +290,17 @@ class TestForwardStep:
         params = ModelParams.zeros(vocab, hidden, variant="adaptive", dtype=np.float32)
         xavier_init(params, RngState(0).fork(1))
         sym = RngState(0).fork(2).integers(0, vocab, size=(201, 4))
-        state = RecurrentState.initial(4, hidden, vocab, dtype=np.float32)
-        rng = RngState(0).fork(3)
-        losses = []
-        for t in range(200):
-            state, _, loss = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
-            losses.append(loss)
-        mean = np.mean(losses)
+        _, total = run_lanes(params, sym, None, RngState(0).fork(3))
+        mean = total / 200
         assert abs(mean - np.log(vocab)) / np.log(vocab) < 0.10
 
     def test_rejects_unknown_mask_mode(self):
-        params = tiny_params()
-        state = RecurrentState.initial(1, params.hidden_size, params.vocab_size,
-                                       dtype=params.dtype)
         with pytest.raises(ValueError, match="mask_mode"):
-            forward_step(state, np.array([0]), params,
-                         mask_mode="bogus")
-
-
-CACHE_FIELDS = ("x_idx", "s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev",
-                "c", "c_hat", "h", "y", "p")
+            run_lanes(tiny_params(), np.array([[0], [0]]), mask_mode="bogus")
 
 
 class TestRunLanes:
-    """run_lanes is forward_step walked over a symbol array, bit for bit."""
+    """The lane driver: split runs, frozen replays, mask draws and generation."""
 
     @staticmethod
     def stream(params, steps=12, batch=3):
@@ -335,15 +313,16 @@ class TestRunLanes:
     @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_equals_forward_step_loop(self, variant, mask_mode, dtype):
+        # one call over T steps equals T one-step calls that carry the state
+        # and the rng along, as training carries them across its windows
         params = tiny_params(variant=variant, dtype=dtype)
         sym, state0 = self.stream(params)
         state, total, ref_caches = state0, 0.0, []
         ref_rng = RngState(8)
         for t in range(sym.shape[0] - 1):
-            state, cache, loss = forward_step(state, sym[t], params, rng=ref_rng,
-                                              mask_mode=mask_mode, target=sym[t + 1])
+            state, loss = run_lanes(params, sym[t: t + 2], state, ref_rng, mask_mode,
+                                    on_step=ref_caches.append)
             total += loss
-            ref_caches.append(cache)
         rng, caches = RngState(8), []
         out, loss = run_lanes(params, sym, state0, rng, mask_mode, on_step=caches.append)
         assert loss == total
@@ -356,21 +335,20 @@ class TestRunLanes:
                                               err_msg=f"step {t}: {name}")
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
-    def test_frozen_overrides_match_forward_step(self, variant):
+    def test_frozen_replay_reproduces_the_run(self, variant):
+        # the gradient oracle's replay: each step's own (s, z, mask) held
+        # frozen, with no rng to draw from, gives back the run bit for bit
         params = tiny_params(variant=variant)
-        sym, state0 = self.stream(params, steps=6)
-        draws = RngState(3).uniform((6, 3, params.hidden_size))
-        frozen = [FrozenStep(s=-draws[t, :, 0], z=draws[t], mask=(draws[t] < 0.5) * 1.0)
-                  for t in range(6)]
-        state, total = state0, 0.0
-        for t in range(6):
-            state, _, loss = forward_step(state, sym[t], params, target=sym[t + 1],
-                                          frozen=frozen[t])
-            total += loss
-        out, loss = run_lanes(params, sym, state0, frozen=frozen)
-        assert loss == total
-        np.testing.assert_array_equal(out.c, state.c)
-        np.testing.assert_array_equal(out.p_prev, state.p_prev)
+        sym, state0 = self.stream(params)
+        caches = []
+        out, loss = run_lanes(params, sym, state0, RngState(8), "sampled",
+                              on_step=caches.append)
+        frozen = [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
+        replay, replay_loss = run_lanes(params, sym, state0, frozen=frozen)
+        assert replay_loss == loss
+        for name in ("c", "h", "p_prev"):
+            np.testing.assert_array_equal(getattr(replay, name), getattr(out, name),
+                                          err_msg=name)
 
     @pytest.mark.parametrize("variant,draws", [("standard", 0), ("sf", 0),
                                                ("fixed_zoneout", 12), ("adaptive", 12)])

@@ -121,6 +121,31 @@ class TestVocabularyMismatch:
         assert not (tmp_path / "trace_gates.csv").exists()
 
 
+class TestEvalFlags:
+    """eval reads the model from its checkpoint, so the flags that would
+    describe one are usage errors rather than silently ignored."""
+
+    @pytest.fixture()
+    def model(self, corpus, corpus_path, tmp_path):
+        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        ckpt = str(tmp_path / "zero.ckpt")
+        save_checkpoint(ckpt, params, AdadeltaState(params), None, corpus.vocab, step=0)
+        return ckpt, corpus_path
+
+    @pytest.mark.parametrize("flag", [["--hidden", "7"], ["--variant", "standard"],
+                                      ["--lr", "1.0"]])
+    def test_model_flags_rejected(self, model, flag, capsys):
+        assert run(["eval", *model, *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_mask_mode_and_config_accepted(self, model, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("eval_mask_mode = sampled\n")
+        assert run(["eval", *model, "--seed", "3", "--mask-mode", "sampled",
+                    "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("test_bpc\t")
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_table(self, capsys):
         assert run(["gradcheck"]) == 0

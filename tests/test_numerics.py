@@ -4,7 +4,6 @@ import pytest
 from szlstm.numerics import (
     RngState,
     matmul,
-    one_hot,
     sample_bernoulli,
     softmax_rows,
 )
@@ -168,8 +167,3 @@ class TestRngState:
         assert rng.state() == (seed, 300)
         np.testing.assert_array_equal(rng.fork(4).uniform((6,)),
                                       RngState(seed).fork(4).uniform((6,)))
-
-
-def test_one_hot():
-    out = one_hot([2, 0], 4)
-    np.testing.assert_array_equal(out, [[0, 0, 1, 0], [1, 0, 0, 0]])

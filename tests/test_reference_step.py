@@ -4,7 +4,7 @@ The reference below is the step as it ran with dense B x M rows: a one-hot
 input row, a surprisal row that is zero except at the arriving symbol, the
 prediction error p_prev - x, and the update mask multiplied into the cell
 update for every variant, including the all-ones masks of standard and sf.
-Its backward pass contracts those dense rows directly. forward_step and
+Its backward pass contracts those dense rows directly. run_lanes and
 backward_window must reproduce it exactly, not merely to a tolerance.
 """
 
@@ -18,12 +18,12 @@ from szlstm.cell import (
     GradientSet,
     RecurrentState,
     backward_window,
-    forward_step,
     fuse_gate_weights,
+    run_lanes,
 )
-from szlstm.numerics import RngState, matmul, one_hot, sample_bernoulli, softmax_rows
+from szlstm.numerics import RngState, matmul, sample_bernoulli, softmax_rows
 
-from conftest import tiny_params
+from conftest import CACHE_FIELDS, one_hot, tiny_params
 
 BATCH, VOCAB, HIDDEN, STEPS = 3, 7, 6, 8
 
@@ -58,8 +58,9 @@ def dense_step(state, x_idx, params, fused, rng, mask_mode, target):
     h = o * c_hat
     p = softmax_rows(matmul(h, fused.WyT) + params.b_y)
     loss = float(-np.log(p[rows, target]).mean())
-    cache = SimpleNamespace(x=x, s=s, z=z, mask=mask, f=f, i=i, o=o, u=u,
-                            h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat, h=h, p=p)
+    cache = SimpleNamespace(x_idx=x_idx, x=x, s_val=s[rows, x_idx], s=s, z=z, mask=mask,
+                            f=f, i=i, o=o, u=u, h_prev=state.h, c_prev=state.c, c=c,
+                            c_hat=c_hat, h=h, p=p)
     return RecurrentState(c=c, h=h, p_prev=p), cache, loss
 
 
@@ -108,22 +109,25 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     params = tiny_params(vocab=VOCAB, hidden=HIDDEN, variant=variant, dtype=dtype)
     fused = fuse_gate_weights(params)
     sym = RngState(21).integers(0, VOCAB, size=(STEPS + 1, BATCH))
-    state = ref_state = RecurrentState.initial(BATCH, HIDDEN, VOCAB, dtype=dtype)
+    ref_state = RecurrentState.initial(BATCH, HIDDEN, VOCAB, dtype=dtype)
     rng, ref_rng = RngState(22), RngState(22)
-    caches, ref_caches = [], []
+    caches, ref_caches, ref_total = [], [], 0.0
+    state, total = run_lanes(params, sym, None, rng, mask_mode, fused=fused,
+                             on_step=caches.append)
     for t in range(STEPS):
-        state, cache, loss = forward_step(state, sym[t], params, rng=rng,
-                                          mask_mode=mask_mode, target=sym[t + 1],
-                                          fused=fused)
         ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, fused, ref_rng,
                                               mask_mode, sym[t + 1])
-        for name in ("c", "h", "p", "z", "mask"):
+        ref_total += ref_loss
+        ref_caches.append(ref)
+    assert len(caches) == STEPS
+    for t, (cache, ref) in enumerate(zip(caches, ref_caches)):
+        for name in CACHE_FIELDS:
             np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
                                           err_msg=f"step {t}: {name}")
-        assert loss == ref_loss, f"step {t}: loss"
-        np.testing.assert_array_equal(cache.s_val, ref.s[np.arange(BATCH), sym[t]])
-        caches.append(cache)
-        ref_caches.append(ref)
+    for name in ("c", "h", "p_prev"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(ref_state, name),
+                                      err_msg=name)
+    assert total == ref_total
     assert rng.state() == ref_rng.state()
 
     grads = GradientSet.zeros_like(params)

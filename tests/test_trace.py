@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from szlstm.cell import FrozenStep, RecurrentState, forward_step
+from szlstm.cell import FrozenStep, run_lanes
 from szlstm.numerics import RngState
 from szlstm.trace import (
     TraceBuffer,
@@ -16,22 +16,24 @@ from szlstm.trace import (
 from conftest import tiny_params
 
 
+def lane_symbols(params, steps, seed):
+    return RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, 3))
+
+
 def run_and_record(params, steps, lane=0, buffer=None, frozen_mask=None, seed=0):
-    vocab = params.vocab_size
-    sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, 3))
-    state = RecurrentState.initial(3, params.hidden_size, vocab, dtype=params.dtype)
-    rng = RngState(seed).fork(3)
     buffer = buffer if buffer is not None else TraceBuffer(window=100)
+    frozen = None
+    if frozen_mask is not None:
+        mask = np.full((3, params.hidden_size), frozen_mask, dtype=params.dtype)
+        frozen = [FrozenStep(mask=mask)] * steps
     caches = []
-    for t in range(steps):
-        frozen = None
-        if frozen_mask is not None:
-            frozen = FrozenStep(mask=np.full((3, params.hidden_size), frozen_mask,
-                                             dtype=params.dtype))
-        state, cache, _ = forward_step(state, sym[t], params, rng=rng,
-                                       target=sym[t + 1], frozen=frozen)
+
+    def record(cache):
         record_step(cache, lane, buffer)
         caches.append(cache)
+
+    state, _ = run_lanes(params, lane_symbols(params, steps, seed), None,
+                         RngState(seed).fork(3), frozen=frozen, on_step=record)
     return buffer, caches, state
 
 
@@ -95,13 +97,8 @@ class TestRecordStep:
     def test_recording_does_not_perturb_the_run(self):
         params = tiny_params()
         _, _, with_trace = run_and_record(params, 40)
-        # identical run without any recording
-        vocab = params.vocab_size
-        sym = RngState(0).fork(2).integers(0, vocab, size=(41, 3))
-        state = RecurrentState.initial(3, params.hidden_size, vocab, dtype=params.dtype)
-        rng = RngState(0).fork(3)
-        for t in range(40):
-            state, _, _ = forward_step(state, sym[t], params, rng=rng, target=sym[t + 1])
+        # identical run that builds no step caches at all
+        state, _ = run_lanes(params, lane_symbols(params, 40, 0), None, RngState(0).fork(3))
         np.testing.assert_array_equal(state.c, with_trace.c)
         np.testing.assert_array_equal(state.h, with_trace.h)
 

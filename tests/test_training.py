@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from szlstm import training
-from szlstm.cell import GradientSet, ModelParams, RecurrentState, backward_window, forward_step
+from szlstm.cell import GradientSet, ModelParams, RecurrentState, backward_window, run_lanes
 from szlstm.numerics import NumericalError, RngState
 from szlstm.optim import AdadeltaState, xavier_init
 from szlstm.training import (
     Checkpoint,
     TrainConfig,
+    encode_bytes,
     evaluate_bpc,
     init_model,
     load_checkpoint,
@@ -42,8 +43,8 @@ class TestLoadCorpus:
         np.testing.assert_array_equal(corpus.encoded, [0, 0, 1])
 
     def test_round_trip(self, corpus):
-        assert corpus.decode(corpus.encoded) == corpus.data.tobytes()
-        again = corpus.encode_bytes(corpus.data.tobytes())
+        assert corpus.vocab[corpus.encoded].tobytes() == corpus.data.tobytes()
+        again = encode_bytes(corpus.vocab, corpus.data.tobytes())
         np.testing.assert_array_equal(again, corpus.encoded)
 
     def test_vocab_counts_distinct_bytes(self, corpus):
@@ -51,7 +52,7 @@ class TestLoadCorpus:
 
     def test_unknown_byte_rejected(self, corpus):
         with pytest.raises(ValueError, match="0x00"):
-            corpus.encode_bytes(b"\x00")
+            encode_bytes(corpus.vocab, b"a\x00")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty"
@@ -110,19 +111,16 @@ class TestRunTbpttWindow:
                                    dtype=np.float64)
         xavier_init(params, RngState(2).fork(1))
         # one window of seq_len=1 over a single lane
-        seq = corpus.encoded[100:102]
-        inputs = np.array([[seq[0]]])
-        targets = np.array([[seq[1]]])
+        seq = corpus.encoded[100:102, None]
         state0 = RecurrentState.initial(1, 12, corpus.vocab_size, dtype=np.float64)
 
         g_window = GradientSet.zeros_like(params)
-        s1, loss1 = run_tbptt_window(state0.copy(), seq[:, None], params,
-                                     RngState(9), g_window)
+        s1, loss1 = run_tbptt_window(state0, seq, params, RngState(9), g_window)
 
         g_manual = GradientSet.zeros_like(params)
-        s2, cache, loss2 = forward_step(state0.copy(), inputs[0], params, rng=RngState(9),
-                                        target=targets[0])
-        backward_window([cache], params, targets, g_manual)
+        caches = []
+        s2, loss2 = run_lanes(params, seq, state0, RngState(9), on_step=caches.append)
+        backward_window(caches, params, seq[1:], g_manual)
 
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
