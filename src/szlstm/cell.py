@@ -154,7 +154,6 @@ class RecurrentState:
 class StepCache:
     """Everything one forward step computed that the backward step consumes."""
 
-    x_idx: np.ndarray   # current symbol indices, B
     s_val: np.ndarray   # surprisal: log p_prev of each row's symbol, B
     z: np.ndarray       # per-cell update probability, B x N
     mask: np.ndarray    # update mask (binary when sampled), B x N
@@ -207,11 +206,12 @@ class FrozenStep:
     """External overrides for one step's surprisal, rate and mask.
 
     Used by the gradient-check harness (which must hold these constant while
-    parameters are perturbed) and by tests that force specific masks. s is
-    the per-row surprisal scalar (B,), like StepCache.s_val.
+    parameters are perturbed) and by tests that force specific masks. s_val
+    is the per-row surprisal scalar (B,); the fields are StepCache's, so a
+    run's own caches replay it.
     """
 
-    s: np.ndarray = None
+    s_val: np.ndarray = None
     z: np.ndarray = None
     mask: np.ndarray = None
 
@@ -227,7 +227,6 @@ class _FusedGates:
     UgT: np.ndarray     # (N, 4N)
     VgT: np.ndarray     # (M, 4N)
     bg: np.ndarray      # (4N,), view of params.bg
-    Ug: np.ndarray      # (4N, N), view of params.Ug, for the recurrent backward product
     WyT: np.ndarray     # (N, M)
 
 
@@ -242,7 +241,6 @@ def fuse_gate_weights(params):
         UgT=np.ascontiguousarray(params.Ug.T),
         VgT=np.ascontiguousarray(params.Vg.T),
         bg=params.bg,
-        Ug=params.Ug,
         WyT=np.ascontiguousarray(params.W_y.T),
     )
 
@@ -360,11 +358,11 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     the input state is never written. mask_mode "sampled" draws one binary
     update mask per step from rng for fixed_zoneout and adaptive, and none
     for standard and sf; "expected" substitutes the update probability
-    itself (the evaluation convention). frozen holds one FrozenStep per
-    step. on_step(cache) receives each step's StepCache; without it none is
-    built. choose(y, p), when given, gets step t's logits and distribution
-    and returns the row written into symbols[t+1] before that row is scored
-    and read by step t+1 (text generation).
+    itself (the evaluation convention). frozen holds one FrozenStep (or
+    StepCache) per step. on_step(cache) receives each step's StepCache;
+    without it none is built. choose(y, p), when given, gets step t's logits
+    and distribution and returns the row written into symbols[t+1] before
+    that row is scored and read by step t+1 (text generation).
     """
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
@@ -383,8 +381,8 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     with np.errstate(over="ignore", divide="ignore"):
         for t, x_idx in enumerate(symbols[:-1]):
             overrides = _NO_OVERRIDES if frozen is None else frozen[t]
-            if overrides.s is not None:
-                s_val = overrides.s
+            if overrides.s_val is not None:
+                s_val = overrides.s_val
             elif s_val is None:
                 s_val = surprisal_vector(p, x_idx)
             f, i, o, u = gate_forward(x_idx, s_val, h, fused)
@@ -404,9 +402,8 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 if z is None:
                     # every cell updated; the backward pass and the trace read all-ones rows
                     z = mask = np.ones_like(c)
-                on_step(StepCache(x_idx=x_idx, s_val=s_val, z=z, mask=mask, f=f, i=i, o=o,
-                                  u=u, h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h,
-                                  p=p))
+                on_step(StepCache(s_val=s_val, z=z, mask=mask, f=f, i=i, o=o, u=u,
+                                  h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h, p=p))
             if choose is not None:
                 symbols[t + 1] = choose(y, p)
             # the target's log-probability is also the next step's surprisal
@@ -420,70 +417,58 @@ def cross_entropy_bpc(loss_nats):
     return loss_nats / LN2
 
 
-def _backward_core(cache, params, d_h_next, d_c_next, target, fused, d_y, d_a):
-    """Sequential part of one backward step: loss gradient, gate chain,
-    carry to the previous step. Writes the step's output and gate
-    pre-activation gradients into d_y (B x M) and d_a (B x 4N); parameter
-    accumulation happens outside."""
-    batch = cache.p.shape[0]
-    rows = np.arange(batch)
-
-    np.divide(cache.p, batch, out=d_y)
-    d_y[rows, target] -= 1.0 / batch
-
-    d_h = d_h_next + matmul(d_y, params.W_y)
-    d_o = d_h * cache.c_hat
-    d_c = d_c_next + d_h * cache.o * (1.0 - cache.c_hat * cache.c_hat)
-
-    d_c_prev = d_c * (1.0 - cache.f * cache.mask)
-    d_f = -(d_c * cache.mask * cache.c_prev)
-    d_i = d_c * cache.mask * cache.u
-    d_u = d_c * cache.mask * cache.i
-
-    np.concatenate(
-        [
-            d_f * cache.f * (1.0 - cache.f),
-            d_i * cache.i * (1.0 - cache.i),
-            d_o * cache.o * (1.0 - cache.o),
-            d_u * (1.0 - cache.u * cache.u),
-        ],
-        axis=1,
-        out=d_a,
-    )
-    d_h_prev = matmul(d_a, fused.Ug)
-    return d_h_prev, d_c_prev
-
-
-def backward_window(caches, params, targets, grads, fused=None):
+def backward_window(caches, params, symbols, grads):
     """Reverse sweep over a whole cached window with batched accumulation.
 
     caches are consecutive steps of one run, as run_lanes passes them to
-    on_step. targets is the (T, B) index array they were scored against; no
-    gradient arrives from beyond the window, and none flows through the
-    surprisal or the mask. Each step writes its output and gate gradients
-    into rows t*B..(t+1)*B of two window buffers; W_y, U_* and the biases
-    then contract them in single wide matmuls over all (step, lane) pairs.
-    The one-hot input and the single-entry surprisal rows are never built:
-    the window's rows are sorted by symbol, and each symbol's run of gate
-    gradients is contracted with its [1, s] coefficients into that symbol's
-    column of W_* and V_*. Symbols absent from the window get zero columns.
-    Returns (d_h_prev, d_c_prev) at the window start.
+    on_step, and symbols is the (T+1, B) index array that run read: step t
+    read row t and was scored against row t+1. No gradient arrives from
+    beyond the window, and none flows through the surprisal or the mask.
+    Each step writes its output and gate gradients into rows t*B..(t+1)*B
+    of two window buffers; W_y, U_* and the biases then contract them in
+    single wide matmuls over all (step, lane) pairs. The one-hot input and
+    the single-entry surprisal rows are never built: the window's rows are
+    sorted by symbol, and each symbol's run of gate gradients is contracted
+    with its [1, s] coefficients into that symbol's column of W_* and V_*.
+    Symbols absent from the window get zero columns. Returns (d_h_prev,
+    d_c_prev) at the window start.
     """
-    if fused is None:
-        fused = fuse_gate_weights(params)
     seq_len = len(caches)
     batch, n = caches[-1].h.shape
-    if np.shape(targets) != (seq_len, batch):
-        raise ValueError(f"backward_window shape mismatch: targets {np.shape(targets)}, "
-                         f"expected {(seq_len, batch)}")
+    if np.shape(symbols) != (seq_len + 1, batch):
+        raise ValueError(f"backward_window shape mismatch: symbols {np.shape(symbols)}, "
+                         f"expected {(seq_len + 1, batch)}")
+    rows = np.arange(batch)
     d_h = np.zeros_like(caches[-1].h)
     d_c = np.zeros_like(caches[-1].c)
     d_y_flat = np.empty((seq_len * batch, params.vocab_size), dtype=caches[-1].p.dtype)
     d_a_flat = np.empty((seq_len * batch, 4 * n), dtype=d_c.dtype)
     for t in reversed(range(seq_len)):
-        rows = slice(t * batch, (t + 1) * batch)
-        d_h, d_c = _backward_core(caches[t], params, d_h, d_c, targets[t], fused,
-                                  d_y_flat[rows], d_a_flat[rows])
+        k = caches[t]
+        d_y = d_y_flat[t * batch: (t + 1) * batch]
+        np.divide(k.p, batch, out=d_y)
+        d_y[rows, symbols[t + 1]] -= 1.0 / batch
+
+        d_h = d_h + matmul(d_y, params.W_y)
+        d_o = d_h * k.c_hat
+        d_c = d_c + d_h * k.o * (1.0 - k.c_hat * k.c_hat)
+        d_f = -(d_c * k.mask * k.c_prev)
+        d_i = d_c * k.mask * k.u
+        d_u = d_c * k.mask * k.i
+        d_a = d_a_flat[t * batch: (t + 1) * batch]
+        np.concatenate(
+            [
+                d_f * k.f * (1.0 - k.f),
+                d_i * k.i * (1.0 - k.i),
+                d_o * k.o * (1.0 - k.o),
+                d_u * (1.0 - k.u * k.u),
+            ],
+            axis=1,
+            out=d_a,
+        )
+        # carry to the previous step
+        d_h = matmul(d_a, params.Ug)
+        d_c = d_c * (1.0 - k.f * k.mask)
 
     # step t's h_prev is step t-1's h, so one array of T+1 row blocks holds
     # both; it is freed before the per-symbol contractions allocate theirs
@@ -497,7 +482,7 @@ def backward_window(caches, params, targets, grads, fused=None):
     # per-symbol input contractions. The stable sort keeps each symbol's rows
     # in window order, and coef keeps both rows [1, s] for every variant: a
     # one-row product runs as a gemv, which rounds unlike the dense product
-    x_idx = np.concatenate([c.x_idx for c in caches])
+    x_idx = symbols[:-1].reshape(-1)
     order = np.argsort(x_idx, kind="stable")
     sym = x_idx[order]
     coef = np.ones((sym.shape[0], 2), dtype=d_a_flat.dtype)

@@ -151,10 +151,14 @@ def _load_model_and_corpus(args):
 
 
 def cmd_eval(args):
+    # the model comes from the checkpoint; a config file may set only these
+    for key in read_config_file(args.config) if args.config else ():
+        if key not in ("seed", "eval_mask_mode"):
+            raise UsageError(f"{args.config}: eval takes only seed and eval_mask_mode "
+                             f"from a config file, not {key!r}")
     cfg = build_config(args)
     ckpt, corpus = _load_model_and_corpus(args)
-    bpc = evaluate_bpc(ckpt.params, corpus.split(args.split), cfg,
-                       lanes=args.lanes, seed=cfg.seed)
+    bpc = evaluate_bpc(ckpt.params, corpus.split(args.split), cfg, lanes=args.lanes)
     print(f"{args.split}_bpc\t{bpc:.6f}")
     return 0
 

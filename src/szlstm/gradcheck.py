@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (
-    FrozenStep,
-    GradientSet,
-    ModelParams,
-    RecurrentState,
-    backward_window,
-    run_lanes,
-)
+from .cell import GradientSet, ModelParams, RecurrentState, backward_window, run_lanes
 from .numerics import NumericalError, RngState
 from .optim import xavier_init
 
@@ -106,14 +99,6 @@ def _random_distribution(rng, batch_size, vocab):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def analytic_window_gradient(params, caches, targets):
-    """The GradientSet of one backward_window call over the cached window,
-    the call run_tbptt_window makes in training."""
-    grads = GradientSet.zeros_like(params)
-    backward_window(caches, params, targets, grads)
-    return grads
-
-
 def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
                       zoneout_rate=0.5, tau=0.05, seed=DEFAULT_SEED, eps=DEFAULT_EPS,
                       mask_mode="sampled"):
@@ -150,17 +135,19 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
         if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s_val, b.s_val)):
             raise NumericalError("mask replay is not bit-identical; rng is broken")
 
-    frozen = [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
     blocks = {k: getattr(params, k) for k in params.trainable_keys()}
 
     def loss_fn():
-        # the summed per-step batch-mean loss of the window replayed with frozen masks
-        return run_lanes(params, lane_stream, state0, frozen=frozen)[1]
+        # the summed per-step batch-mean loss of the window replayed with its
+        # own caches' surprisal, rate and mask
+        return run_lanes(params, lane_stream, state0, frozen=caches)[1]
 
     base = loss_fn()
     if not np.isfinite(base):
         raise NumericalError("non-finite window loss at the unperturbed parameters")
 
     numeric = numerical_gradient(loss_fn, blocks, eps=eps)
-    analytic = analytic_window_gradient(params, caches, lane_stream[1:])
+    # the backward_window call run_tbptt_window makes in training
+    analytic = GradientSet.zeros_like(params)
+    backward_window(caches, params, lane_stream, analytic)
     return compare_gradients({k: analytic[k] for k in blocks}, numeric)

@@ -102,15 +102,13 @@ def cell_change_stats(buffer):
     return per_step, float(per_step.mean())
 
 
-def trace_stream(params, symbols, window=100, mask_mode="sampled",
-                 seed=0, buffer=None):
+def trace_stream(params, symbols, window=100, mask_mode="sampled", seed=0):
     """Run a single-lane pass over a symbol stream, recording every step.
 
     Scores symbols[t+1] from symbols[t] like evaluation does; returns the
     filled buffer. Weights are never written.
     """
-    if buffer is None:
-        buffer = TraceBuffer(window=window)
+    buffer = TraceBuffer(window=window)
     symbols = np.asarray(symbols)
     if len(symbols) < 2:
         raise ValueError("trace stream needs at least 2 symbols")

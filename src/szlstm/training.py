@@ -47,7 +47,6 @@ from .cell import (
     backward_window,
     block_layout,
     cross_entropy_bpc,
-    fuse_gate_weights,
     run_lanes,
 )
 from .numerics import DTYPES, NumericalError, RngState
@@ -226,31 +225,29 @@ def sample_training_chunks(corpus, cfg, rng):
     return rng.integers(0, limit, size=cfg.batch_size)
 
 
-def run_tbptt_window(states, symbols, params, rng, grads, mask_mode="sampled",
-                     fused=None, step_hook=None):
-    """One truncated-BPTT window: run_lanes keeping every step's cache, then
-    a reverse sweep.
+def run_tbptt_window(states, symbols, params, rng, grads):
+    """One truncated-BPTT window: run_lanes with sampled masks keeping every
+    step's cache, then a reverse sweep.
 
     symbols is the window's (seq_len + 1, batch) index array; step t reads
     row t and is scored against row t + 1. states None starts fresh lanes.
     Gradients accumulate into grads; the returned states carry no gradient
-    across the boundary. step_hook(cache), when given, sees each step's
-    cache in order after the forward pass. Returns (states, loss_nats) with
-    the loss averaged per symbol.
+    across the boundary. Returns (states, loss_nats, mean_z,
+    mean_update_rate): the loss averaged per symbol, and the update
+    probability and realized mask averaged over every step, lane and cell.
     """
-    if fused is None:
-        fused = fuse_gate_weights(params)
     caches = []
-    state, total = run_lanes(params, symbols, states, rng, mask_mode, fused=fused,
-                             on_step=caches.append)
-    if step_hook is not None:
-        for cache in caches:
-            step_hook(cache)
-    backward_window(caches, params, symbols[1:], grads, fused=fused)
-    return state, total / len(caches)
+    state, total = run_lanes(params, symbols, states, rng, on_step=caches.append)
+    z_sum = mask_sum = 0.0
+    for cache in caches:
+        z_sum += float(cache.z.sum())
+        mask_sum += float(cache.mask.sum())
+    count = len(caches) * caches[0].z.size
+    backward_window(caches, params, symbols, grads)
+    return state, total / len(caches), z_sum / count, mask_sum / count
 
 
-def evaluate_bpc(params, split, cfg, lanes=1, seed=None):
+def evaluate_bpc(params, split, cfg, lanes=1):
     """Frozen-weight pass over a split; returns mean bits per character.
 
     With lanes=1 this is a strict single sequential pass with state carried
@@ -267,7 +264,7 @@ def evaluate_bpc(params, split, cfg, lanes=1, seed=None):
         raise ValueError(f"split of {len(split)} symbols is too short for {lanes} lanes")
     # (seg, lanes): row t holds every lane's t-th symbol
     symbols = np.ascontiguousarray(split[: seg * lanes].reshape(lanes, seg).T)
-    rng = RngState(cfg.seed if seed is None else seed).fork(STREAM_EVAL)
+    rng = RngState(cfg.seed).fork(STREAM_EVAL)
     _, total = run_lanes(params, symbols, None, rng, cfg.eval_mask_mode)
     return cross_entropy_bpc(total / (seg - 1))
 
@@ -370,16 +367,9 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         # (seq_len + 1, batch): each lane's window inputs plus its final target
         symbols = corpus.encoded[base[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
 
-        stats = {"z": 0.0, "mask": 0.0, "n": 0}
-
-        def hook(cache):
-            stats["z"] += float(cache.z.sum())
-            stats["mask"] += float(cache.mask.sum())
-            stats["n"] += cache.z.size
-
         grads.zero_()
-        states, loss_nats = run_tbptt_window(states, symbols, params, rng_mask, grads,
-                                             mask_mode="sampled", step_hook=hook)
+        states, loss_nats, mean_z, mean_rate = run_tbptt_window(states, symbols, params,
+                                                                rng_mask, grads)
         if not np.isfinite(loss_nats):
             raise NumericalError(
                 f"non-finite loss at step {step + 1} "
@@ -388,8 +378,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
             )
         losses.append(loss_nats)
         interval_nats.append(loss_nats)
-        z_sum += stats["z"] / stats["n"]
-        mask_sum += stats["mask"] / stats["n"]
+        z_sum += mean_z
+        mask_sum += mean_rate
         n_sym += 1
 
         clip_gradients(grads, cfg.clip_norm)

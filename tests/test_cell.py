@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from szlstm.cell import (
-    FrozenStep,
     ModelParams,
     RecurrentState,
     cell_update,
@@ -336,15 +335,15 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_frozen_replay_reproduces_the_run(self, variant):
-        # the gradient oracle's replay: each step's own (s, z, mask) held
-        # frozen, with no rng to draw from, gives back the run bit for bit
+        # the gradient oracle's replay: the run's own caches as frozen steps,
+        # holding each step's (s_val, z, mask) with no rng to draw from, give
+        # back the run bit for bit
         params = tiny_params(variant=variant)
         sym, state0 = self.stream(params)
         caches = []
         out, loss = run_lanes(params, sym, state0, RngState(8), "sampled",
                               on_step=caches.append)
-        frozen = [FrozenStep(s=c.s_val, z=c.z, mask=c.mask) for c in caches]
-        replay, replay_loss = run_lanes(params, sym, state0, frozen=frozen)
+        replay, replay_loss = run_lanes(params, sym, state0, frozen=caches)
         assert replay_loss == loss
         for name in ("c", "h", "p_prev"):
             np.testing.assert_array_equal(getattr(replay, name), getattr(out, name),

@@ -122,8 +122,9 @@ class TestVocabularyMismatch:
 
 
 class TestEvalFlags:
-    """eval reads the model from its checkpoint, so the flags that would
-    describe one are usage errors rather than silently ignored."""
+    """eval reads the model from its checkpoint, so the flags and config
+    keys that would describe one are usage errors rather than silently
+    ignored."""
 
     @pytest.fixture()
     def model(self, corpus, corpus_path, tmp_path):
@@ -144,6 +145,17 @@ class TestEvalFlags:
         assert run(["eval", *model, "--seed", "3", "--mask-mode", "sampled",
                     "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.startswith("test_bpc\t")
+
+    @pytest.mark.parametrize("key,value", [("hidden", "7"), ("variant", "standard"),
+                                           ("lr", "5")])
+    def test_model_keys_in_config_rejected(self, model, tmp_path, key, value, capsys):
+        # a config file may set the eval keys, but no key of the model itself
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"seed = 3\n{key} = {value}\neval_mask_mode = sampled\n")
+        assert run(["eval", *model, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err
+        assert captured.out == ""
 
 
 class TestGradcheckCommand:

@@ -115,12 +115,12 @@ class TestRunTbpttWindow:
         state0 = RecurrentState.initial(1, 12, corpus.vocab_size, dtype=np.float64)
 
         g_window = GradientSet.zeros_like(params)
-        s1, loss1 = run_tbptt_window(state0, seq, params, RngState(9), g_window)
+        s1, loss1, _, _ = run_tbptt_window(state0, seq, params, RngState(9), g_window)
 
         g_manual = GradientSet.zeros_like(params)
         caches = []
         s2, loss2 = run_lanes(params, seq, state0, RngState(9), on_step=caches.append)
-        backward_window(caches, params, seq[1:], g_manual)
+        backward_window(caches, params, seq, g_manual)
 
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
@@ -136,10 +136,30 @@ class TestRunTbpttWindow:
         states = RecurrentState.initial(cfg.batch_size, cfg.hidden,
                                         corpus.vocab_size, dtype=np.float32)
         grads = GradientSet.zeros_like(params)
-        out, _ = run_tbptt_window(states, seq.T.copy(), params, RngState(2), grads)
+        out, _, _, _ = run_tbptt_window(states, seq.T.copy(), params, RngState(2), grads)
         snapshot = out.c.copy()
         params.W_y += 1.0  # later parameter edits must not reach returned states
         np.testing.assert_array_equal(out.c, snapshot)
+
+    @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
+    def test_window_means(self, variant):
+        # mean update probability and realized mask rate over every step,
+        # lane and cell of the window
+        params = tiny_params(variant=variant)
+        sym = RngState(3).integers(0, params.vocab_size, size=(9, 4))
+        _, _, mean_z, mean_rate = run_tbptt_window(None, sym, params, RngState(4),
+                                                   GradientSet.zeros_like(params))
+        if variant in ("standard", "sf"):
+            assert mean_z == mean_rate == 1.0
+            return
+        if variant == "fixed_zoneout":
+            assert mean_z == params.zoneout_rate
+        else:
+            assert params.tau <= mean_z <= 1.0
+        # a sampled mask: a fraction of the 8 x 4 x 8 binary entries
+        count = 8 * 4 * params.hidden_size
+        assert 0.0 < mean_rate < 1.0
+        assert abs(mean_rate * count - round(mean_rate * count)) < 1e-9
 
 
 class TestTrainLoop:
@@ -208,10 +228,10 @@ class TestEvaluateBpc:
         assert params.W_f.tobytes() + params.b_y.tobytes() == digest
 
     def test_sampled_eval_mode_is_seed_deterministic(self, corpus):
-        cfg = small_cfg(eval_mask_mode="sampled")
+        cfg = small_cfg(eval_mask_mode="sampled", seed=11)
         params, _ = init_model(corpus, cfg)
-        a = evaluate_bpc(params, corpus.split("valid")[:500], cfg, seed=11)
-        b = evaluate_bpc(params, corpus.split("valid")[:500], cfg, seed=11)
+        a = evaluate_bpc(params, corpus.split("valid")[:500], cfg)
+        b = evaluate_bpc(params, corpus.split("valid")[:500], cfg)
         assert a == b
 
     def test_lane_bounds(self, corpus):
@@ -227,10 +247,87 @@ GOLDEN_CHECKPOINTS = {
         "5cf9e92ba7176bb6419642d27df326051c5b75b1ffc56d431e939b2009fb562d",
     ("standard", "f64"):
         "383e2874abd0412ff7356139ae5b056f0a849f8b41e4c21ccd9a6e4d1320967f",
+    ("sf", "f32"):
+        "429801926e4ee27aec9c9e46ef86e657f953f30ef34a2cd6379d99a7cfd18543",
+    ("sf", "f64"):
+        "f87c419884f4e0aff3abe77ebaa464c1c842da49ee34c51e9f03f6daf4e263c2",
+    ("fixed_zoneout", "f32"):
+        "4c1c7094d75ee2ea6a3ce18c6726dd09de6f284531b48b54ef579dd442715b8b",
+    ("fixed_zoneout", "f64"):
+        "bca68b007e7fb414952198370bd49ff077e536b84fbd982829fcbc43a3bde8d8",
     ("adaptive", "f32"):
         "acec67aab32dcad821c2e07479a10d4287d15c352df35483eb7fbb63aee4916c",
     ("adaptive", "f64"):
         "267f56ed9a6a48fa6cf87ee54c087abcdfc6a1fc7efb2bab49014333cede6876",
+}
+
+# .hex() of (train_bpc, valid_bpc, mean_z, mean_update_rate) in the LogRecords
+# of the same runs, at steps 0, 3 and 6
+GOLDEN_RECORDS = {
+    ("standard", "f32"): [
+        ("nan", "0x1.217675d528af1p+2",
+         "nan", "nan"),
+        ("0x1.2197981ff64cap+2", "0x1.209740ad5f76fp+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.211baa6531737p+2", "0x1.1fd680f4a18f0p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ],
+    ("standard", "f64"): [
+        ("nan", "0x1.217675af30611p+2",
+         "nan", "nan"),
+        ("0x1.219798600956ep+2", "0x1.2097409f32842p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.211baa876f358p+2", "0x1.1fd680d456a13p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ],
+    ("sf", "f32"): [
+        ("nan", "0x1.20f5cd041e4c4p+2",
+         "nan", "nan"),
+        ("0x1.2260bb10a4fa0p+2", "0x1.1f6163333f002p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.21b18fadcb314p+2", "0x1.1e0bcf9c8df6ap+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ],
+    ("sf", "f64"): [
+        ("nan", "0x1.20f5ccf1d9067p+2",
+         "nan", "nan"),
+        ("0x1.2260bafd04a57p+2", "0x1.1f616320a3691p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.21b18fc58716ap+2", "0x1.1e0bcfc0ffa43p+2",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ],
+    ("fixed_zoneout", "f32"): [
+        ("nan", "0x1.214873d91004fp+2",
+         "nan", "nan"),
+        ("0x1.2134fa6782445p+2", "0x1.204e625d301f3p+2",
+         "0x1.0000000000000p-1", "0x1.ddddddddddddfp-2"),
+        ("0x1.2135ace9eea81p+2", "0x1.1f667644f623fp+2",
+         "0x1.0000000000000p-1", "0x1.f777777777778p-2"),
+    ],
+    ("fixed_zoneout", "f64"): [
+        ("nan", "0x1.214873cce66a0p+2",
+         "nan", "nan"),
+        ("0x1.2134fab1c0238p+2", "0x1.204e623ce2a33p+2",
+         "0x1.0000000000000p-1", "0x1.ddddddddddddfp-2"),
+        ("0x1.2135ad03ae047p+2", "0x1.1f66764b47075p+2",
+         "0x1.0000000000000p-1", "0x1.f777777777778p-2"),
+    ],
+    ("adaptive", "f32"): [
+        ("nan", "0x1.21f5bb1a42357p+2",
+         "nan", "nan"),
+        ("0x1.226dd4d99f6fdp+2", "0x1.21175e0a6a091p+2",
+         "0x1.0d6b6416c16c1p-2", "0x1.0e38e38e38e39p-2"),
+        ("0x1.21d884eefb25fp+2", "0x1.206b44935b8bep+2",
+         "0x1.016d7b3333333p-2", "0x1.c16c16c16c16cp-3"),
+    ],
+    ("adaptive", "f64"): [
+        ("nan", "0x1.21f5bb06bf966p+2",
+         "nan", "nan"),
+        ("0x1.226dd4e3eff9ap+2", "0x1.21175e17bed57p+2",
+         "0x1.0d6b63af6fb57p-2", "0x1.0e38e38e38e39p-2"),
+        ("0x1.21d884e29f1bcp+2", "0x1.206b4468dee86p+2",
+         "0x1.016d7ac14e747p-2", "0x1.c16c16c16c16cp-3"),
+    ],
 }
 
 
@@ -280,7 +377,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("variant", ["standard", "adaptive"])
+    @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_checkpoint_bytes_are_pinned(self, tmp_path, corpus, variant, precision):
         """A fixed tiny run writes exactly these bytes, and load then save
         writes them again. The digests pin this build's arithmetic as well as
@@ -289,9 +386,11 @@ class TestCheckpoint:
                         val_interval=3, val_prefix=200, seed=7, variant=variant,
                         precision=precision)
         path = tmp_path / "golden.ckpt"
-        train(cfg, corpus, ckpt_path=str(path))
+        result = train(cfg, corpus, ckpt_path=str(path))
         blob = path.read_bytes()
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_CHECKPOINTS[variant, precision]
+        assert [(r.train_bpc.hex(), r.valid_bpc.hex(), r.mean_z.hex(), r.mean_update_rate.hex())
+                for r in result.records] == GOLDEN_RECORDS[variant, precision]
         ckpt = load_checkpoint(str(path))
         again = tmp_path / "again.ckpt"
         save_checkpoint(str(again), ckpt.params, ckpt.opt, ckpt.config, ckpt.vocab,
