@@ -4,7 +4,6 @@ from .cell import (
     GATES,
     PARAM_KEYS,
     VARIANTS,
-    FrozenStep,
     GradientSet,
     ModelParams,
     RecurrentState,
@@ -40,7 +39,6 @@ from .trace import (
     cell_change_stats,
     export_cell_change,
     export_gate_map,
-    record_step,
     trace_stream,
 )
 from .training import (

@@ -202,24 +202,6 @@ class GradientSet(_FlatBlocks):
 
 
 @dataclass
-class FrozenStep:
-    """External overrides for one step's surprisal, rate and mask.
-
-    Used by the gradient-check harness (which must hold these constant while
-    parameters are perturbed) and by tests that force specific masks. s_val
-    is the per-row surprisal scalar (B,); the fields are StepCache's, so a
-    run's own caches replay it.
-    """
-
-    s_val: np.ndarray = None
-    z: np.ndarray = None
-    mask: np.ndarray = None
-
-
-_NO_OVERRIDES = FrozenStep()
-
-
-@dataclass
 class _FusedGates:
     # per-gate blocks stacked f|i|o|u along the cell axis; the transposes are
     # contiguous copies made once per window and shared by all its steps
@@ -324,15 +306,6 @@ def hidden_from_cell(c, o):
     return c_hat, o * c_hat
 
 
-def _update_probability(c_prev, p_prev, x_idx, params):
-    if params.variant == "adaptive":
-        return zoneout_rate(prediction_error(p_prev, x_idx), params.W_y, params.tau)
-    if params.variant == "fixed_zoneout":
-        return np.full_like(c_prev, params.zoneout_rate)
-    # standard / sf: every cell updates every step
-    return np.ones_like(c_prev)
-
-
 def _score(p, rows, target):
     # (log p of each row's target, their negated batch mean). Under the caller's
     # np.errstate(divide="ignore") a zero probability (underflowed outputs) gives
@@ -358,8 +331,9 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     the input state is never written. mask_mode "sampled" draws one binary
     update mask per step from rng for fixed_zoneout and adaptive, and none
     for standard and sf; "expected" substitutes the update probability
-    itself (the evaluation convention). frozen holds one FrozenStep (or
-    StepCache) per step. on_step(cache) receives each step's StepCache;
+    itself (the evaluation convention). frozen holds one StepCache per
+    step, as on_step passed them: each step takes its s_val, z and mask from
+    it and draws nothing. on_step(cache) receives each step's StepCache;
     without it none is built. choose(y, p), when given, gets step t's logits
     and distribution and returns the row written into symbols[t+1] before
     that row is scored and read by step t+1 (text generation).
@@ -367,7 +341,6 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     sampled = mask_mode == "sampled"
-    full = params.variant in ("standard", "sf")
     if fused is None:
         fused = fuse_gate_weights(params)
     batch = symbols.shape[1]
@@ -380,18 +353,19 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     total = 0.0
     with np.errstate(over="ignore", divide="ignore"):
         for t, x_idx in enumerate(symbols[:-1]):
-            overrides = _NO_OVERRIDES if frozen is None else frozen[t]
-            if overrides.s_val is not None:
-                s_val = overrides.s_val
-            elif s_val is None:
-                s_val = surprisal_vector(p, x_idx)
+            if frozen is not None:
+                s_val, z, mask = frozen[t].s_val, frozen[t].z, frozen[t].mask
+            else:
+                if s_val is None:
+                    s_val = surprisal_vector(p, x_idx)
+                z = mask = None  # standard / sf: every cell updates every step
+                if params.variant == "adaptive":
+                    z = zoneout_rate(prediction_error(p, x_idx), params.W_y, params.tau)
+                elif params.variant == "fixed_zoneout":
+                    z = np.full_like(c, params.zoneout_rate)
+                if z is not None:
+                    mask = sample_bernoulli(z, rng) if sampled else z
             f, i, o, u = gate_forward(x_idx, s_val, h, fused)
-            z, mask = overrides.z, overrides.mask
-            if not (full and z is None and mask is None):
-                if z is None:
-                    z = _update_probability(c, p, x_idx, params)
-                if mask is None:
-                    mask = z if full or not sampled else sample_bernoulli(z, rng)
             c_prev, h_prev = c, h
             c = cell_update(c_prev, f, i, u, mask)
             c_hat, h = hidden_from_cell(c, o)

@@ -157,11 +157,13 @@ class TrainConfig:
 
     def validate(self):
         for name in ("seq_len", "batch_size", "chunk_len", "hidden",
-                     "val_interval", "val_prefix"):
-            if getattr(self, name) <= 0:
+                     "val_interval", "val_prefix", "lr", "eps", "clip_norm"):
+            # negated, so that a NaN from a config file fails too
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        for name in ("steps", "val_lanes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.chunk_len % self.seq_len != 0:
             raise ValueError(
                 f"chunk_len ({self.chunk_len}) must be divisible by seq_len ({self.seq_len})"
@@ -172,10 +174,9 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}, expected f32 or f64")
         if self.eval_mask_mode not in ("expected", "sampled"):
             raise ValueError(f"unknown eval_mask_mode {self.eval_mask_mode!r}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if not 0.0 <= self.zoneout_rate <= 1.0:
-            raise ValueError(f"zoneout_rate must lie in [0, 1], got {self.zoneout_rate}")
+        for name in ("tau", "zoneout_rate", "rho"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         return self
 
     @property

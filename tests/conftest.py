@@ -30,7 +30,7 @@ def corpus(corpus_path):
     return load_corpus(corpus_path)
 
 
-# every StepCache field that backward_window or trace.record_step reads
+# every StepCache field, as backward_window and the trace read them
 CACHE_FIELDS = ("s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev", "c", "c_hat",
                 "h", "p")
 

@@ -8,11 +8,12 @@ without it those two tests are skipped.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from szlstm.cell import FrozenStep, ModelParams, run_lanes, zoneout_rate
+from szlstm.cell import ModelParams, run_lanes, zoneout_rate
 from szlstm.gradcheck import tiny_window_check
 from szlstm.numerics import RngState, sample_bernoulli
 from szlstm.optim import xavier_init
@@ -46,7 +47,10 @@ def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
     sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, batch))
     frozen = None
     if frozen_mask is not None:
-        frozen = [FrozenStep(mask=np.full((batch, hidden), frozen_mask, dtype=np.float32))] * steps
+        # replay the run's own caches with every mask forced to frozen_mask
+        caches = []
+        run_lanes(params, sym, None, RngState(seed).fork(3), on_step=caches.append)
+        frozen = [replace(c, mask=np.full_like(c.mask, frozen_mask)) for c in caches]
     out = []
 
     def keep(cache):

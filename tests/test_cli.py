@@ -215,6 +215,18 @@ class TestTrainEvalCommands:
                     "--run-dir", str(tmp_path), "--run-id", "cfg"]) == 0
         assert load_checkpoint(str(tmp_path / "cfg.ckpt")).step == 2
 
+    @pytest.mark.parametrize("key,value", [("clip_norm", "0"), ("rho", "1.5"), ("rho", "nan"),
+                                           ("eps", "0"), ("lr", "-1"), ("val_lanes", "-3")])
+    def test_bad_optimizer_or_validation_value_rejected_before_any_write(
+            self, corpus_path, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hidden = 12\nbatch_size = 4\nseq_len = 10\nchunk_len = 50\n"
+                       f"steps = 2\n{key} = {value}\n")
+        run_dir = tmp_path / "run"
+        assert run(["train", corpus_path, "--config", str(cfg), "--run-dir", str(run_dir)]) == 1
+        assert key in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_invalid_flag_combination_names_field(self, corpus_path, tmp_path, capsys):
         code = run(["train", corpus_path, "--seq-len", "7", "--chunk-len", "50",
                     "--run-dir", str(tmp_path)])
