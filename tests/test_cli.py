@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from szlstm.cell import ModelParams
-from szlstm.cli import dispatch, parse_variant, read_config_file, UsageError
+from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file, UsageError
 from szlstm.numerics import NumericalError
 from szlstm.optim import AdadeltaState
 from szlstm.training import (
@@ -41,6 +41,56 @@ class TestParsing:
         cfg.write_text("hidden_units = 3\n")
         with pytest.raises(UsageError, match="hidden_units"):
             read_config_file(str(cfg))
+
+
+class TestConfigPrecedence:
+    """build_config over a --config file: every value flag beats the file's key."""
+
+    FILE = {"seed": 1, "tau": 0.1, "hidden": 8, "batch_size": 4, "seq_len": 10,
+            "chunk_len": 50, "steps": 5, "precision": "f32", "eval_mask_mode": "expected",
+            "lr": 0.5}
+
+    def config(self, tmp_path, *flags, extra=""):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in self.FILE.items()) + extra)
+        args = build_parser().parse_args(["train", "corpus", "--config", str(path), *flags])
+        return build_config(args)
+
+    @pytest.mark.parametrize("flag,value,key,expected", [
+        ("--seed", "2", "seed", 2),
+        ("--tau", "0.2", "tau", 0.2),
+        ("--hidden", "9", "hidden", 9),
+        ("--batch", "6", "batch_size", 6),
+        ("--seq-len", "5", "seq_len", 5),
+        ("--chunk-len", "100", "chunk_len", 100),
+        ("--steps", "7", "steps", 7),
+        ("--precision", "f64", "precision", "f64"),
+        ("--mask-mode", "sampled", "eval_mask_mode", "sampled"),
+        ("--lr", "0.25", "lr", 0.25),
+    ])
+    def test_flag_beats_file(self, tmp_path, flag, value, key, expected):
+        cfg = self.config(tmp_path, flag, value)
+        assert getattr(cfg, key) == expected
+        for other, file_value in self.FILE.items():
+            if other != key:
+                assert getattr(cfg, other) == file_value, other
+
+    def test_file_alone(self, tmp_path):
+        cfg = self.config(tmp_path)
+        assert {k: getattr(cfg, k) for k in self.FILE} == self.FILE
+        assert (cfg.variant, cfg.zoneout_rate) == ("adaptive", 0.5)
+
+    def test_file_variant_sets_the_rate(self, tmp_path):
+        cfg = self.config(tmp_path, extra="variant = fixed:0.25\n")
+        assert (cfg.variant, cfg.zoneout_rate) == ("fixed_zoneout", 0.25)
+
+    def test_variant_flag_beats_file_variant(self, tmp_path):
+        cfg = self.config(tmp_path, "--variant", "adaptive", extra="variant = fixed:0.25\n")
+        assert (cfg.variant, cfg.zoneout_rate) == ("adaptive", 0.5)
+
+    def test_variant_flag_rate_beats_file_rate(self, tmp_path):
+        cfg = self.config(tmp_path, "--variant", "fixed:0.3", extra="zoneout_rate = 0.2\n")
+        assert (cfg.variant, cfg.zoneout_rate) == ("fixed_zoneout", 0.3)
 
 
 class TestExitCodes:
