@@ -1,7 +1,6 @@
 """Character-level LSTM language modeling with surprisal-driven adaptive zoneout."""
 
 from .cell import (
-    GATES,
     PARAM_KEYS,
     VARIANTS,
     GradientSet,
@@ -16,7 +15,6 @@ from .cell import (
     hidden_from_cell,
     prediction_error,
     run_lanes,
-    surprisal_vector,
     zoneout_rate,
 )
 from .numerics import (

@@ -31,8 +31,6 @@ from .numerics import NumericalError, matmul, sample_bernoulli, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 
-GATES = ("f", "i", "o", "u")
-
 # Block order is load-bearing: checkpoints serialize arrays in exactly this order.
 PARAM_KEYS = (
     "W_f", "W_i", "W_o", "W_u",
@@ -94,9 +92,7 @@ class ModelParams(_FlatBlocks):
     Every block is an attribute viewing the flat buffer, as are the fused
     gate regions Wg/Ug/Vg/bg. tau is the guaranteed minimum update
     probability of the adaptive variant; zoneout_rate is the constant update
-    probability of fixed_zoneout. The transposed copies fuse_gate_weights
-    makes do not follow later writes to the buffer, so a fused set stays
-    valid only until the next parameter write.
+    probability of fixed_zoneout.
     """
 
     def __init__(self, flat, vocab_size, hidden_size, variant="adaptive", tau=0.05,
@@ -227,20 +223,6 @@ def fuse_gate_weights(params):
     )
 
 
-def surprisal_vector(p_prev, x_idx):
-    """Log-probability the previous prediction gave each row's arriving symbol.
-
-    One nonpositive value per row (0 means the previous step was certain
-    and right). A zero probability has no finite surprisal: it means the
-    model's outputs underflowed, which is a numerical failure.
-    """
-    p_target = p_prev[np.arange(x_idx.shape[0]), x_idx]
-    # one reduction with np.any(p_target <= 0.0)'s answer; NaN passes both
-    if p_target.min() <= 0.0:
-        raise NumericalError("previous prediction assigns zero probability to an observed symbol")
-    return np.log(p_target)
-
-
 def prediction_error(p_prev, x_idx):
     """Previous prediction minus the one-hot row of the symbol that arrived.
 
@@ -319,30 +301,31 @@ def _score(p, rows, target):
 
 
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
-              fused=None, on_step=None, choose=None):
+              on_step=None, choose=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
     symbols is a (T+1, B) index array: step t reads row t and is scored
     against row t+1, and loss_nats sums the T batch-mean cross entropies as
-    Python floats. Row t+1 also arrives at step t+1, so its surprisal is
-    the log-probability step t's loss took. A target the output gives zero
-    probability raises NumericalError. np.errstate, the row index and the
-    fused weights are set up once per call. state None starts fresh lanes;
-    the input state is never written. mask_mode "sampled" draws one binary
+    Python floats. Each row's surprisal is the log-probability its previous
+    prediction gave it, all from one gather: state's p_prev for row 0, and
+    for row t+1 the log-probability step t's loss took. A zero probability
+    raises NumericalError. np.errstate, the row index and the fused gate
+    weights are made once per call. state None starts fresh lanes; the
+    input state is never written. mask_mode "sampled" draws one binary
     update mask per step from rng for fixed_zoneout and adaptive, and none
     for standard and sf; "expected" substitutes the update probability
     itself (the evaluation convention). frozen holds one StepCache per
     step, as on_step passed them: each step takes its s_val, z and mask from
     it and draws nothing. on_step(cache) receives each step's StepCache;
-    without it none is built. choose(y, p), when given, gets step t's logits
-    and distribution and returns the row written into symbols[t+1] before
-    that row is scored and read by step t+1 (text generation).
+    without it none is built. choose(t, y, p), when given, gets step t's
+    index, logits and distribution and returns the row written into
+    symbols[t+1] before that row is scored and read by step t+1 (text
+    generation; returning symbols[t+1] keeps a given row, as of a prompt).
     """
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     sampled = mask_mode == "sampled"
-    if fused is None:
-        fused = fuse_gate_weights(params)
+    fused = fuse_gate_weights(params)
     batch = symbols.shape[1]
     rows = np.arange(batch)
     if state is None:
@@ -357,7 +340,7 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 s_val, z, mask = frozen[t].s_val, frozen[t].z, frozen[t].mask
             else:
                 if s_val is None:
-                    s_val = surprisal_vector(p, x_idx)
+                    s_val, _ = _score(p, rows, x_idx)
                 z = mask = None  # standard / sf: every cell updates every step
                 if params.variant == "adaptive":
                     z = zoneout_rate(prediction_error(p, x_idx), params.W_y, params.tau)
@@ -379,7 +362,7 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 on_step(StepCache(s_val=s_val, z=z, mask=mask, f=f, i=i, o=o, u=u,
                                   h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h, p=p))
             if choose is not None:
-                symbols[t + 1] = choose(y, p)
+                symbols[t + 1] = choose(t, y, p)
             # the target's log-probability is also the next step's surprisal
             s_val, loss = _score(p, rows, symbols[t + 1])
             total += loss

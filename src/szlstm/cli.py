@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .cell import VARIANTS, fuse_gate_weights, run_lanes
+from .cell import VARIANTS, run_lanes
 from .numerics import NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
@@ -50,7 +50,6 @@ def parse_variant(text):
 def read_config_file(path):
     """Flat key=value config; '#' starts a comment, blanks ignored."""
     values = {}
-    field_types = {f: t for f, t in TrainConfig.__annotations__.items()}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -60,12 +59,9 @@ def read_config_file(path):
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "variant":
-                values[key] = value
-                continue
-            if key not in field_types:
+            typ = TrainConfig.__annotations__.get(key)
+            if typ is None:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = field_types[key]
             try:
                 values[key] = typ(value)
             except ValueError:
@@ -75,8 +71,8 @@ def read_config_file(path):
 
 def _add_eval_flags(p):
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
-    p.add_argument("--mask-mode", choices=("expected", "sampled"), default=None,
-                   help="evaluation mask convention (default expected)")
+    p.add_argument("--mask-mode", dest="eval_mask_mode", choices=("expected", "sampled"),
+                   default=None, help="evaluation mask convention (default expected)")
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
@@ -87,7 +83,8 @@ def _add_model_flags(p):
     p.add_argument("--tau", type=float, default=None,
                    help="minimum update probability of the adaptive variant")
     p.add_argument("--hidden", type=int, default=None, help="memory cells (default 256)")
-    p.add_argument("--batch", type=int, default=None, help="batch lanes (default 128)")
+    p.add_argument("--batch", dest="batch_size", type=int, default=None,
+                   help="batch lanes (default 128)")
     p.add_argument("--seq-len", type=int, default=None, help="BPTT window length (default 100)")
     p.add_argument("--chunk-len", type=int, default=None,
                    help="symbols per sampled chunk (default 10000)")
@@ -98,24 +95,13 @@ def _add_model_flags(p):
 
 
 def build_config(args):
-    values = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-    flag_map = {
-        "seed": "seed", "tau": "tau", "hidden": "hidden", "batch": "batch_size",
-        "seq_len": "seq_len", "chunk_len": "chunk_len", "steps": "steps",
-        "precision": "precision", "mask_mode": "eval_mask_mode", "lr": "lr",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            values[key] = val
-    variant_text = values.pop("variant", None)
-    if getattr(args, "variant", None) is not None:
-        variant_text = args.variant
-    if variant_text is not None:
-        variant, rate = parse_variant(variant_text)
-        values["variant"] = variant
+    """TrainConfig from the --config file's values, overridden by every flag
+    args sets: each config flag's dest is its TrainConfig field."""
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, val) for key, val in vars(args).items()
+                  if key in TrainConfig.__annotations__ and val is not None)
+    if "variant" in values:
+        values["variant"], rate = parse_variant(values["variant"])
         if rate is not None:
             values["zoneout_rate"] = rate
     cfg = TrainConfig(**values)
@@ -166,10 +152,7 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     failed = False
     for variant in VARIANTS:
-        report = gradcheck_mod.tiny_window_check(
-            variant, seed=args.seed if args.seed is not None else gradcheck_mod.DEFAULT_SEED,
-            eps=args.eps,
-        )
+        report = gradcheck_mod.tiny_window_check(variant, seed=args.seed, eps=args.eps)
         ok = report.passed(args.threshold)
         failed = failed or not ok
         print(f"# variant={variant} max_rel_err={report.max_rel_err:.3e} "
@@ -190,8 +173,7 @@ def cmd_trace(args):
         )
     stream = split[args.offset: args.offset + args.window + 1]
     buffer = trace_stream(ckpt.params, stream, window=args.window,
-                          mask_mode=args.mask_mode or "sampled",
-                          seed=args.seed if args.seed is not None else 0)
+                          mask_mode=args.mask_mode, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     gates = os.path.join(args.out_dir, f"{args.run_id}_gates.csv")
     cells = os.path.join(args.out_dir, f"{args.run_id}_cellchange.csv")
@@ -215,13 +197,15 @@ def cmd_sample(args):
     if args.length < 0:
         raise UsageError(f"--length must be nonnegative, got {args.length}")
 
-    rng = RngState(args.seed if args.seed is not None else 0).fork(STREAM_SAMPLE)
-    fused = fuse_gate_weights(params)
-    # the prompt's last symbol is left as the first generation step's input
-    state, _ = run_lanes(params, prompt_idx[:, None], None, rng, "expected", fused=fused)
-    symbols = np.full((args.length + 1, 1), prompt_idx[-1], dtype=np.intp)
+    rng = RngState(args.seed).fork(STREAM_SAMPLE)
+    # one walk over the prompt's rows, then the rows generation fills in
+    n = len(prompt_idx)
+    symbols = np.empty((n + args.length, 1), dtype=np.intp)
+    symbols[:n, 0] = prompt_idx
 
-    def choose(y, p):
+    def choose(t, y, p):
+        if t + 1 < n:
+            return symbols[t + 1]
         # y / 1.0 == y bit for bit, so temperature 1 draws from the step's own p
         if args.temperature != 1.0:
             p = softmax_rows(y / args.temperature)
@@ -229,8 +213,8 @@ def cmd_sample(args):
         return min(int(np.searchsorted(np.cumsum(p[0]), u, side="right")),
                    params.vocab_size - 1)
 
-    run_lanes(params, symbols, state, rng, "expected", fused=fused, choose=choose)
-    text = vocab[symbols[1:, 0]].tobytes().decode("utf-8", "replace")
+    run_lanes(params, symbols, None, rng, "expected", choose=choose)
+    text = vocab[symbols[n:, 0]].tobytes().decode("utf-8", "replace")
     sys.stdout.write(args.prompt + text + "\n")
     return 0
 
@@ -264,7 +248,7 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--eps", type=float, default=gradcheck_mod.DEFAULT_EPS)
     p.add_argument("--threshold", type=float, default=gradcheck_mod.PASS_THRESHOLD)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=gradcheck_mod.DEFAULT_SEED)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("trace", help="export gate/cell activity CSVs for a stream")
@@ -276,7 +260,7 @@ def build_parser():
     p.add_argument("--out-dir", default=".", help="directory for the CSV files")
     p.add_argument("--run-id", default="trace")
     p.add_argument("--mask-mode", choices=("expected", "sampled"), default="sampled")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sample", help="generate text from a checkpoint")
@@ -284,7 +268,7 @@ def build_parser():
     p.add_argument("--prompt", required=True, help="seed text, must use corpus bytes")
     p.add_argument("--length", type=int, default=200)
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     return parser

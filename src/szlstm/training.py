@@ -270,14 +270,12 @@ def evaluate_bpc(params, split, cfg, lanes=1):
     return cross_entropy_bpc(total / (seg - 1))
 
 
-def init_model(corpus, cfg, rng_init=None):
+def init_model(corpus, cfg):
     """Fresh Xavier-initialized parameters and optimizer state for a corpus."""
-    if rng_init is None:
-        rng_init = RngState(cfg.seed).fork(STREAM_INIT)
     params = ModelParams.zeros(corpus.vocab_size, cfg.hidden, variant=cfg.variant,
                                tau=cfg.tau, zoneout_rate=cfg.zoneout_rate,
                                dtype=cfg.dtype)
-    xavier_init(params, rng_init)
+    xavier_init(params, RngState(cfg.seed).fork(STREAM_INIT))
     opt = AdadeltaState(params, rho=cfg.rho, eps=cfg.eps, lr=cfg.lr)
     return params, opt
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from szlstm import ModelParams, RecurrentState, RngState, load_corpus
-from szlstm.cell import GATES
 from szlstm.numerics import matmul, sample_bernoulli, softmax_rows
 from szlstm.optim import xavier_init
 
@@ -29,6 +28,9 @@ def corpus_path(tmp_path_factory):
 def corpus(corpus_path):
     return load_corpus(corpus_path)
 
+
+# the gate blocks of each family, in the f|i|o|u order of PARAM_KEYS
+GATES = ("f", "i", "o", "u")
 
 # every StepCache field, as backward_window and the trace read them
 CACHE_FIELDS = ("s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev", "c", "c_hat",

@@ -13,7 +13,6 @@ from szlstm.cell import (
     hidden_from_cell,
     prediction_error,
     run_lanes,
-    surprisal_vector,
     zoneout_rate,
 )
 from szlstm.numerics import NumericalError, RngState, softmax_rows
@@ -22,34 +21,47 @@ from szlstm.optim import xavier_init
 from conftest import CACHE_FIELDS, one_hot, tiny_params
 
 
+def first_surprisal(p_prev, x_idx):
+    """The s_val step 0 of run_lanes reads when its input state predicted p_prev
+    and the rows x_idx arrive."""
+    batch, vocab = p_prev.shape
+    params = ModelParams.zeros(vocab, 2, dtype=np.float64)
+    state = RecurrentState(c=np.zeros((batch, 2)), h=np.zeros((batch, 2)), p_prev=p_prev)
+    # zero weights give uniform outputs, so the target row has no zero probability
+    symbols = np.stack([x_idx, np.zeros_like(x_idx)])
+    caches = []
+    run_lanes(params, symbols, state, mask_mode="expected", on_step=caches.append)
+    return caches[0].s_val
+
+
 class TestSurprisalVector:
     def test_uniform_previous_prediction(self):
         p_prev = np.full((1, 4), 0.25)
-        s = surprisal_vector(p_prev, np.array([2]))
+        s = first_surprisal(p_prev, np.array([2]))
         assert s.shape == (1,)
         np.testing.assert_allclose(s, [np.log(0.25)], atol=1e-15)
         assert abs(s[0] - (-1.3862943611198906)) < 1e-12
 
     def test_certain_and_right_means_no_surprise(self):
         p_prev = np.array([[0.0, 0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(surprisal_vector(p_prev, np.array([2])), [0.0])
+        np.testing.assert_array_equal(first_surprisal(p_prev, np.array([2])), [0.0])
 
     def test_direct_log_evaluation(self):
         p_prev = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1]])
-        s = surprisal_vector(p_prev, np.array([1, 0]))
+        s = first_surprisal(p_prev, np.array([1, 0]))
         assert abs(s[0] - (-1.6094379124341003)) < 1e-12
         assert abs(s[1] - np.log(0.7)) < 1e-15
 
     def test_zero_probability_is_an_error(self):
         p_prev = np.array([[1.0, 0.0]])
         with pytest.raises(NumericalError, match="zero probability"):
-            surprisal_vector(p_prev, np.array([1]))
+            first_surprisal(p_prev, np.array([1]))
 
     def test_entries_nonpositive(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((6, 5))
         p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        assert np.all(surprisal_vector(p_prev, rng.integers(0, 5, size=6)) <= 0.0)
+        assert np.all(first_surprisal(p_prev, rng.integers(0, 5, size=6)) <= 0.0)
 
 
 class TestPredictionError:
@@ -392,7 +404,8 @@ class TestRunLanes:
         symbols[0] = [0, 2, 4]
         seen = []
 
-        def choose(y, p):
+        def choose(t, y, p):
+            assert t == len(seen)
             np.testing.assert_array_equal(p, softmax_rows(y))
             seen.append(p.copy())
             return np.argmax(p, axis=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from szlstm import cell
 from szlstm.cell import ModelParams
 from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file, UsageError
 from szlstm.numerics import NumericalError
@@ -340,6 +341,14 @@ class TestSampleCommand:
     def test_temperature_must_be_positive(self, checkpoint, capsys):
         assert run(["sample", checkpoint, "--prompt", "the ",
                     "--temperature", "0"]) == 1
+
+    def test_fuses_the_gate_weights_once(self, checkpoint, monkeypatch, capsys):
+        # the prompt and the generated rows run as one run_lanes call
+        fuse, calls = cell.fuse_gate_weights, []
+        monkeypatch.setattr(cell, "fuse_gate_weights",
+                            lambda params: calls.append(params) or fuse(params))
+        assert run(["sample", checkpoint, "--prompt", "the ", "--length", "20"]) == 0
+        assert len(calls) == 1
 
     def test_zero_length_prints_the_prompt(self, checkpoint, capsys):
         capsys.readouterr()

@@ -36,8 +36,7 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     ref_state = RecurrentState.initial(BATCH, HIDDEN, VOCAB, dtype=dtype)
     rng, ref_rng = RngState(22), RngState(22)
     caches, ref_caches, ref_total = [], [], 0.0
-    state, total = run_lanes(params, sym, None, rng, mask_mode, fused=fused,
-                             on_step=caches.append)
+    state, total = run_lanes(params, sym, None, rng, mask_mode, on_step=caches.append)
     for t in range(STEPS):
         ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, fused, ref_rng,
                                               mask_mode, sym[t + 1])
