@@ -278,6 +278,15 @@ class TestTrainEvalCommands:
         assert key in capsys.readouterr().err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("rate", ["1.5", "-0.1", "nan"])
+    def test_out_of_range_fixed_rate_rejected_before_any_write(
+            self, corpus_path, tmp_path, capsys, rate):
+        run_dir = tmp_path / "run"
+        assert run(["train", corpus_path, "--variant", f"fixed:{rate}", "--steps", "1",
+                    "--run-dir", str(run_dir)]) == 1
+        assert rate in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_invalid_flag_combination_names_field(self, corpus_path, tmp_path, capsys):
         code = run(["train", corpus_path, "--seq-len", "7", "--chunk-len", "50",
                     "--run-dir", str(tmp_path)])
