@@ -99,8 +99,9 @@ class ModelParams(_FlatBlocks):
                  zoneout_rate=0.5):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {tau}")
+        for name, rate in (("tau", tau), ("zoneout_rate", zoneout_rate)):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         super().__init__(flat, vocab_size, hidden_size)
         vars(self).update(self.views)
         self.variant = variant

@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, gradcheck, trace, sample. Exit codes: 0 success,
 1 usage error, 2 numerical failure (non-finite loss, failed gradient check),
-3 I/O error.
+3 I/O error. Bad input of any kind, flags and config files alike, raises
+ValueError where its value is checked; dispatch turns it into exit 1.
 """
 
 import argparse
@@ -26,23 +27,16 @@ from .training import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_variant(text):
-    """Accept standard | sf | fixed:RATE | adaptive."""
+    """Accept standard | sf | fixed:RATE | adaptive (RATE becomes zoneout_rate)."""
     if text in ("standard", "sf", "adaptive"):
         return text, None
     if text.startswith("fixed:"):
         try:
-            rate = float(text.split(":", 1)[1])
+            return "fixed_zoneout", float(text.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"--variant fixed:RATE needs a number, got {text!r}")
-        if not 0.0 <= rate <= 1.0:
-            raise UsageError(f"--variant fixed rate must lie in [0, 1], got {rate}")
-        return "fixed_zoneout", rate
-    raise UsageError(
+            raise ValueError(f"--variant fixed:RATE needs a number, got {text!r}")
+    raise ValueError(
         f"unknown --variant {text!r}; expected standard, sf, fixed:RATE or adaptive"
     )
 
@@ -56,16 +50,16 @@ def read_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             typ = TrainConfig.__annotations__.get(key)
             if typ is None:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = typ(value)
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}")
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
 
 
@@ -96,20 +90,21 @@ def _add_model_flags(p):
 
 def build_config(args):
     """TrainConfig from the --config file's values, overridden by every flag
-    args sets: each config flag's dest is its TrainConfig field."""
+    args sets: each config flag's dest is its TrainConfig field. The file
+    may set only the subcommand's config_keys."""
     values = read_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in args.config_keys:
+            raise ValueError(f"{args.config}: {args.command} takes only "
+                             f"{' and '.join(args.config_keys)} from a config file, "
+                             f"not {key!r}")
     values.update((key, val) for key, val in vars(args).items()
                   if key in TrainConfig.__annotations__ and val is not None)
     if "variant" in values:
         values["variant"], rate = parse_variant(values["variant"])
         if rate is not None:
             values["zoneout_rate"] = rate
-    cfg = TrainConfig(**values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return cfg
+    return TrainConfig(**values).validate()
 
 
 def cmd_train(args):
@@ -129,19 +124,11 @@ def _load_model_and_corpus(args):
     """The checkpoint and corpus named by args; their vocabularies must match."""
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
-    try:
-        corpus.check_vocab(ckpt.vocab)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    corpus.check_vocab(ckpt.vocab)
     return ckpt, corpus
 
 
 def cmd_eval(args):
-    # the model comes from the checkpoint; a config file may set only these
-    for key in read_config_file(args.config) if args.config else ():
-        if key not in ("seed", "eval_mask_mode"):
-            raise UsageError(f"{args.config}: eval takes only seed and eval_mask_mode "
-                             f"from a config file, not {key!r}")
     cfg = build_config(args)
     ckpt, corpus = _load_model_and_corpus(args)
     bpc = evaluate_bpc(ckpt.params, corpus.split(args.split), cfg, lanes=args.lanes)
@@ -167,7 +154,7 @@ def cmd_trace(args):
     ckpt, corpus = _load_model_and_corpus(args)
     split = corpus.split(args.split)
     if args.offset < 0 or args.offset + args.window + 1 > len(split):
-        raise UsageError(
+        raise ValueError(
             f"offset {args.offset} + window {args.window} does not fit in "
             f"split of {len(split)} symbols"
         )
@@ -190,12 +177,12 @@ def cmd_sample(args):
     vocab = ckpt.vocab
     prompt = args.prompt.encode("utf-8")
     if not prompt:
-        raise UsageError("--prompt must not be empty")
+        raise ValueError("--prompt must not be empty")
     prompt_idx = encode_bytes(vocab, prompt)
     if args.temperature <= 0:
-        raise UsageError(f"--temperature must be positive, got {args.temperature}")
+        raise ValueError(f"--temperature must be positive, got {args.temperature}")
     if args.length < 0:
-        raise UsageError(f"--length must be nonnegative, got {args.length}")
+        raise ValueError(f"--length must be nonnegative, got {args.length}")
 
     rng = RngState(args.seed).fork(STREAM_SAMPLE)
     # one walk over the prompt's rows, then the rows generation fills in
@@ -233,7 +220,7 @@ def build_parser():
     p.add_argument("--run-id", default="run", help="basename for log and checkpoint files")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, config_keys=tuple(TrainConfig.__annotations__))
 
     p = sub.add_parser("eval", help="score a checkpoint on a corpus split")
     p.add_argument("checkpoint")
@@ -243,7 +230,7 @@ def build_parser():
                    help="parallel contiguous segments (1 = strict sequential pass)")
     # the model itself comes from the checkpoint
     _add_eval_flags(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, config_keys=("seed", "eval_mask_mode"))
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--eps", type=float, default=gradcheck_mod.DEFAULT_EPS)
@@ -284,9 +271,6 @@ def dispatch(argv):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

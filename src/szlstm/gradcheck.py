@@ -99,19 +99,18 @@ def _random_distribution(rng, batch_size, vocab):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
-                      zoneout_rate=0.5, tau=0.05, seed=DEFAULT_SEED, eps=DEFAULT_EPS,
-                      mask_mode="sampled"):
+def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SEED,
+                      eps=DEFAULT_EPS, mask_mode="sampled"):
     """Full harness on a small window; returns the GradReport.
 
-    Builds a float64 model, collects a window with sampled masks (replayed
-    twice and asserted bit-identical), freezes the per-step surprisal /
-    rate / mask, and compares the analytic sweep against central
-    differences over every coordinate of every trainable block.
+    Builds a float64 model of 8 cells with ModelParams' default tau and
+    zoneout_rate, collects a window with sampled masks (replayed twice and
+    asserted bit-identical), freezes the per-step surprisal / rate / mask,
+    and compares the analytic sweep against central differences over every
+    coordinate of every trainable block.
     """
     root = RngState(seed)
-    params = ModelParams.zeros(vocab, hidden, variant=variant, tau=tau,
-                               zoneout_rate=zoneout_rate, dtype=np.float64)
+    params = ModelParams.zeros(vocab, 8, variant=variant, dtype=np.float64)
     xavier_init(params, root.fork(1))
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel
@@ -122,8 +121,8 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, hidden=8, vocab=5,
     # every step, keeping coordinates clear of the finite-difference floor
     state_rng = root.fork(3)
     state0 = RecurrentState(
-        c=state_rng.uniform((batch_size, hidden)) * 2.0 - 1.0,
-        h=state_rng.uniform((batch_size, hidden)) * 1.6 - 0.8,
+        c=state_rng.uniform((batch_size, params.hidden_size)) * 2.0 - 1.0,
+        h=state_rng.uniform((batch_size, params.hidden_size)) * 1.6 - 0.8,
         p_prev=_random_distribution(state_rng, batch_size, vocab),
     )
 

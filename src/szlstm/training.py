@@ -19,9 +19,11 @@ Checkpoint format (version 1), all integers and floats little-endian:
                  E[g^2] accumulator buffer, then the flat E[dx^2] buffer,
                  both in the same layout
 
-A checkpoint is written only at chunk boundaries, so resuming reproduces the
-uninterrupted run bit for bit: lane states restart at the next chunk anyway
-and every random draw is replayed from the stored stream counters.
+A checkpoint is written at every chunk boundary and once at the end. A resume
+from a chunk boundary reproduces the uninterrupted run bit for bit: lane
+states restart at the next chunk anyway and every random draw is replayed
+from the stored stream counters. A checkpoint stores no lane state, so a
+resume from one written mid-chunk (steps ended there) starts a fresh chunk.
 
 Checkpoint saves: a save rewrites PATH.spare in place, hard-links PATH to
 PATH.old, renames PATH.spare over PATH (taking PATH's mode) and PATH.old to
@@ -286,9 +288,10 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     Emits one LogRecord per val_interval optimizer steps (plus one at step 0)
     and appends the tab-separated line to log_path when given. ckpt_path,
     when given, is rewritten at every chunk boundary and once at the end.
-    resume takes a Checkpoint and continues it exactly; it raises ValueError
-    naming every RESUME_FIELDS entry in which cfg differs from the
-    checkpoint, and ValueError if the corpus vocabulary is not the
+    resume takes a Checkpoint and continues it, bit-exactly when it was
+    written at a chunk boundary and from a fresh chunk otherwise; it raises
+    ValueError naming every RESUME_FIELDS entry in which cfg differs from
+    the checkpoint, and ValueError if the corpus vocabulary is not the
     checkpoint's.
     """
     cfg.validate()

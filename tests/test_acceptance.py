@@ -64,7 +64,7 @@ def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
     worst = {}
     for variant in ("standard", "sf", "fixed_zoneout", "adaptive"):
-        rep = tiny_window_check(variant, zoneout_rate=0.5)
+        rep = tiny_window_check(variant)
         worst[variant] = rep.max_rel_err
         assert rep.passed(1e-5), f"{variant}: {rep.format_table()}"
     elapsed = time.monotonic() - t0

@@ -34,6 +34,15 @@ def first_surprisal(p_prev, x_idx):
     return caches[0].s_val
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("field,value", [("tau", 1.5), ("zoneout_rate", -0.5),
+                                             ("zoneout_rate", 1.5),
+                                             ("zoneout_rate", float("nan"))])
+    def test_rate_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\]"):
+            ModelParams.zeros(5, 4, **{field: value})
+
+
 class TestSurprisalVector:
     def test_uniform_previous_prediction(self):
         p_prev = np.full((1, 4), 0.25)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from szlstm import cell
+from szlstm import cell, cli
 from szlstm.cell import ModelParams
-from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file, UsageError
+from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file
 from szlstm.numerics import NumericalError
 from szlstm.optim import AdadeltaState
 from szlstm.training import (
@@ -26,9 +26,9 @@ class TestParsing:
         assert parse_variant("fixed:0.3") == ("fixed_zoneout", 0.3)
 
     def test_bad_variant(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_variant("fixed:two")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_variant("zoned")
 
     def test_config_file(self, tmp_path):
@@ -40,7 +40,7 @@ class TestParsing:
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hidden_units = 3\n")
-        with pytest.raises(UsageError, match="hidden_units"):
+        with pytest.raises(ValueError, match="hidden_units"):
             read_config_file(str(cfg))
 
 
@@ -206,6 +206,35 @@ class TestEvalFlags:
         assert run(["eval", *model, "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert repr(key) in captured.err
+        assert captured.out == ""
+
+    def test_reads_the_config_file_once(self, model, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("seed = 3\neval_mask_mode = sampled\n")
+        read, paths = cli.read_config_file, []
+        monkeypatch.setattr(cli, "read_config_file",
+                            lambda path: paths.append(path) or read(path))
+        assert run(["eval", *model, "--config", str(cfg)]) == 0
+        assert paths == [str(cfg)]
+
+
+class TestCheckpointZoneoutRate:
+    """A checkpoint's zoneout_rate is range-checked where its model is built."""
+
+    def test_rate_outside_unit_interval_rejected(self, corpus, corpus_path, tmp_path, capsys):
+        params = ModelParams.zeros(corpus.vocab_size, 4, variant="fixed_zoneout",
+                                   dtype=np.float32)
+        ckpt = tmp_path / "fixed.ckpt"
+        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        # same length, so the header length field stays right
+        blob = ckpt.read_bytes()
+        assert blob.count(b'"zoneout_rate": 0.5') == 1
+        ckpt.write_bytes(blob.replace(b'"zoneout_rate": 0.5', b'"zoneout_rate": 1.5'))
+        with pytest.raises(ValueError, match="zoneout_rate must lie in"):
+            load_checkpoint(str(ckpt))
+        assert run(["eval", str(ckpt), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert "zoneout_rate" in captured.err
         assert captured.out == ""
 
 

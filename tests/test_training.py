@@ -556,6 +556,23 @@ class TestCheckpoint:
                                              resumed.params.blocks()):
             np.testing.assert_array_equal(block, other, err_msg=name)
 
+    def test_mid_chunk_checkpoint_resumes_into_a_fresh_chunk(self, tmp_path, corpus):
+        # 7 steps end inside the second 5-window chunk; the end-of-run
+        # checkpoint keeps no lane state, so the resumed run samples a fresh
+        # chunk from the stored data stream and starts it from fresh lanes
+        cfg = small_cfg(steps=12, hidden=8)
+        ck = str(tmp_path / "mid.ckpt")
+        train(small_cfg(steps=7, hidden=8), corpus, ckpt_path=ck)
+        ckpt = load_checkpoint(ck)
+        offsets = sample_training_chunks(corpus, cfg, RngState(*ckpt.rng["data"]))
+        symbols = corpus.encoded[offsets[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
+        _, first, _, _ = run_tbptt_window(None, symbols, ckpt.params,
+                                          RngState(*ckpt.rng["mask"]),
+                                          GradientSet.zeros_like(ckpt.params))
+        resumed = train(cfg, corpus, resume=load_checkpoint(ck))
+        assert resumed.losses[0] == first
+        assert resumed.losses != train(cfg, corpus).losses[7:]
+
     @pytest.mark.parametrize("change", [{"batch_size": 8}, {"seq_len": 5},
                                         {"batch_size": 8, "seq_len": 5, "lr": 0.5}])
     def test_resume_refuses_changed_replay_config(self, tmp_path, corpus, change):
