@@ -52,28 +52,25 @@ def block_layout(vocab_size, hidden_size):
     return {k: (a, b, shape) for k, a, b, shape in zip(PARAM_KEYS, bounds, bounds[1:], shapes)}
 
 
-def block_views(flat, vocab_size, hidden_size):
-    """Named views into a flat buffer laid out in PARAM_KEYS order: the 18
-    blocks, and Wg/Ug/Vg/bg, each gate family's four blocks as one array
-    stacked f|i|o|u along the cell axis, where PARAM_KEYS order puts them."""
-    layout = block_layout(vocab_size, hidden_size)
-    views = {k: flat[a:b].reshape(shape) for k, (a, b, shape) in layout.items()}
-    for family in "WUVb":
-        a, _, shape = layout[family + "_f"]
-        views[family + "g"] = flat[a: layout[family + "_u"][1]].reshape(
-            (4 * shape[0],) + shape[1:])
-    return views
-
-
 class _FlatBlocks:
-    """One contiguous buffer `flat` holding every block in PARAM_KEYS order;
-    `views` are the block_views into it."""
+    """One contiguous buffer `flat` holding every block in PARAM_KEYS order.
+
+    Each of the 18 blocks is an attribute viewing `flat`, as are Wg/Ug/Vg/bg,
+    each gate family's four blocks stacked f|i|o|u along the cell axis. Write
+    through them in place (`+=`, `[...] =`): rebinding one detaches it.
+    """
 
     def __init__(self, flat, vocab_size, hidden_size):
         self.flat = flat
         self.vocab_size = vocab_size
         self.hidden_size = hidden_size
-        self.views = block_views(flat, vocab_size, hidden_size)
+        layout = block_layout(vocab_size, hidden_size)
+        for k, (a, b, shape) in layout.items():
+            setattr(self, k, flat[a:b].reshape(shape))
+        for family in "WUVb":
+            a, _, shape = layout[family + "_f"]
+            setattr(self, family + "g", flat[a: layout[family + "_u"][1]].reshape(
+                (4 * shape[0],) + shape[1:]))
 
     @property
     def dtype(self):
@@ -81,7 +78,7 @@ class _FlatBlocks:
 
     def blocks(self):
         """(name, array) pairs in serialization order."""
-        return [(k, self.views[k]) for k in PARAM_KEYS]
+        return [(k, getattr(self, k)) for k in PARAM_KEYS]
 
 
 class ModelParams(_FlatBlocks):
@@ -89,10 +86,8 @@ class ModelParams(_FlatBlocks):
 
     W_* and V_* map the M-dim input / surprisal rows to the N cells, U_* are
     the recurrent weights, W_y projects hidden state back to the vocabulary.
-    Every block is an attribute viewing the flat buffer, as are the fused
-    gate regions Wg/Ug/Vg/bg. tau is the guaranteed minimum update
-    probability of the adaptive variant; zoneout_rate is the constant update
-    probability of fixed_zoneout.
+    tau is the guaranteed minimum update probability of the adaptive variant;
+    zoneout_rate is the constant update probability of fixed_zoneout.
     """
 
     def __init__(self, flat, vocab_size, hidden_size, variant="adaptive", tau=0.05,
@@ -103,7 +98,6 @@ class ModelParams(_FlatBlocks):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         super().__init__(flat, vocab_size, hidden_size)
-        vars(self).update(self.views)
         self.variant = variant
         self.tau = float(tau)
         self.zoneout_rate = float(zoneout_rate)
@@ -167,24 +161,13 @@ class StepCache:
 
 
 class GradientSet(_FlatBlocks):
-    """Gradient accumulators in the ModelParams layout, indexed by block name."""
+    """Gradient accumulators in the ModelParams layout."""
 
     @classmethod
     def zeros_like(cls, params):
         return cls(np.zeros_like(params.flat), params.vocab_size, params.hidden_size)
 
-    def __getitem__(self, key):
-        return self.views[key]
-
-    def __setitem__(self, key, value):
-        view = self.views[key]
-        if value is not view:
-            view[...] = value
-
     items = _FlatBlocks.blocks
-
-    def zero_(self):
-        self.flat.fill(0.0)
 
     def global_norm(self):
         # per-block float64 sums, added in block order: one sum over the flat
@@ -193,9 +176,6 @@ class GradientSet(_FlatBlocks):
         for _, v in self.blocks():
             total += float(np.sum(np.square(v, dtype=np.float64)))
         return float(np.sqrt(total))
-
-    def scale_(self, factor):
-        self.flat *= factor
 
 
 @dataclass
@@ -431,11 +411,11 @@ def backward_window(caches, params, symbols, grads):
     # step t's h_prev is step t-1's h, so one array of T+1 row blocks holds
     # both; it is freed before the per-symbol contractions allocate theirs
     hidden = np.concatenate([caches[0].h_prev] + [c.h for c in caches])
-    grads["W_y"] += matmul(d_y_flat.T, hidden[batch:])
-    grads["b_y"] += d_y_flat.sum(axis=0)
-    grads["Ug"] += matmul(d_a_flat.T, hidden[:-batch])
+    grads.W_y += matmul(d_y_flat.T, hidden[batch:])
+    grads.b_y += d_y_flat.sum(axis=0)
+    grads.Ug += matmul(d_a_flat.T, hidden[:-batch])
     del hidden
-    grads["bg"] += d_a_flat.sum(axis=0)
+    grads.bg += d_a_flat.sum(axis=0)
 
     # per-symbol input contractions. The stable sort keeps each symbol's rows
     # in window order, and coef keeps both rows [1, s] for every variant: a
@@ -450,7 +430,7 @@ def backward_window(caches, params, symbols, grads):
     out = np.zeros((2, params.vocab_size, 4 * n), dtype=d_a_flat.dtype)
     for a, e in zip(starts.tolist(), stops.tolist()):
         out[:, sym[a]] = coef[a:e].T @ d_a_flat[order[a:e]]
-    grads["Wg"] += out[0].T
+    grads.Wg += out[0].T
     if params.variant != "standard":
-        grads["Vg"] += out[1].T
+        grads.Vg += out[1].T
     return d_h, d_c

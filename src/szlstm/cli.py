@@ -179,7 +179,7 @@ def cmd_sample(args):
     if not prompt:
         raise ValueError("--prompt must not be empty")
     prompt_idx = encode_bytes(vocab, prompt)
-    if args.temperature <= 0:
+    if not args.temperature > 0:
         raise ValueError(f"--temperature must be positive, got {args.temperature}")
     if args.length < 0:
         raise ValueError(f"--length must be nonnegative, got {args.length}")

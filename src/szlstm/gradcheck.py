@@ -60,6 +60,8 @@ def numerical_gradient(loss_fn, arrays, eps=DEFAULT_EPS):
     loss_fn takes no arguments and must read the arrays in `arrays`, which
     are perturbed in place and restored. Every coordinate is checked.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     out = {}
     for name, block in arrays.items():
         if block.dtype != np.float64:
@@ -149,4 +151,4 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
     # the backward_window call run_tbptt_window makes in training
     analytic = GradientSet.zeros_like(params)
     backward_window(caches, params, lane_stream, analytic)
-    return compare_gradients({k: analytic[k] for k in blocks}, numeric)
+    return compare_gradients({k: getattr(analytic, k) for k in blocks}, numeric)

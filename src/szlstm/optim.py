@@ -67,7 +67,8 @@ def adadelta_step(params, grads, state):
     for sl in params.trainable_slices():
         g_all = grads.flat[sl]
         if not np.all(np.isfinite(g_all)):
-            name = next(k for k in params.trainable_keys() if not np.all(np.isfinite(grads[k])))
+            name = next(k for k in params.trainable_keys()
+                        if not np.all(np.isfinite(getattr(grads, k))))
             raise NumericalError(f"non-finite gradient in block {name}")
         p_all, eg2_all, edx2_all = params.flat[sl], state.eg2.flat[sl], state.edx2.flat[sl]
         for a in range(0, g_all.shape[0], ADADELTA_CHUNK):
@@ -88,5 +89,5 @@ def clip_gradients(grads, max_norm):
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     norm = grads.global_norm()
     if norm > max_norm:
-        grads.scale_(max_norm / norm)
+        grads.flat *= max_norm / norm
     return grads

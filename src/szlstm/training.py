@@ -71,6 +71,10 @@ LOG_HEADER = "step\ttrain_bpc\tvalid_bpc\tmean_z\tmean_update_rate\twall_ms"
 RESUME_FIELDS = ("hidden", "variant", "batch_size", "seq_len", "chunk_len", "seed",
                  "precision", "lr", "rho", "eps", "clip_norm", "tau", "zoneout_rate")
 
+# checkpoint header fields load_checkpoint reads; config and rng may be absent
+HEADER_FIELDS = ("step", "precision", "hidden", "vocab_size", "vocab", "variant", "tau",
+                 "zoneout_rate", "rho", "eps", "lr")
+
 
 @dataclass
 class Corpus:
@@ -289,10 +293,10 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     and appends the tab-separated line to log_path when given. ckpt_path,
     when given, is rewritten at every chunk boundary and once at the end.
     resume takes a Checkpoint and continues it, bit-exactly when it was
-    written at a chunk boundary and from a fresh chunk otherwise; it raises
-    ValueError naming every RESUME_FIELDS entry in which cfg differs from
-    the checkpoint, and ValueError if the corpus vocabulary is not the
-    checkpoint's.
+    written at a chunk boundary and from a fresh chunk otherwise. It raises
+    ValueError naming every RESUME_FIELDS entry in which cfg differs from the
+    checkpoint, if the corpus vocabulary is not the checkpoint's, and if the
+    checkpoint lacks the data and mask rng streams, all before any write.
     """
     cfg.validate()
     if resume is not None:
@@ -306,6 +310,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
                    for k in RESUME_FIELDS if k in saved and saved[k] != getattr(cfg, k)]
         if changed:
             raise ValueError("checkpoint does not match config: " + ", ".join(changed))
+        if not {"data", "mask"} <= resume.rng.keys():
+            raise ValueError("checkpoint lacks the data and mask rng streams a resume replays")
         rng_data = RngState(*resume.rng["data"])
         rng_mask = RngState(*resume.rng["mask"])
         step = resume.step
@@ -369,7 +375,7 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         # (seq_len + 1, batch): each lane's window inputs plus its final target
         symbols = corpus.encoded[base[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
 
-        grads.zero_()
+        grads.flat.fill(0.0)
         states, loss_nats, mean_z, mean_rate = run_tbptt_window(states, symbols, params,
                                                                 rng_mask, grads)
         if not np.isfinite(loss_nats):
@@ -457,8 +463,8 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
-    buffer, which parameters and accumulators view; bad magic, version,
-    truncation and trailing bytes all hard-fail."""
+    buffer, which parameters and accumulators view; bad magic, version, missing
+    header fields, truncation and trailing bytes all hard-fail."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -475,6 +481,9 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         hlen = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
         header = json.loads(take(hlen, "header").decode("utf-8"))
+        missing = [k for k in HEADER_FIELDS if k not in header]
+        if missing:
+            raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
 
         dtype = DTYPES[header["precision"]]
         vocab_size, hidden = header["vocab_size"], header["hidden"]

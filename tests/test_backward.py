@@ -28,10 +28,10 @@ def test_frozen_step_blocks_write_gradients():
     grads = GradientSet.zeros_like(params)
     d_h_prev, d_c_prev = backward_window([cache], params, sym, grads)
     # with every cell frozen the write path carries nothing for this step
-    assert np.array_equal(grads["W_u"], np.zeros_like(grads["W_u"]))
-    assert np.array_equal(grads["U_u"], np.zeros_like(grads["U_u"]))
-    assert np.array_equal(grads["V_u"], np.zeros_like(grads["V_u"]))
-    assert np.array_equal(grads["b_f"], np.zeros_like(grads["b_f"]))
+    assert np.array_equal(grads.W_u, np.zeros_like(grads.W_u))
+    assert np.array_equal(grads.U_u, np.zeros_like(grads.U_u))
+    assert np.array_equal(grads.V_u, np.zeros_like(grads.V_u))
+    assert np.array_equal(grads.b_f, np.zeros_like(grads.b_f))
     # the cell gradient passes straight through, unscaled by the erase gate
     h_path = (cache.p / cache.p.shape[0])
     h_path[np.arange(cache.p.shape[0]), sym[1]] -= 1.0 / cache.p.shape[0]
@@ -58,7 +58,8 @@ def test_standard_variant_accumulates_no_feedback_gradient():
     grads = GradientSet.zeros_like(params)
     backward_window(caches, params, sym, grads)
     for g in "fiou":
-        np.testing.assert_array_equal(grads["V_" + g], np.zeros_like(grads["V_" + g]))
+        block = getattr(grads, "V_" + g)
+        np.testing.assert_array_equal(block, np.zeros_like(block))
     assert grads.global_norm() > 0
 
 
@@ -85,13 +86,13 @@ def per_step_composition(caches, params, sym):
     d_ys, d_as, d_h, d_c = dense_deltas(caches, params, sym)
     grads = GradientSet.zeros_like(params)
     for c, d_y, d_a, x, s in zip(caches, d_ys, d_as, *dense_rows(caches, params, sym)):
-        grads["W_y"] += d_y.T @ c.h
-        grads["b_y"] += d_y.sum(axis=0)
-        grads["Ug"] += d_a.T @ c.h_prev
-        grads["bg"] += d_a.sum(axis=0)
-        grads["Wg"] += d_a.T @ x
+        grads.W_y += d_y.T @ c.h
+        grads.b_y += d_y.sum(axis=0)
+        grads.Ug += d_a.T @ c.h_prev
+        grads.bg += d_a.sum(axis=0)
+        grads.Wg += d_a.T @ x
         if params.variant != "standard":
-            grads["Vg"] += d_a.T @ s
+            grads.Vg += d_a.T @ s
     return grads, d_h, d_c
 
 
@@ -105,17 +106,23 @@ def test_window_backward_matches_per_step_composition(variant):
     np.testing.assert_allclose(d_h2, d_h, atol=1e-13)
     np.testing.assert_allclose(d_c2, d_c, atol=1e-13)
     for name, block in g_steps.items():
-        np.testing.assert_allclose(g_window[name], block, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(getattr(g_window, name), block, atol=1e-12, err_msg=name)
 
 
 def test_gradient_set_helpers():
     params = tiny_params()
     grads = GradientSet.zeros_like(params)
-    grads["b_y"] += 3.0
+    grads.b_y += 3.0
+    grads.W_f[...] = 2.0
+    # writes through block attributes land in flat: W_f is its first block,
+    # b_y its last
+    np.testing.assert_array_equal(grads.flat[: grads.W_f.size], 2.0)
+    np.testing.assert_array_equal(grads.flat[-params.vocab_size:], 3.0)
+    grads.W_f[...] = 0.0
     assert grads.global_norm() == pytest.approx(3.0 * np.sqrt(params.vocab_size))
-    grads.scale_(0.5)
-    np.testing.assert_array_equal(grads["b_y"], np.full(params.vocab_size, 1.5))
-    grads.zero_()
+    grads.flat *= 0.5
+    np.testing.assert_array_equal(grads.b_y, np.full(params.vocab_size, 1.5))
+    grads.flat.fill(0.0)
     assert grads.global_norm() == 0.0
 
 
@@ -138,11 +145,11 @@ def assert_input_grads_match(params, caches, sym):
     grads = GradientSet.zeros_like(params)
     backward_window(caches, params, sym, grads)
     ref_w, ref_v = dense_input_grads(caches, params, sym)
-    pairs = [(grads["Wg"], ref_w)]
+    pairs = [(grads.Wg, ref_w)]
     if params.variant == "standard":
-        np.testing.assert_array_equal(grads["Vg"], 0.0)
+        np.testing.assert_array_equal(grads.Vg, 0.0)
     else:
-        pairs.append((grads["Vg"], ref_v))
+        pairs.append((grads.Vg, ref_v))
     # within 1e-12 (f64) or 1e-5 (f32) of the block's largest entry: an entry
     # that cancels to a small value carries the rounding of its large terms
     tol = 1e-12 if params.dtype == np.float64 else 1e-5
@@ -165,9 +172,9 @@ def test_symbols_absent_from_window_get_zero_columns():
     sym = RngState(8).integers(0, LONG_VOCAB - 5, size=(LONG_STEPS + 1, LONG_BATCH))
     caches = symbol_window(params, sym, RngState(6))
     grads = assert_input_grads_match(params, caches, sym)
-    for family in ("Wg", "Vg"):
-        assert np.all(grads[family][:, : LONG_VOCAB - 5] != 0.0)
-        np.testing.assert_array_equal(grads[family][:, LONG_VOCAB - 5:], 0.0)
+    for family in (grads.Wg, grads.Vg):
+        assert np.all(family[:, : LONG_VOCAB - 5] != 0.0)
+        np.testing.assert_array_equal(family[:, LONG_VOCAB - 5:], 0.0)
 
 
 def test_window_of_one_symbol():
@@ -175,6 +182,6 @@ def test_window_of_one_symbol():
     sym = np.full((LONG_STEPS + 1, LONG_BATCH), 3)
     caches = symbol_window(params, sym, RngState(6))
     grads = assert_input_grads_match(params, caches, sym)
-    for family in ("Wg", "Vg"):
-        assert np.all(grads[family][:, 3] != 0.0)
-        np.testing.assert_array_equal(np.delete(grads[family], 3, axis=1), 0.0)
+    for family in (grads.Wg, grads.Vg):
+        assert np.all(family[:, 3] != 0.0)
+        np.testing.assert_array_equal(np.delete(family, 3, axis=1), 0.0)

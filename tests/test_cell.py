@@ -268,7 +268,7 @@ def drive(params, steps, seed=0, mask_mode="sampled", batch=2):
     return state, caches
 
 
-class TestForwardStep:
+class TestCellStep:
     def test_adaptive_tau_one_equals_sf(self):
         pa = tiny_params(variant="adaptive", tau=1.0, dtype=np.float32)
         ps = tiny_params(variant="sf", dtype=np.float32)

@@ -238,6 +238,44 @@ class TestCheckpointZoneoutRate:
         assert captured.out == ""
 
 
+class TestMalformedCheckpoint:
+    """A checkpoint missing what a command reads fails with exit 1, not a traceback."""
+
+    def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
+        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        ckpt = tmp_path / "renamed.ckpt"
+        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        # same-length renames, so the header length field stays right
+        blob = ckpt.read_bytes()
+        for key in (b'"zoneout_rate"', b'"tau"'):
+            assert blob.count(key) == 1
+            blob = blob.replace(key, key[:-2] + b'_"')
+        ckpt.write_bytes(blob)
+        with pytest.raises(ValueError, match="header lacks tau, zoneout_rate"):
+            load_checkpoint(str(ckpt))
+        assert run(["eval", str(ckpt), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "zoneout_rate" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_resume_without_rng_streams_rejected_before_any_write(self, corpus_path, tmp_path,
+                                                                  capsys):
+        flags = ["--hidden", "12", "--batch", "4", "--seq-len", "10", "--chunk-len", "50"]
+        assert run(["train", corpus_path, "--steps", "2", *flags,
+                    "--run-dir", str(tmp_path), "--run-id", "a"]) == 0
+        ckpt = load_checkpoint(str(tmp_path / "a.ckpt"))
+        bare = str(tmp_path / "bare.ckpt")
+        save_checkpoint(bare, ckpt.params, ckpt.opt, ckpt.config, ckpt.vocab, ckpt.step)
+        capsys.readouterr()
+        run_dir = tmp_path / "resumed"
+        assert run(["train", corpus_path, "--steps", "4", *flags, "--resume", bare,
+                    "--run-dir", str(run_dir), "--run-id", "b"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "data and mask" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(run_dir.iterdir()) == []
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_table(self, capsys):
         assert run(["gradcheck"]) == 0
@@ -245,6 +283,13 @@ class TestGradcheckCommand:
         for variant in ("standard", "sf", "fixed_zoneout", "adaptive"):
             assert f"variant={variant}" in out
         assert "block\tmax_rel_err" in out
+
+    @pytest.mark.parametrize("eps", ["0", "nan"])
+    def test_non_positive_eps_rejected(self, eps, capsys):
+        assert run(["gradcheck", "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert f"eps must be positive, got {eps}" in captured.err
+        assert captured.out == ""
 
 
 class TestTrainEvalCommands:
@@ -377,8 +422,9 @@ class TestSampleCommand:
         assert "vocabulary" in capsys.readouterr().err
 
     def test_temperature_must_be_positive(self, checkpoint, capsys):
-        assert run(["sample", checkpoint, "--prompt", "the ",
-                    "--temperature", "0"]) == 1
+        for bad in ("0", "nan"):
+            assert run(["sample", checkpoint, "--prompt", "the ",
+                        "--temperature", bad]) == 1
 
     def test_fuses_the_gate_weights_once(self, checkpoint, monkeypatch, capsys):
         # the prompt and the generated rows run as one run_lanes call

@@ -57,19 +57,19 @@ class TestAdadeltaStep:
         params = ModelParams.zeros(4, 3, dtype=np.float64)
         xavier_init(params, RngState(0))
         state = AdadeltaState(params)
-        state.eg2["W_f"] += 1.0
-        state.edx2["W_f"] += 2.0
+        state.eg2.W_f += 1.0
+        state.edx2.W_f += 2.0
         before = params.W_f.copy()
         adadelta_step(params, GradientSet.zeros_like(params), state)
         np.testing.assert_array_equal(params.W_f, before)
-        np.testing.assert_allclose(state.eg2["W_f"], 0.95, atol=1e-15)
-        np.testing.assert_allclose(state.edx2["W_f"], 1.9, atol=1e-15)
+        np.testing.assert_allclose(state.eg2.W_f, 0.95, atol=1e-15)
+        np.testing.assert_allclose(state.edx2.W_f, 1.9, atol=1e-15)
 
     def test_first_step_closed_form(self):
         params = ModelParams.zeros(4, 3, dtype=np.float64)
         state = AdadeltaState(params, rho=0.95, eps=1e-6, lr=0.001)
         grads = GradientSet.zeros_like(params)
-        grads["b_y"][0] = 1.0
+        grads.b_y[0] = 1.0
         adadelta_step(params, grads, state)
         expected = -0.001 * np.sqrt(1e-6) / np.sqrt(0.05 * 1.0 + 1e-6)
         assert expected == pytest.approx(-4.4721e-6, rel=1e-4)
@@ -80,7 +80,7 @@ class TestAdadeltaStep:
         state = AdadeltaState(params)
         grads = GradientSet.zeros_like(params)
         signs = np.array([1.0, -1.0, 2.5, -0.3])
-        grads["b_y"][...] = signs
+        grads.b_y[...] = signs
         adadelta_step(params, grads, state)
         assert np.all(np.sign(params.b_y) == -np.sign(signs))
 
@@ -103,7 +103,7 @@ class TestAdadeltaStep:
         params = ModelParams.zeros(4, 3, dtype=np.float64)
         state = AdadeltaState(params)
         grads = GradientSet.zeros_like(params)
-        grads["U_o"][0, 0] = np.nan
+        grads.U_o[0, 0] = np.nan
         with pytest.raises(NumericalError, match="U_o"):
             adadelta_step(params, grads, state)
 
@@ -111,7 +111,7 @@ class TestAdadeltaStep:
         params = ModelParams.zeros(4, 3, variant="standard", dtype=np.float64)
         state = AdadeltaState(params)
         grads = GradientSet.zeros_like(params)
-        grads["V_f"] += 1.0  # poisoned on purpose; must be ignored
+        grads.V_f += 1.0  # poisoned on purpose; must be ignored
         adadelta_step(params, grads, state)
         np.testing.assert_array_equal(params.V_f, np.zeros_like(params.V_f))
 
@@ -145,22 +145,22 @@ class TestAdadeltaStep:
             np.testing.assert_array_equal(state.edx2.flat, edx2)
         if variant == "standard":
             # the random V_* gradients reached neither V_* nor its accumulators
-            for buf in (params.views, state.eg2.views, state.edx2.views):
-                np.testing.assert_array_equal(buf["Vg"], 0.0)
+            for buf in (params, state.eg2, state.edx2):
+                np.testing.assert_array_equal(buf.Vg, 0.0)
 
 
 class TestClipGradients:
     def _grads(self, value):
         params = ModelParams.zeros(3, 2, dtype=np.float64)
         grads = GradientSet.zeros_like(params)
-        grads["b_y"][...] = value
+        grads.b_y[...] = value
         return grads
 
     def test_under_limit_unchanged(self):
         grads = self._grads([3.0, 0.0, 0.0])
-        before = grads["b_y"].copy()
+        before = grads.b_y.copy()
         clip_gradients(grads, 5.0)
-        np.testing.assert_array_equal(grads["b_y"], before)
+        np.testing.assert_array_equal(grads.b_y, before)
 
     def test_zero_unchanged(self):
         grads = self._grads([0.0, 0.0, 0.0])
@@ -170,7 +170,7 @@ class TestClipGradients:
     def test_exact_rescale(self):
         grads = self._grads([10.0, 0.0, 0.0])
         clip_gradients(grads, 5.0)
-        np.testing.assert_array_equal(grads["b_y"], [5.0, 0.0, 0.0])
+        np.testing.assert_array_equal(grads.b_y, [5.0, 0.0, 0.0])
 
     def test_never_increases_norm(self):
         rng = np.random.default_rng(1)

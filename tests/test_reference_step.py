@@ -59,4 +59,4 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     np.testing.assert_array_equal(d_h, ref_d_h)
     np.testing.assert_array_equal(d_c, ref_d_c)
     for name in params.trainable_keys():
-        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+        np.testing.assert_array_equal(getattr(grads, name), ref_grads[name], err_msg=name)

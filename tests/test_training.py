@@ -125,7 +125,7 @@ class TestRunTbpttWindow:
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
         for name, block in g_manual.items():
-            np.testing.assert_allclose(g_window[name], block, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(getattr(g_window, name), block, atol=1e-12, err_msg=name)
 
     def test_states_are_detached_values(self, corpus):
         params, opt = init_model(corpus, small_cfg())
@@ -335,7 +335,7 @@ class TestCheckpoint:
     def _roundtrip(self, tmp_path, corpus, cfg=None):
         cfg = cfg or small_cfg()
         params, opt = init_model(corpus, cfg)
-        opt.eg2["W_f"] += 0.25
+        opt.eg2.W_f += 0.25
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, params, opt, cfg, corpus.vocab, step=17,
                         rng={"data": (1, 4), "mask": (2, 9)})
@@ -346,9 +346,9 @@ class TestCheckpoint:
         for (name, block), (_, other) in zip(params.blocks(), loaded.params.blocks()):
             np.testing.assert_array_equal(block, other, err_msg=name)
         for name, block in opt.eg2.items():
-            np.testing.assert_array_equal(block, loaded.opt.eg2[name])
+            np.testing.assert_array_equal(block, getattr(loaded.opt.eg2, name))
         for name, block in opt.edx2.items():
-            np.testing.assert_array_equal(block, loaded.opt.edx2[name])
+            np.testing.assert_array_equal(block, getattr(loaded.opt.edx2, name))
         assert loaded.step == 17
         assert loaded.rng == {"data": (1, 4), "mask": (2, 9)}
         np.testing.assert_array_equal(loaded.vocab, corpus.vocab)
