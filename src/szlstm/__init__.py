@@ -7,6 +7,7 @@ from .cell import (
     ModelParams,
     RecurrentState,
     StepCache,
+    WindowArena,
     backward_window,
     cell_update,
     cross_entropy_bpc,

@@ -160,6 +160,20 @@ class StepCache:
     p: np.ndarray       # output distribution, B x M
 
 
+class WindowArena:
+    """A training window's forward rows, allocated once and reused: step t's
+    gates f|i|o|u, c_hat and p in row t, its c and h in row t + 1 (row 0
+    copies the starting state). backward_window overwrites p and gates."""
+
+    def __init__(self, params, seq_len, batch):
+        dtype, n = params.dtype, params.hidden_size
+        self.gates = np.empty((seq_len, batch, 4 * n), dtype)
+        self.c = np.empty((seq_len + 1, batch, n), dtype)
+        self.h = np.empty((seq_len + 1, batch, n), dtype)
+        self.c_hat = np.empty((seq_len, batch, n), dtype)
+        self.p = np.empty((seq_len, batch, params.vocab_size), dtype)
+
+
 class GradientSet(_FlatBlocks):
     """Gradient accumulators in the ModelParams layout."""
 
@@ -227,31 +241,33 @@ def zoneout_rate(err, W_y, tau):
     return np.minimum(tau + np.abs(back), 1.0)
 
 
-def _activate_gates(a, n):
+def _activate_gates(a, n, out=None):
     # the logistic 1 / (1 + exp(-a)) under the np.errstate the step's caller
     # holds once for a whole run of steps: exp overflowing to inf gives 0
-    sig = 1.0 / (1.0 + np.exp(-a[:, : 3 * n]))
-    u = np.tanh(a[:, 3 * n:])
+    sig_out, u_out = (None, None) if out is None else (out[:, : 3 * n], out[:, 3 * n:])
+    sig = np.divide(1.0, 1.0 + np.exp(-a[:, : 3 * n]), out=sig_out)
+    u = np.tanh(a[:, 3 * n:], out=u_out)
     return sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], u
 
 
-def gate_forward(x_idx, s_val, h_prev, fused):
+def gate_forward(x_idx, s_val, h_prev, fused, out=None):
     """Gate activations from input symbols, previous hidden state and surprisal.
 
     The one-hot input row and the single-entry surprisal row turn their
     matmuls into row gathers of the fused weights. All variants run the same
     expression; the standard variant simply keeps its surprisal weights at
     zero. Callers hold np.errstate(over="ignore"): exp overflows to inf on
-    very negative pre-activations, which gives exactly the right 0.
+    very negative pre-activations, which gives exactly the right 0. out
+    (B, 4N), when given, receives f|i|o|u.
     """
     a = fused.WgT[x_idx]
     a += h_prev @ fused.UgT
     a += fused.VgT[x_idx] * s_val[:, None]
     a += fused.bg
-    return _activate_gates(a, h_prev.shape[1])
+    return _activate_gates(a, h_prev.shape[1], out)
 
 
-def cell_update(c_prev, f, i, u, mask):
+def cell_update(c_prev, f, i, u, mask, out=None):
     """Erase-and-write update gated by the mask; mask 0 copies the cell through.
 
     f scales how much of the old content is erased when an update fires, so a
@@ -259,14 +275,14 @@ def cell_update(c_prev, f, i, u, mask):
     cell updates; dropping the products with an all-ones mask is bit-exact.
     """
     if mask is None:
-        return (1.0 - f) * c_prev + i * u
-    return (1.0 - f * mask) * c_prev + mask * (i * u)
+        return np.add((1.0 - f) * c_prev, i * u, out=out)
+    return np.add((1.0 - f * mask) * c_prev, mask * (i * u), out=out)
 
 
-def hidden_from_cell(c, o):
-    """Squash the cell and expose it through the read gate."""
-    c_hat = np.tanh(c)
-    return c_hat, o * c_hat
+def hidden_from_cell(c, o, c_hat=None, h=None):
+    """Squash the cell and expose it through the read gate (into c_hat, h)."""
+    c_hat = np.tanh(c, out=c_hat)
+    return c_hat, np.multiply(o, c_hat, out=h)
 
 
 def _score(p, rows, target):
@@ -282,7 +298,7 @@ def _score(p, rows, target):
 
 
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
-              on_step=None, choose=None):
+              on_step=None, choose=None, arena=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
     symbols is a (T+1, B) index array: step t reads row t and is scored
@@ -302,6 +318,9 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     index, logits and distribution and returns the row written into
     symbols[t+1] before that row is scored and read by step t+1 (text
     generation; returning symbols[t+1] keeps a given row, as of a prompt).
+    Steps make fresh arrays, never written afterwards, unless a WindowArena
+    of symbols' shape takes their rows (ufunc out=), which the StepCaches and
+    final state view. Standard/sf caches share one read-only all-ones z/mask.
     """
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
@@ -313,6 +332,12 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
         state = RecurrentState.initial(batch, params.hidden_size, params.vocab_size,
                                        dtype=params.dtype)
     c, h, p = state.c, state.h, state.p_prev
+    if arena is not None:
+        arena.c[0], arena.h[0] = c, h
+        c, h = arena.c[0], arena.h[0]
+    ones = np.ones_like(c)
+    ones.flags.writeable = False
+    out = (None,) * 5
     s_val = None
     total = 0.0
     with np.errstate(over="ignore", divide="ignore"):
@@ -329,17 +354,19 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                     z = np.full_like(c, params.zoneout_rate)
                 if z is not None:
                     mask = sample_bernoulli(z, rng) if sampled else z
-            f, i, o, u = gate_forward(x_idx, s_val, h, fused)
+            if arena is not None:
+                out = (arena.gates[t], arena.c[t + 1], arena.c_hat[t], arena.h[t + 1], arena.p[t])
+            f, i, o, u = gate_forward(x_idx, s_val, h, fused, out[0])
             c_prev, h_prev = c, h
-            c = cell_update(c_prev, f, i, u, mask)
-            c_hat, h = hidden_from_cell(c, o)
+            c = cell_update(c_prev, f, i, u, mask, out[1])
+            c_hat, h = hidden_from_cell(c, o, *out[2:4])
             y = h @ fused.WyT
             y += params.b_y
-            p = softmax_rows(y)
+            p = softmax_rows(y, out[4])
             if on_step is not None:
                 if z is None:
                     # every cell updated; the backward pass and the trace read all-ones rows
-                    z = mask = np.ones_like(c)
+                    z = mask = ones
                 on_step(StepCache(s_val=s_val, z=z, mask=mask, f=f, i=i, o=o, u=u,
                                   h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h, p=p))
             if choose is not None:
@@ -355,35 +382,31 @@ def cross_entropy_bpc(loss_nats):
     return loss_nats / LN2
 
 
-def backward_window(caches, params, symbols, grads):
+def backward_window(caches, arena, params, symbols, grads):
     """Reverse sweep over a whole cached window with batched accumulation.
 
-    caches are consecutive steps of one run, as run_lanes passes them to
-    on_step, and symbols is the (T+1, B) index array that run read: step t
-    read row t and was scored against row t+1. No gradient arrives from
-    beyond the window, and none flows through the surprisal or the mask.
-    Each step writes its output and gate gradients into rows t*B..(t+1)*B
-    of two window buffers; W_y, U_* and the biases then contract them in
-    single wide matmuls over all (step, lane) pairs. The one-hot input and
-    the single-entry surprisal rows are never built: the window's rows are
-    sorted by symbol, and each symbol's run of gate gradients is contracted
-    with its [1, s] coefficients into that symbol's column of W_* and V_*.
-    Symbols absent from the window get zero columns. Returns (d_h_prev,
-    d_c_prev) at the window start.
+    caches are the T steps of one run, as run_lanes passes them to on_step
+    while writing arena, and symbols is the (T+1, B) index array it read:
+    step t read row t and was scored against row t+1. No gradient arrives
+    from beyond the window, and none flows through the surprisal or the
+    mask. Step t's output and gate gradients overwrite its p and gates rows
+    (so the caches are spent); W_y, U_* and the biases then contract them
+    with the arena's h rows in single wide matmuls over all (step, lane)
+    pairs. The one-hot input and the single-entry surprisal rows are never
+    built: the window's rows are sorted by symbol, and each symbol's run of
+    gate gradients is contracted with its [1, s] coefficients into that
+    symbol's column of W_* and V_*. Symbols absent from the window get zero
+    columns. Returns (d_h_prev, d_c_prev) at the window start.
     """
-    seq_len = len(caches)
-    batch, n = caches[-1].h.shape
-    if np.shape(symbols) != (seq_len + 1, batch):
+    seq_len, batch, n = arena.c_hat.shape
+    if np.shape(symbols) != (seq_len + 1, batch) or len(caches) != seq_len:
         raise ValueError(f"backward_window shape mismatch: symbols {np.shape(symbols)}, "
-                         f"expected {(seq_len + 1, batch)}")
+                         f"{len(caches)} caches, expected {(seq_len + 1, batch)}")
     rows = np.arange(batch)
-    d_h = np.zeros_like(caches[-1].h)
-    d_c = np.zeros_like(caches[-1].c)
-    d_y_flat = np.empty((seq_len * batch, params.vocab_size), dtype=caches[-1].p.dtype)
-    d_a_flat = np.empty((seq_len * batch, 4 * n), dtype=d_c.dtype)
+    d_h, d_c = np.zeros_like(arena.h[0]), np.zeros_like(arena.c[0])
     for t in reversed(range(seq_len)):
         k = caches[t]
-        d_y = d_y_flat[t * batch: (t + 1) * batch]
+        d_y = arena.p[t]
         np.divide(k.p, batch, out=d_y)
         d_y[rows, symbols[t + 1]] -= 1.0 / batch
 
@@ -393,28 +416,21 @@ def backward_window(caches, params, symbols, grads):
         d_f = -(d_c * k.mask * k.c_prev)
         d_i = d_c * k.mask * k.u
         d_u = d_c * k.mask * k.i
-        d_a = d_a_flat[t * batch: (t + 1) * batch]
-        np.concatenate(
-            [
-                d_f * k.f * (1.0 - k.f),
-                d_i * k.i * (1.0 - k.i),
-                d_o * k.o * (1.0 - k.o),
-                d_u * (1.0 - k.u * k.u),
-            ],
-            axis=1,
-            out=d_a,
-        )
+        carry = 1.0 - k.f * k.mask   # read f before d_a overwrites it
+        d_a = arena.gates[t]
+        np.concatenate([d_f * k.f * (1.0 - k.f), d_i * k.i * (1.0 - k.i),
+                        d_o * k.o * (1.0 - k.o), d_u * (1.0 - k.u * k.u)], axis=1, out=d_a)
         # carry to the previous step
         d_h = matmul(d_a, params.Ug)
-        d_c = d_c * (1.0 - k.f * k.mask)
+        d_c = d_c * carry
 
-    # step t's h_prev is step t-1's h, so one array of T+1 row blocks holds
-    # both; it is freed before the per-symbol contractions allocate theirs
-    hidden = np.concatenate([caches[0].h_prev] + [c.h for c in caches])
+    # (T*B, .) views of the arena; step t's h_prev is step t-1's h, so row
+    # blocks 1..T of hidden are the steps' h and 0..T-1 their h_prev
+    d_y_flat, d_a_flat, hidden = (a.reshape(-1, a.shape[2])
+                                  for a in (arena.p, arena.gates, arena.h))
     grads.W_y += matmul(d_y_flat.T, hidden[batch:])
     grads.b_y += d_y_flat.sum(axis=0)
     grads.Ug += matmul(d_a_flat.T, hidden[:-batch])
-    del hidden
     grads.bg += d_a_flat.sum(axis=0)
 
     # per-symbol input contractions. The stable sort keeps each symbol's rows

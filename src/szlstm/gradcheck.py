@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import GradientSet, ModelParams, RecurrentState, backward_window, run_lanes
+from .cell import GradientSet, ModelParams, RecurrentState, WindowArena, backward_window, run_lanes
 from .numerics import NumericalError, RngState
 from .optim import xavier_init
 
@@ -129,9 +129,10 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
     )
 
     caches, replay = [], []
-    for kept in (caches, replay):
+    arena = WindowArena(params, seq_len, batch_size)
+    for kept, rows in ((caches, arena), (replay, None)):
         run_lanes(params, lane_stream, state0, RngState(seed, 100), mask_mode,
-                  on_step=kept.append)
+                  on_step=kept.append, arena=rows)
     for a, b in zip(caches, replay):
         if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s_val, b.s_val)):
             raise NumericalError("mask replay is not bit-identical; rng is broken")
@@ -150,5 +151,5 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
     numeric = numerical_gradient(loss_fn, blocks, eps=eps)
     # the backward_window call run_tbptt_window makes in training
     analytic = GradientSet.zeros_like(params)
-    backward_window(caches, params, lane_stream, analytic)
+    backward_window(caches, arena, params, lane_stream, analytic)
     return compare_gradients({k: getattr(analytic, k) for k in blocks}, numeric)

@@ -76,11 +76,11 @@ def matmul(a, b):
     return a @ b
 
 
-def softmax_rows(y):
+def softmax_rows(y, out=None):
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
     # the ufunc reductions y.max and e.sum call, without their Python wrappers
     e = np.exp(y - np.maximum.reduce(y, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=out)
 
 
 def sample_bernoulli(probs, rng):

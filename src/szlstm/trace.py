@@ -3,12 +3,12 @@
 trace_stream runs a single lane over a symbol stream and keeps the StepCache
 of each of its last `window` steps (default 100), as run_lanes passed it:
 write/read/erase gate activations, hidden and cell state, update
-probability and mask. run_lanes makes fresh arrays at every step and never
-writes one afterwards, so the kept caches never alias live state and a
-traced run is bit-identical to an untraced one. Export is CSV; a plotting
-tool can rebuild the RGB gate composite from the i/o/f columns (write ->
-red, read -> green, erase -> blue; all three high is white, a masked-out
-step is black).
+probability and mask. Without a WindowArena, run_lanes makes fresh arrays
+at every step and never writes one afterwards, so the kept caches never
+alias live state and a traced run is bit-identical to an untraced one.
+Export is CSV; a plotting tool can rebuild the RGB gate composite from the
+i/o/f columns (write -> red, read -> green, erase -> blue; all three high
+is white, a masked-out step is black).
 """
 
 from collections import deque

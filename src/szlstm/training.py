@@ -46,6 +46,8 @@ from .cell import (
     VARIANTS,
     GradientSet,
     ModelParams,
+    RecurrentState,
+    WindowArena,
     backward_window,
     block_layout,
     cross_entropy_bpc,
@@ -232,25 +234,27 @@ def sample_training_chunks(corpus, cfg, rng):
     return rng.integers(0, limit, size=cfg.batch_size)
 
 
-def run_tbptt_window(states, symbols, params, rng, grads):
-    """One truncated-BPTT window: run_lanes with sampled masks keeping every
-    step's cache, then a reverse sweep.
+def run_tbptt_window(states, symbols, params, rng, grads, arena):
+    """One truncated-BPTT window: run_lanes with sampled masks writing every
+    step into arena, then a reverse sweep that consumes it.
 
     symbols is the window's (seq_len + 1, batch) index array; step t reads
-    row t and is scored against row t + 1. states None starts fresh lanes.
-    Gradients accumulate into grads; the returned states carry no gradient
-    across the boundary. Returns (states, loss_nats, mean_z,
-    mean_update_rate): the loss averaged per symbol, and the update
+    row t and is scored against row t + 1; arena has the window's shape.
+    states None starts fresh lanes; states is never written. Gradients
+    accumulate into grads. The returned states are copies sharing no memory
+    with arena, which the sweep overwrites. Returns (states, loss_nats,
+    mean_z, mean_update_rate): the loss averaged per symbol, and the update
     probability and realized mask averaged over every step, lane and cell.
     """
     caches = []
-    state, total = run_lanes(params, symbols, states, rng, on_step=caches.append)
+    state, total = run_lanes(params, symbols, states, rng, on_step=caches.append, arena=arena)
+    state = RecurrentState(state.c.copy(), state.h.copy(), state.p_prev.copy())
     z_sum = mask_sum = 0.0
     for cache in caches:
         z_sum += float(cache.z.sum())
         mask_sum += float(cache.mask.sum())
     count = len(caches) * caches[0].z.size
-    backward_window(caches, params, symbols, grads)
+    backward_window(caches, arena, params, symbols, grads)
     return state, total / len(caches), z_sum / count, mask_sum / count
 
 
@@ -322,6 +326,7 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         step = 0
 
     grads = GradientSet.zeros_like(params)
+    arena = WindowArena(params, cfg.seq_len, cfg.batch_size)
     records = []
     losses = []
     t_start = time.monotonic()
@@ -377,7 +382,7 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
 
         grads.flat.fill(0.0)
         states, loss_nats, mean_z, mean_rate = run_tbptt_window(states, symbols, params,
-                                                                rng_mask, grads)
+                                                                rng_mask, grads, arena)
         if not np.isfinite(loss_nats):
             raise NumericalError(
                 f"non-finite loss at step {step + 1} "
@@ -464,7 +469,8 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view; bad magic, version, missing
-    header fields, truncation and trailing bytes all hard-fail."""
+    header fields, a bad precision or vocab length, truncation and trailing
+    bytes all hard-fail."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -484,9 +490,14 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_FIELDS if k not in header]
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
+        if header["precision"] not in DTYPES:
+            raise ValueError(f"checkpoint precision {header['precision']!r} is not f32/f64")
+        vocab_size, hidden = header["vocab_size"], header["hidden"]
+        if len(header["vocab"]) != vocab_size:
+            raise ValueError(f"checkpoint vocab has {len(header['vocab'])} bytes, "
+                             f"not vocab_size {vocab_size}")
 
         dtype = DTYPES[header["precision"]]
-        vocab_size, hidden = header["vocab_size"], header["hidden"]
         count = block_layout(vocab_size, hidden)["b_y"][1]
         arrays = np.empty(3 * count, dtype="<f8" if dtype == np.float64 else "<f4")
         left = size - fh.tell()

@@ -1,62 +1,64 @@
 import numpy as np
 import pytest
 
-from szlstm.cell import GradientSet, backward_window, run_lanes
+from szlstm.cell import GradientSet, WindowArena, backward_window, run_lanes
 from szlstm.numerics import RngState
 
 from conftest import dense_deltas, one_hot, tiny_params
 
 
 def symbol_window(params, sym, rng):
-    """Forward over the (T + 1, B) symbol rows sym; returns its caches."""
-    caches = []
-    run_lanes(params, sym, None, rng, on_step=caches.append)
-    return caches
+    """Forward over the (T + 1, B) symbol rows sym; returns its caches and
+    the arena they view."""
+    caches, arena = [], WindowArena(params, *np.shape(sym[1:]))
+    run_lanes(params, sym, None, rng, on_step=caches.append, arena=arena)
+    return caches, arena
 
 
 def window(params, steps=6, seed=4, batch=3):
-    """A random window's (caches, symbols)."""
+    """A random window's (caches, arena, symbols)."""
     sym = RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, batch))
-    return symbol_window(params, sym, RngState(seed).fork(3)), sym
+    return *symbol_window(params, sym, RngState(seed).fork(3)), sym
 
 
 def test_frozen_step_blocks_write_gradients():
     params = tiny_params(variant="adaptive")
-    caches, sym = window(params, steps=1)
+    caches, arena, sym = window(params, steps=1)
     cache = caches[0]
     cache.mask[...] = 0.0
+    # the cell gradient passes straight through, unscaled by the erase gate;
+    # expected is read before the backward pass overwrites p and the gates
+    h_path = (cache.p / cache.p.shape[0])
+    h_path[np.arange(cache.p.shape[0]), sym[1]] -= 1.0 / cache.p.shape[0]
+    d_h_local = h_path @ params.W_y
+    expected = d_h_local * cache.o * (1.0 - cache.c_hat ** 2)
     grads = GradientSet.zeros_like(params)
-    d_h_prev, d_c_prev = backward_window([cache], params, sym, grads)
+    d_h_prev, d_c_prev = backward_window([cache], arena, params, sym, grads)
     # with every cell frozen the write path carries nothing for this step
     assert np.array_equal(grads.W_u, np.zeros_like(grads.W_u))
     assert np.array_equal(grads.U_u, np.zeros_like(grads.U_u))
     assert np.array_equal(grads.V_u, np.zeros_like(grads.V_u))
     assert np.array_equal(grads.b_f, np.zeros_like(grads.b_f))
-    # the cell gradient passes straight through, unscaled by the erase gate
-    h_path = (cache.p / cache.p.shape[0])
-    h_path[np.arange(cache.p.shape[0]), sym[1]] -= 1.0 / cache.p.shape[0]
-    d_h_local = h_path @ params.W_y
-    expected = d_h_local * cache.o * (1.0 - cache.c_hat ** 2)
     np.testing.assert_allclose(d_c_prev, expected, atol=1e-12)
 
 
 def test_zero_upstream_and_exact_prediction_leaves_grads_untouched():
     params = tiny_params(variant="sf")
-    caches, sym = window(params, steps=1)
+    caches, arena, sym = window(params, steps=1)
     cache = caches[0]
     # force the prediction to exactly match the target one-hot
     cache.p = one_hot(sym[1], params.vocab_size, dtype=params.dtype)
     grads = GradientSet.zeros_like(params)
-    backward_window([cache], params, sym, grads)
+    backward_window([cache], arena, params, sym, grads)
     for name, block in grads.items():
         np.testing.assert_array_equal(block, np.zeros_like(block), err_msg=name)
 
 
 def test_standard_variant_accumulates_no_feedback_gradient():
     params = tiny_params(variant="standard")
-    caches, sym = window(params, steps=4)
+    caches, arena, sym = window(params, steps=4)
     grads = GradientSet.zeros_like(params)
-    backward_window(caches, params, sym, grads)
+    backward_window(caches, arena, params, sym, grads)
     for g in "fiou":
         block = getattr(grads, "V_" + g)
         np.testing.assert_array_equal(block, np.zeros_like(block))
@@ -65,12 +67,12 @@ def test_standard_variant_accumulates_no_feedback_gradient():
 
 def test_shape_mismatch_is_rejected():
     params = tiny_params()
-    caches, sym = window(params, steps=2)
+    caches, arena, sym = window(params, steps=2)
     grads = GradientSet.zeros_like(params)
     # sym[1:] is the (T, B) target array alone
     for wrong in (sym[1:], sym[:, :1], np.concatenate([sym, sym])):
         with pytest.raises(ValueError, match="shape"):
-            backward_window(caches, params, wrong, grads)
+            backward_window(caches, arena, params, wrong, grads)
 
 
 def dense_rows(caches, params, sym):
@@ -99,10 +101,10 @@ def per_step_composition(caches, params, sym):
 @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
 def test_window_backward_matches_per_step_composition(variant):
     params = tiny_params(variant=variant)
-    caches, sym = window(params, steps=7)
+    caches, arena, sym = window(params, steps=7)
     g_steps, d_h, d_c = per_step_composition(caches, params, sym)
     g_window = GradientSet.zeros_like(params)
-    d_h2, d_c2 = backward_window(caches, params, sym, g_window)
+    d_h2, d_c2 = backward_window(caches, arena, params, sym, g_window)
     np.testing.assert_allclose(d_h2, d_h, atol=1e-13)
     np.testing.assert_allclose(d_c2, d_c, atol=1e-13)
     for name, block in g_steps.items():
@@ -141,10 +143,12 @@ def dense_input_grads(caches, params, sym):
     return d_a.T @ np.concatenate(xs), d_a.T @ np.concatenate(ss)
 
 
-def assert_input_grads_match(params, caches, sym):
-    grads = GradientSet.zeros_like(params)
-    backward_window(caches, params, sym, grads)
+def assert_input_grads_match(params, window, sym):
+    caches, arena = window
+    # the reference reads the caches before the backward pass overwrites p and the gates
     ref_w, ref_v = dense_input_grads(caches, params, sym)
+    grads = GradientSet.zeros_like(params)
+    backward_window(caches, arena, params, sym, grads)
     pairs = [(grads.Wg, ref_w)]
     if params.variant == "standard":
         np.testing.assert_array_equal(grads.Vg, 0.0)
@@ -163,15 +167,13 @@ def assert_input_grads_match(params, caches, sym):
 def test_long_window_input_grads_match_dense_contraction(variant, dtype):
     params = tiny_params(vocab=LONG_VOCAB, variant=variant, dtype=dtype)
     sym = RngState(7).integers(0, LONG_VOCAB, size=(LONG_STEPS + 1, LONG_BATCH))
-    caches = symbol_window(params, sym, RngState(6))
-    assert_input_grads_match(params, caches, sym)
+    assert_input_grads_match(params, symbol_window(params, sym, RngState(6)), sym)
 
 
 def test_symbols_absent_from_window_get_zero_columns():
     params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
     sym = RngState(8).integers(0, LONG_VOCAB - 5, size=(LONG_STEPS + 1, LONG_BATCH))
-    caches = symbol_window(params, sym, RngState(6))
-    grads = assert_input_grads_match(params, caches, sym)
+    grads = assert_input_grads_match(params, symbol_window(params, sym, RngState(6)), sym)
     for family in (grads.Wg, grads.Vg):
         assert np.all(family[:, : LONG_VOCAB - 5] != 0.0)
         np.testing.assert_array_equal(family[:, LONG_VOCAB - 5:], 0.0)
@@ -180,8 +182,7 @@ def test_symbols_absent_from_window_get_zero_columns():
 def test_window_of_one_symbol():
     params = tiny_params(vocab=LONG_VOCAB, variant="adaptive")
     sym = np.full((LONG_STEPS + 1, LONG_BATCH), 3)
-    caches = symbol_window(params, sym, RngState(6))
-    grads = assert_input_grads_match(params, caches, sym)
+    grads = assert_input_grads_match(params, symbol_window(params, sym, RngState(6)), sym)
     for family in (grads.Wg, grads.Vg):
         assert np.all(family[:, 3] != 0.0)
         np.testing.assert_array_equal(np.delete(family, 3, axis=1), 0.0)

@@ -299,6 +299,14 @@ class TestCellStep:
             assert np.all((cache.f > 0) & (cache.f < 1))
             assert np.all(np.abs(cache.u) < 1)
 
+    @pytest.mark.parametrize("variant", ["standard", "sf"])
+    def test_every_cache_shares_one_read_only_all_ones_mask(self, variant):
+        _, caches = drive(tiny_params(variant=variant), 5)
+        ones = caches[0].z
+        assert all(cache.z is ones and cache.mask is ones for cache in caches)
+        np.testing.assert_array_equal(ones, np.ones((2, 8)))
+        assert not ones.flags.writeable
+
     def test_expected_mask_mode_uses_probability(self):
         params = tiny_params(variant="fixed_zoneout", zoneout_rate=0.3)
         _, caches = drive(params, 5, mask_mode="expected")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,44 @@ class TestCheckpointZoneoutRate:
         assert captured.out == ""
 
 
+def rewrite_header(path, **changes):
+    """Apply changes to a checkpoint's JSON header in place, fixing its length field."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16: 16 + hlen])
+    header.update(changes)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + hlen:])
+
+
 class TestMalformedCheckpoint:
     """A checkpoint missing what a command reads fails with exit 1, not a traceback."""
+
+    @staticmethod
+    def checkpoint(corpus, path):
+        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        save_checkpoint(str(path), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        return path
+
+    def test_unknown_precision_named(self, corpus, corpus_path, tmp_path, capsys):
+        ckpt = self.checkpoint(corpus, tmp_path / "f16.ckpt")
+        rewrite_header(ckpt, precision="f16")
+        assert run(["eval", str(ckpt), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "'f16'" in captured.err
+        assert "f32" in captured.err and "f64" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_vocab_list_shorter_than_vocab_size_rejected(self, corpus, tmp_path, capsys):
+        ckpt = self.checkpoint(corpus, tmp_path / "short.ckpt")
+        rewrite_header(ckpt, vocab=[int(v) for v in corpus.vocab[:-1]])
+        prompt = bytes(corpus.vocab[:1]).decode("ascii")
+        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert f"{corpus.vocab_size - 1} bytes" in captured.err
+        assert str(corpus.vocab_size) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
         params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from szlstm import training
-from szlstm.cell import GradientSet, ModelParams, RecurrentState, backward_window, run_lanes
+from szlstm.cell import (GradientSet, ModelParams, RecurrentState, WindowArena, backward_window,
+                         run_lanes)
 from szlstm.numerics import NumericalError, RngState
 from szlstm.optim import AdadeltaState, xavier_init
 from szlstm.training import (
@@ -115,12 +116,14 @@ class TestRunTbpttWindow:
         state0 = RecurrentState.initial(1, 12, corpus.vocab_size, dtype=np.float64)
 
         g_window = GradientSet.zeros_like(params)
-        s1, loss1, _, _ = run_tbptt_window(state0, seq, params, RngState(9), g_window)
+        s1, loss1, _, _ = run_tbptt_window(state0, seq, params, RngState(9), g_window,
+                                           WindowArena(params, 1, 1))
 
         g_manual = GradientSet.zeros_like(params)
-        caches = []
-        s2, loss2 = run_lanes(params, seq, state0, RngState(9), on_step=caches.append)
-        backward_window(caches, params, seq, g_manual)
+        caches, arena = [], WindowArena(params, 1, 1)
+        s2, loss2 = run_lanes(params, seq, state0, RngState(9), on_step=caches.append,
+                              arena=arena)
+        backward_window(caches, arena, params, seq, g_manual)
 
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
@@ -136,10 +139,37 @@ class TestRunTbpttWindow:
         states = RecurrentState.initial(cfg.batch_size, cfg.hidden,
                                         corpus.vocab_size, dtype=np.float32)
         grads = GradientSet.zeros_like(params)
-        out, _, _, _ = run_tbptt_window(states, seq.T.copy(), params, RngState(2), grads)
+        out, _, _, _ = run_tbptt_window(states, seq.T.copy(), params, RngState(2), grads,
+                                        WindowArena(params, cfg.seq_len, cfg.batch_size))
         snapshot = out.c.copy()
         params.W_y += 1.0  # later parameter edits must not reach returned states
         np.testing.assert_array_equal(out.c, snapshot)
+
+    @pytest.mark.parametrize("variant", ["standard", "adaptive"])
+    def test_returned_state_is_an_unshared_copy_of_the_run_lanes_state(self, variant):
+        # the state a window returns is the arena-free run's final state, bit
+        # for bit, in memory of its own that the next window leaves alone; the
+        # caller's state is never written
+        params = tiny_params(variant=variant)
+        sym = RngState(5).integers(0, params.vocab_size, size=(2, 7, 3))
+        rng = np.random.default_rng(5)
+        state0 = RecurrentState(c=rng.standard_normal((3, params.hidden_size)),
+                                h=rng.uniform(-0.8, 0.8, (3, params.hidden_size)),
+                                p_prev=np.full((3, params.vocab_size), 1.0 / params.vocab_size))
+        before = {k: v.copy() for k, v in vars(state0).items()}
+        arena = WindowArena(params, 6, 3)
+        grads = GradientSet.zeros_like(params)
+        out, _, _, _ = run_tbptt_window(state0, sym[0], params, RngState(6), grads, arena)
+        ref, _ = run_lanes(params, sym[0], state0, RngState(6))
+        kept = {k: v.copy() for k, v in vars(out).items()}
+        for name, value in vars(out).items():
+            np.testing.assert_array_equal(value, getattr(ref, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(state0, name), before[name], err_msg=name)
+            for buffer in vars(arena).values():
+                assert not np.shares_memory(value, buffer), name
+        run_tbptt_window(out, sym[1], params, RngState(7), grads, arena)
+        for name, value in vars(out).items():
+            np.testing.assert_array_equal(value, kept[name], err_msg=name)
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_window_means(self, variant):
@@ -148,7 +178,8 @@ class TestRunTbpttWindow:
         params = tiny_params(variant=variant)
         sym = RngState(3).integers(0, params.vocab_size, size=(9, 4))
         _, _, mean_z, mean_rate = run_tbptt_window(None, sym, params, RngState(4),
-                                                   GradientSet.zeros_like(params))
+                                                   GradientSet.zeros_like(params),
+                                                   WindowArena(params, 8, 4))
         if variant in ("standard", "sf"):
             assert mean_z == mean_rate == 1.0
             return
@@ -568,7 +599,8 @@ class TestCheckpoint:
         symbols = corpus.encoded[offsets[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
         _, first, _, _ = run_tbptt_window(None, symbols, ckpt.params,
                                           RngState(*ckpt.rng["mask"]),
-                                          GradientSet.zeros_like(ckpt.params))
+                                          GradientSet.zeros_like(ckpt.params),
+                                          WindowArena(ckpt.params, cfg.seq_len, cfg.batch_size))
         resumed = train(cfg, corpus, resume=load_checkpoint(ck))
         assert resumed.losses[0] == first
         assert resumed.losses != train(cfg, corpus).losses[7:]
