@@ -7,7 +7,7 @@ update probability and the realized update rate react to each.
 
 import numpy as np
 
-from szlstm import ModelParams, RngState, run_lanes
+from szlstm import ModelParams, RngState, WindowArena, run_lanes
 from szlstm.optim import xavier_init
 
 VOCAB = 16
@@ -23,17 +23,17 @@ stream = np.concatenate([repetitive, noisy])
 params = ModelParams.zeros(VOCAB, HIDDEN, variant="adaptive", tau=0.05)
 xavier_init(params, RngState(7).fork(1))
 
-# one lane from a fresh state; every step's cache is kept for the printout
-caches = []
-run_lanes(params, stream[:, None], rng=RngState(7).fork(3), on_step=caches.append)
+# one lane from a fresh state, every step recorded in an arena for the printout
+steps = len(stream) - 1
+arena = WindowArena(params, steps, 1)
+run_lanes(params, stream[:, None], rng=RngState(7).fork(3), arena=arena)
 
 print(f"{'step':>5} {'phase':>10} {'mean z':>8} {'updates':>8} {'surprisal':>10}")
-for t in range(0, len(caches), 25):
-    cache = caches[t]
+for t in range(0, steps, 25):
     phase = "repeat" if t < len(repetitive) else "noise"
-    surprisal = float(-cache.s_val.sum())
-    print(f"{t:>5} {phase:>10} {float(cache.z.mean()):>8.3f} "
-          f"{float(cache.mask.mean()):>8.3f} {surprisal:>10.3f}")
+    surprisal = float(-arena.s_val[t].sum())
+    print(f"{t:>5} {phase:>10} {float(arena.z[t].mean()):>8.3f} "
+          f"{float(arena.mask[t].mean()):>8.3f} {surprisal:>10.3f}")
 
 print()
 print("An untrained model is surprised by everything, so both phases update")

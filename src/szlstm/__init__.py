@@ -6,7 +6,6 @@ from .cell import (
     GradientSet,
     ModelParams,
     RecurrentState,
-    StepCache,
     WindowArena,
     backward_window,
     cell_update,

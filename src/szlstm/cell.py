@@ -16,6 +16,10 @@ Four variants share one code path:
   adaptive       surprisal feedback active, update probability driven by
                  the previous prediction error
 
+A WindowArena is the one record of a run's steps: run_lanes writes each
+step's rows into it, and the backward pass, the gradient oracle's replay
+and the trace read them there.
+
 The backward pass is hand-derived. The surprisal vector, the update
 probability and the sampled mask are treated as constants: no gradient
 flows into the previous step's prediction or through the mask sampling.
@@ -141,37 +145,29 @@ class RecurrentState:
         )
 
 
-@dataclass
-class StepCache:
-    """Everything one forward step computed that the backward step consumes."""
-
-    s_val: np.ndarray   # surprisal: log p_prev of each row's symbol, B
-    z: np.ndarray       # per-cell update probability, B x N
-    mask: np.ndarray    # update mask (binary when sampled), B x N
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    u: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    c: np.ndarray
-    c_hat: np.ndarray
-    h: np.ndarray
-    p: np.ndarray       # output distribution, B x M
-
-
 class WindowArena:
-    """A training window's forward rows, allocated once and reused: step t's
-    gates f|i|o|u, c_hat and p in row t, its c and h in row t + 1 (row 0
-    copies the starting state). backward_window overwrites p and gates."""
+    """The record of a run's steps: step t's s_val, z, mask, gates f|i|o|u,
+    c_hat and p in row t, its c and h in row t + 1 (row 0 copies the starting
+    state). standard and sf update every cell: their z and mask are one
+    read-only all-ones view. backward_window overwrites p and gates."""
 
     def __init__(self, params, seq_len, batch):
         dtype, n = params.dtype, params.hidden_size
+        self.s_val = np.empty((seq_len, batch), dtype)
+        if params.variant in ("fixed_zoneout", "adaptive"):
+            self.z = np.empty((seq_len, batch, n), dtype)
+            self.mask = np.empty((seq_len, batch, n), dtype)
+        else:
+            self.z = self.mask = np.broadcast_to(np.ones((), dtype), (seq_len, batch, n))
         self.gates = np.empty((seq_len, batch, 4 * n), dtype)
         self.c = np.empty((seq_len + 1, batch, n), dtype)
         self.h = np.empty((seq_len + 1, batch, n), dtype)
         self.c_hat = np.empty((seq_len, batch, n), dtype)
         self.p = np.empty((seq_len, batch, params.vocab_size), dtype)
+
+    def gate_rows(self, t):
+        """Views of the f, i, o and u rows of gates[t] (t an index or a slice)."""
+        return np.split(self.gates[t], 4, axis=-1)
 
 
 class GradientSet(_FlatBlocks):
@@ -298,7 +294,7 @@ def _score(p, rows, target):
 
 
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
-              on_step=None, choose=None, arena=None):
+              choose=None, arena=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
     symbols is a (T+1, B) index array: step t reads row t and is scored
@@ -311,20 +307,19 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     input state is never written. mask_mode "sampled" draws one binary
     update mask per step from rng for fixed_zoneout and adaptive, and none
     for standard and sf; "expected" substitutes the update probability
-    itself (the evaluation convention). frozen holds one StepCache per
-    step, as on_step passed them: each step takes its s_val, z and mask from
-    it and draws nothing. on_step(cache) receives each step's StepCache;
-    without it none is built. choose(t, y, p), when given, gets step t's
-    index, logits and distribution and returns the row written into
-    symbols[t+1] before that row is scored and read by step t+1 (text
-    generation; returning symbols[t+1] keeps a given row, as of a prompt).
-    Steps make fresh arrays, never written afterwards, unless a WindowArena
-    of symbols' shape takes their rows (ufunc out=), which the StepCaches and
-    final state view. Standard/sf caches share one read-only all-ones z/mask.
+    itself (the evaluation convention). Each step writes its rows into
+    arena, a WindowArena of symbols' shape, when given (ufunc out= where it
+    can; the final state then views it), and makes fresh arrays otherwise.
+    frozen, an earlier run's arena, gives each step its s_val, z and mask
+    and draws nothing. choose(t, y, p), when given, gets step t's index,
+    logits and distribution and returns the row written into symbols[t+1]
+    before that row is scored and read by step t+1 (text generation;
+    returning symbols[t+1] keeps a given row, as of a prompt).
     """
     if mask_mode not in ("sampled", "expected"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     sampled = mask_mode == "sampled"
+    zoneout = params.variant in ("fixed_zoneout", "adaptive")
     fused = fuse_gate_weights(params)
     batch = symbols.shape[1]
     rows = np.arange(batch)
@@ -335,15 +330,13 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     if arena is not None:
         arena.c[0], arena.h[0] = c, h
         c, h = arena.c[0], arena.h[0]
-    ones = np.ones_like(c)
-    ones.flags.writeable = False
     out = (None,) * 5
     s_val = None
     total = 0.0
     with np.errstate(over="ignore", divide="ignore"):
         for t, x_idx in enumerate(symbols[:-1]):
             if frozen is not None:
-                s_val, z, mask = frozen[t].s_val, frozen[t].z, frozen[t].mask
+                s_val, z, mask = frozen.s_val[t], frozen.z[t], frozen.mask[t]
             else:
                 if s_val is None:
                     s_val, _ = _score(p, rows, x_idx)
@@ -356,19 +349,15 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                     mask = sample_bernoulli(z, rng) if sampled else z
             if arena is not None:
                 out = (arena.gates[t], arena.c[t + 1], arena.c_hat[t], arena.h[t + 1], arena.p[t])
+                arena.s_val[t] = s_val
+                if zoneout:
+                    arena.z[t], arena.mask[t] = z, mask
             f, i, o, u = gate_forward(x_idx, s_val, h, fused, out[0])
-            c_prev, h_prev = c, h
-            c = cell_update(c_prev, f, i, u, mask, out[1])
-            c_hat, h = hidden_from_cell(c, o, *out[2:4])
+            c = cell_update(c, f, i, u, mask, out[1])
+            _, h = hidden_from_cell(c, o, *out[2:4])
             y = h @ fused.WyT
             y += params.b_y
             p = softmax_rows(y, out[4])
-            if on_step is not None:
-                if z is None:
-                    # every cell updated; the backward pass and the trace read all-ones rows
-                    z = mask = ones
-                on_step(StepCache(s_val=s_val, z=z, mask=mask, f=f, i=i, o=o, u=u,
-                                  h_prev=h_prev, c_prev=c_prev, c=c, c_hat=c_hat, h=h, p=p))
             if choose is not None:
                 symbols[t + 1] = choose(t, y, p)
             # the target's log-probability is also the next step's surprisal
@@ -382,44 +371,46 @@ def cross_entropy_bpc(loss_nats):
     return loss_nats / LN2
 
 
-def backward_window(caches, arena, params, symbols, grads):
-    """Reverse sweep over a whole cached window with batched accumulation.
+def backward_window(arena, params, symbols, grads):
+    """Reverse sweep over a whole recorded window with batched accumulation.
 
-    caches are the T steps of one run, as run_lanes passes them to on_step
-    while writing arena, and symbols is the (T+1, B) index array it read:
-    step t read row t and was scored against row t+1. No gradient arrives
-    from beyond the window, and none flows through the surprisal or the
-    mask. Step t's output and gate gradients overwrite its p and gates rows
-    (so the caches are spent); W_y, U_* and the biases then contract them
-    with the arena's h rows in single wide matmuls over all (step, lane)
-    pairs. The one-hot input and the single-entry surprisal rows are never
-    built: the window's rows are sorted by symbol, and each symbol's run of
-    gate gradients is contracted with its [1, s] coefficients into that
-    symbol's column of W_* and V_*. Symbols absent from the window get zero
-    columns. Returns (d_h_prev, d_c_prev) at the window start.
+    arena holds the T steps of one run_lanes call, and symbols is the
+    (T+1, B) index array it read: step t read row t and was scored against
+    row t+1. No gradient arrives from beyond the window, and none flows
+    through the surprisal or the mask. Step t's output and gate gradients
+    overwrite its p and gates rows (so the arena is spent); W_y, U_* and the
+    biases then contract them with the arena's h rows in single wide matmuls
+    over all (step, lane) pairs. The one-hot input and the single-entry
+    surprisal rows are never built: the window's rows are sorted by symbol,
+    and each symbol's run of gate gradients is contracted with its [1, s]
+    coefficients into that symbol's column of W_* and V_*. Symbols absent
+    from the window get zero columns. Returns (d_h_prev, d_c_prev) at the
+    window start.
     """
     seq_len, batch, n = arena.c_hat.shape
-    if np.shape(symbols) != (seq_len + 1, batch) or len(caches) != seq_len:
+    if np.shape(symbols) != (seq_len + 1, batch):
         raise ValueError(f"backward_window shape mismatch: symbols {np.shape(symbols)}, "
-                         f"{len(caches)} caches, expected {(seq_len + 1, batch)}")
+                         f"expected {(seq_len + 1, batch)}")
     rows = np.arange(batch)
     d_h, d_c = np.zeros_like(arena.h[0]), np.zeros_like(arena.c[0])
     for t in reversed(range(seq_len)):
-        k = caches[t]
+        f, i, o, u = arena.gate_rows(t)
+        c_hat, mask = arena.c_hat[t], arena.mask[t]
         d_y = arena.p[t]
-        np.divide(k.p, batch, out=d_y)
+        np.divide(d_y, batch, out=d_y)
         d_y[rows, symbols[t + 1]] -= 1.0 / batch
 
         d_h = d_h + matmul(d_y, params.W_y)
-        d_o = d_h * k.c_hat
-        d_c = d_c + d_h * k.o * (1.0 - k.c_hat * k.c_hat)
-        d_f = -(d_c * k.mask * k.c_prev)
-        d_i = d_c * k.mask * k.u
-        d_u = d_c * k.mask * k.i
-        carry = 1.0 - k.f * k.mask   # read f before d_a overwrites it
+        d_o = d_h * c_hat
+        d_c = d_c + d_h * o * (1.0 - c_hat * c_hat)
+        d_cm = d_c * mask
+        d_f = -(d_cm * arena.c[t])
+        d_i = d_cm * u
+        d_u = d_cm * i
+        carry = 1.0 - f * mask   # read f before d_a overwrites it
         d_a = arena.gates[t]
-        np.concatenate([d_f * k.f * (1.0 - k.f), d_i * k.i * (1.0 - k.i),
-                        d_o * k.o * (1.0 - k.o), d_u * (1.0 - k.u * k.u)], axis=1, out=d_a)
+        np.concatenate([d_f * f * (1.0 - f), d_i * i * (1.0 - i),
+                        d_o * o * (1.0 - o), d_u * (1.0 - u * u)], axis=1, out=d_a)
         # carry to the previous step
         d_h = matmul(d_a, params.Ug)
         d_c = d_c * carry
@@ -440,7 +431,7 @@ def backward_window(caches, arena, params, symbols, grads):
     order = np.argsort(x_idx, kind="stable")
     sym = x_idx[order]
     coef = np.ones((sym.shape[0], 2), dtype=d_a_flat.dtype)
-    coef[:, 1] = np.concatenate([c.s_val for c in caches])[order]
+    coef[:, 1] = arena.s_val.reshape(-1)[order]
     starts = np.flatnonzero(np.r_[True, sym[1:] != sym[:-1]])
     stops = np.r_[starts[1:], sym.shape[0]]
     out = np.zeros((2, params.vocab_size, 4 * n), dtype=d_a_flat.dtype)

@@ -128,21 +128,18 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
         p_prev=_random_distribution(state_rng, batch_size, vocab),
     )
 
-    caches, replay = [], []
-    arena = WindowArena(params, seq_len, batch_size)
-    for kept, rows in ((caches, arena), (replay, None)):
-        run_lanes(params, lane_stream, state0, RngState(seed, 100), mask_mode,
-                  on_step=kept.append, arena=rows)
-    for a, b in zip(caches, replay):
-        if not (np.array_equal(a.mask, b.mask) and np.array_equal(a.s_val, b.s_val)):
-            raise NumericalError("mask replay is not bit-identical; rng is broken")
+    arena, replay = (WindowArena(params, seq_len, batch_size) for _ in range(2))
+    for rows in (arena, replay):
+        run_lanes(params, lane_stream, state0, RngState(seed, 100), mask_mode, arena=rows)
+    if not all(np.array_equal(getattr(arena, k), getattr(replay, k)) for k in ("mask", "s_val")):
+        raise NumericalError("mask replay is not bit-identical; rng is broken")
 
     blocks = {k: getattr(params, k) for k in params.trainable_keys()}
 
     def loss_fn():
         # the summed per-step batch-mean loss of the window replayed with its
-        # own caches' surprisal, rate and mask
-        return run_lanes(params, lane_stream, state0, frozen=caches)[1]
+        # own recorded surprisal, rate and mask
+        return run_lanes(params, lane_stream, state0, frozen=arena)[1]
 
     base = loss_fn()
     if not np.isfinite(base):
@@ -151,5 +148,5 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
     numeric = numerical_gradient(loss_fn, blocks, eps=eps)
     # the backward_window call run_tbptt_window makes in training
     analytic = GradientSet.zeros_like(params)
-    backward_window(caches, arena, params, lane_stream, analytic)
+    backward_window(arena, params, lane_stream, analytic)
     return compare_gradients({k: getattr(analytic, k) for k in blocks}, numeric)

@@ -246,16 +246,14 @@ def run_tbptt_window(states, symbols, params, rng, grads, arena):
     mean_z, mean_update_rate): the loss averaged per symbol, and the update
     probability and realized mask averaged over every step, lane and cell.
     """
-    caches = []
-    state, total = run_lanes(params, symbols, states, rng, on_step=caches.append, arena=arena)
+    state, total = run_lanes(params, symbols, states, rng, arena=arena)
     state = RecurrentState(state.c.copy(), state.h.copy(), state.p_prev.copy())
     z_sum = mask_sum = 0.0
-    for cache in caches:
-        z_sum += float(cache.z.sum())
-        mask_sum += float(cache.mask.sum())
-    count = len(caches) * caches[0].z.size
-    backward_window(caches, arena, params, symbols, grads)
-    return state, total / len(caches), z_sum / count, mask_sum / count
+    for z, mask in zip(arena.z, arena.mask):
+        z_sum += float(z.sum())
+        mask_sum += float(mask.sum())
+    backward_window(arena, params, symbols, grads)
+    return state, total / len(arena.p), z_sum / arena.z.size, mask_sum / arena.z.size
 
 
 def evaluate_bpc(params, split, cfg, lanes=1):
@@ -469,8 +467,8 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view; bad magic, version, missing
-    header fields, a bad precision or vocab length, truncation and trailing
-    bytes all hard-fail."""
+    or malformed header fields (precision, step, sizes, vocab bytes and
+    length), truncation and trailing bytes all hard-fail with ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -492,9 +490,17 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
         if header["precision"] not in DTYPES:
             raise ValueError(f"checkpoint precision {header['precision']!r} is not f32/f64")
+        for name, least in (("step", 0), ("hidden", 1), ("vocab_size", 1)):
+            value = header[name]
+            if type(value) is not int or value < least:   # JSON true/false load as bools
+                raise ValueError(f"checkpoint {path} header {name} must be an integer "
+                                 f">= {least}, got {value!r}")
+        vocab = header["vocab"]
+        if not (isinstance(vocab, list) and all(type(v) is int and 0 <= v <= 255 for v in vocab)):
+            raise ValueError(f"checkpoint {path} header vocab must list byte values 0..255")
         vocab_size, hidden = header["vocab_size"], header["hidden"]
-        if len(header["vocab"]) != vocab_size:
-            raise ValueError(f"checkpoint vocab has {len(header['vocab'])} bytes, "
+        if len(vocab) != vocab_size:
+            raise ValueError(f"checkpoint vocab has {len(vocab)} bytes, "
                              f"not vocab_size {vocab_size}")
 
         dtype = DTYPES[header["precision"]]
@@ -518,7 +524,7 @@ def load_checkpoint(path):
         params=params,
         opt=opt,
         config=header.get("config", {}),
-        vocab=np.array(header["vocab"], dtype=np.uint8),
+        vocab=np.array(vocab, dtype=np.uint8),
         step=int(header["step"]),
         rng={k: tuple(v) for k, v in header.get("rng", {}).items()},
     )

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from szlstm import ModelParams, RecurrentState, RngState, load_corpus
+from szlstm import ModelParams, RecurrentState, RngState, WindowArena, load_corpus, run_lanes
 from szlstm.numerics import matmul, sample_bernoulli, softmax_rows
 from szlstm.optim import xavier_init
 
@@ -32,9 +32,30 @@ def corpus(corpus_path):
 # the gate blocks of each family, in the f|i|o|u order of PARAM_KEYS
 GATES = ("f", "i", "o", "u")
 
-# every StepCache field, as backward_window and the trace read them
+# every per-step view of a WindowArena, as backward_window and the trace read them
 CACHE_FIELDS = ("s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev", "c", "c_hat",
                 "h", "p")
+
+
+def step_views(arena, t):
+    """Step t of a WindowArena: a namespace of the CACHE_FIELDS views of its rows."""
+    f, i, o, u = arena.gate_rows(t)
+    return SimpleNamespace(s_val=arena.s_val[t], z=arena.z[t], mask=arena.mask[t], f=f, i=i,
+                           o=o, u=u, h_prev=arena.h[t], c_prev=arena.c[t], c=arena.c[t + 1],
+                           c_hat=arena.c_hat[t], h=arena.h[t + 1], p=arena.p[t])
+
+
+def recorded_steps(arena):
+    """step_views of every step of a WindowArena, in run order."""
+    return [step_views(arena, t) for t in range(len(arena.p))]
+
+
+def record(params, symbols, state=None, rng=None, mask_mode="sampled", **kw):
+    """run_lanes over the (T+1, B) symbols into a fresh WindowArena; returns
+    (state, loss_nats, arena)."""
+    arena = WindowArena(params, symbols.shape[0] - 1, symbols.shape[1])
+    state, loss = run_lanes(params, symbols, state, rng, mask_mode, arena=arena, **kw)
+    return state, loss, arena
 
 
 def tiny_params(vocab=5, hidden=8, variant="adaptive", seed=3, dtype=np.float64, **kw):
@@ -65,7 +86,7 @@ def sigmoid(x):
 
 def dense_step(state, x_idx, params, fused, rng, mask_mode, target):
     """One reference step; returns (state, cache, loss). The cache has every
-    StepCache field plus the dense rows x and s."""
+    CACHE_FIELDS entry plus the dense rows x and s."""
     b, n = x_idx.shape[0], params.hidden_size
     rows = np.arange(b)
     x = one_hot(x_idx, params.vocab_size, dtype=params.dtype)
@@ -99,7 +120,7 @@ def dense_deltas(caches, params, symbols):
     """The reference reverse sweep over caches scored against symbols[1:]:
     each step's output and gate pre-activation gradients (lists of d_y and
     d_a in window order) and (d_h, d_c) at the window start. It reads only
-    StepCache fields, so it runs on run_lanes caches as well."""
+    CACHE_FIELDS entries, so it runs on recorded_steps of an arena as well."""
     n = params.hidden_size
     d_h = np.zeros_like(caches[-1].h)
     d_c = np.zeros_like(caches[-1].c)

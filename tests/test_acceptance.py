@@ -8,12 +8,11 @@ without it those two tests are skipped.
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from szlstm.cell import ModelParams, run_lanes, zoneout_rate
+from szlstm.cell import ModelParams, WindowArena, run_lanes, zoneout_rate
 from szlstm.gradcheck import tiny_window_check
 from szlstm.numerics import RngState, sample_bernoulli
 from szlstm.optim import xavier_init
@@ -35,8 +34,9 @@ def report(number, passed, text):
 
 
 def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
-                  zero_feedback=False, frozen_mask=None, collect="chp"):
-    """Shared driver: same symbol stream and init seed for every variant."""
+                  zero_feedback=False, frozen_mask=None):
+    """Shared driver: same symbol stream and init seed for every variant.
+    Returns the run's WindowArena and its final state."""
     batch, hidden, vocab = 2, 8, 5
     params = ModelParams.zeros(vocab, hidden, variant=variant, tau=tau,
                                zoneout_rate=rate, dtype=np.float32)
@@ -47,17 +47,13 @@ def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
     sym = RngState(seed).fork(2).integers(0, vocab, size=(steps + 1, batch))
     frozen = None
     if frozen_mask is not None:
-        # replay the run's own caches with every mask forced to frozen_mask
-        caches = []
-        run_lanes(params, sym, None, RngState(seed).fork(3), on_step=caches.append)
-        frozen = [replace(c, mask=np.full_like(c.mask, frozen_mask)) for c in caches]
-    out = []
-
-    def keep(cache):
-        out.append((cache.c, cache.h, cache.p) if collect == "chp" else cache)
-
-    state, _ = run_lanes(params, sym, None, RngState(seed).fork(3), frozen=frozen, on_step=keep)
-    return out, state
+        # replay the run's own steps with every mask forced to frozen_mask
+        frozen = WindowArena(params, steps, batch)
+        run_lanes(params, sym, None, RngState(seed).fork(3), arena=frozen)
+        frozen.mask[...] = frozen_mask
+    arena = WindowArena(params, steps, batch)
+    state, _ = run_lanes(params, sym, None, RngState(seed).fork(3), frozen=frozen, arena=arena)
+    return arena, state
 
 
 def test_criterion_1_gradient_correctness():
@@ -76,19 +72,15 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_reduction_chain():
     sf_out, _ = drive_variant("sf")
-    pairs = [
-        ("adaptive(tau=1) == sf", drive_variant("adaptive", tau=1.0)[0]),
-        ("fixed_zoneout(r=1) == sf", drive_variant("fixed_zoneout", rate=1.0)[0]),
-    ]
-    for label, outs in pairs:
-        for a, b in zip(outs, sf_out):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), label
     std_out, _ = drive_variant("standard")
-    sf0_out, _ = drive_variant("sf", zero_feedback=True)
-    for a, b in zip(sf0_out, std_out):
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y), "sf(V=0) == standard"
+    pairs = [
+        ("adaptive(tau=1) == sf", drive_variant("adaptive", tau=1.0)[0], sf_out),
+        ("fixed_zoneout(r=1) == sf", drive_variant("fixed_zoneout", rate=1.0)[0], sf_out),
+        ("sf(V=0) == standard", drive_variant("sf", zero_feedback=True)[0], std_out),
+    ]
+    for label, a, b in pairs:
+        for name in ("c", "h", "p"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), label
     report(2, True, "adaptive(tau=1) == sf, fixed(r=1) == sf, sf(V=0) == standard, "
                     "bit-identical over 1000 steps")
 
@@ -102,10 +94,9 @@ def test_criterion_3_nop_semantics():
 
 def test_criterion_4_rate_bounds():
     for tau in (0.0, 0.05, 0.5, 1.0):
-        caches, _ = drive_variant("adaptive", steps=300, tau=tau, collect="cache")
+        arena, _ = drive_variant("adaptive", steps=300, tau=tau)
         lo = min(tau, 1.0)
-        for cache in caches:
-            assert np.all(cache.z >= lo) and np.all(cache.z <= 1.0)
+        assert np.all(arena.z >= lo) and np.all(arena.z <= 1.0)
     # zero prediction error pins the rate to the floor exactly
     err = np.zeros((4, 6), dtype=np.float32)
     W_y = np.random.default_rng(0).standard_normal((6, 9)).astype(np.float32)

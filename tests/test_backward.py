@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from szlstm.cell import GradientSet, WindowArena, backward_window, run_lanes
+from szlstm.cell import GradientSet, backward_window
 from szlstm.numerics import RngState
 
-from conftest import dense_deltas, one_hot, tiny_params
+from conftest import dense_deltas, one_hot, record, recorded_steps, tiny_params
 
 
 def symbol_window(params, sym, rng):
-    """Forward over the (T + 1, B) symbol rows sym; returns its caches and
-    the arena they view."""
-    caches, arena = [], WindowArena(params, *np.shape(sym[1:]))
-    run_lanes(params, sym, None, rng, on_step=caches.append, arena=arena)
-    return caches, arena
+    """Forward over the (T + 1, B) symbol rows sym; returns the step views
+    of its arena and the arena."""
+    arena = record(params, sym, None, rng)[2]
+    return recorded_steps(arena), arena
 
 
 def window(params, steps=6, seed=4, batch=3):
-    """A random window's (caches, arena, symbols)."""
+    """A random window's (step views, arena, symbols)."""
     sym = RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, batch))
     return *symbol_window(params, sym, RngState(seed).fork(3)), sym
 
@@ -33,7 +32,7 @@ def test_frozen_step_blocks_write_gradients():
     d_h_local = h_path @ params.W_y
     expected = d_h_local * cache.o * (1.0 - cache.c_hat ** 2)
     grads = GradientSet.zeros_like(params)
-    d_h_prev, d_c_prev = backward_window([cache], arena, params, sym, grads)
+    d_h_prev, d_c_prev = backward_window(arena, params, sym, grads)
     # with every cell frozen the write path carries nothing for this step
     assert np.array_equal(grads.W_u, np.zeros_like(grads.W_u))
     assert np.array_equal(grads.U_u, np.zeros_like(grads.U_u))
@@ -47,9 +46,9 @@ def test_zero_upstream_and_exact_prediction_leaves_grads_untouched():
     caches, arena, sym = window(params, steps=1)
     cache = caches[0]
     # force the prediction to exactly match the target one-hot
-    cache.p = one_hot(sym[1], params.vocab_size, dtype=params.dtype)
+    cache.p[...] = one_hot(sym[1], params.vocab_size, dtype=params.dtype)
     grads = GradientSet.zeros_like(params)
-    backward_window([cache], arena, params, sym, grads)
+    backward_window(arena, params, sym, grads)
     for name, block in grads.items():
         np.testing.assert_array_equal(block, np.zeros_like(block), err_msg=name)
 
@@ -58,7 +57,7 @@ def test_standard_variant_accumulates_no_feedback_gradient():
     params = tiny_params(variant="standard")
     caches, arena, sym = window(params, steps=4)
     grads = GradientSet.zeros_like(params)
-    backward_window(caches, arena, params, sym, grads)
+    backward_window(arena, params, sym, grads)
     for g in "fiou":
         block = getattr(grads, "V_" + g)
         np.testing.assert_array_equal(block, np.zeros_like(block))
@@ -72,7 +71,7 @@ def test_shape_mismatch_is_rejected():
     # sym[1:] is the (T, B) target array alone
     for wrong in (sym[1:], sym[:, :1], np.concatenate([sym, sym])):
         with pytest.raises(ValueError, match="shape"):
-            backward_window(caches, arena, params, wrong, grads)
+            backward_window(arena, params, wrong, grads)
 
 
 def dense_rows(caches, params, sym):
@@ -104,7 +103,7 @@ def test_window_backward_matches_per_step_composition(variant):
     caches, arena, sym = window(params, steps=7)
     g_steps, d_h, d_c = per_step_composition(caches, params, sym)
     g_window = GradientSet.zeros_like(params)
-    d_h2, d_c2 = backward_window(caches, arena, params, sym, g_window)
+    d_h2, d_c2 = backward_window(arena, params, sym, g_window)
     np.testing.assert_allclose(d_h2, d_h, atol=1e-13)
     np.testing.assert_allclose(d_c2, d_c, atol=1e-13)
     for name, block in g_steps.items():
@@ -145,10 +144,10 @@ def dense_input_grads(caches, params, sym):
 
 def assert_input_grads_match(params, window, sym):
     caches, arena = window
-    # the reference reads the caches before the backward pass overwrites p and the gates
+    # the reference reads the step views before the backward pass overwrites p and the gates
     ref_w, ref_v = dense_input_grads(caches, params, sym)
     grads = GradientSet.zeros_like(params)
-    backward_window(caches, arena, params, sym, grads)
+    backward_window(arena, params, sym, grads)
     pairs = [(grads.Wg, ref_w)]
     if params.variant == "standard":
         np.testing.assert_array_equal(grads.Vg, 0.0)

@@ -18,7 +18,7 @@ from szlstm.cell import (
 from szlstm.numerics import NumericalError, RngState, softmax_rows
 from szlstm.optim import xavier_init
 
-from conftest import CACHE_FIELDS, one_hot, tiny_params
+from conftest import CACHE_FIELDS, one_hot, record, recorded_steps, step_views, tiny_params
 
 
 def first_surprisal(p_prev, x_idx):
@@ -29,9 +29,7 @@ def first_surprisal(p_prev, x_idx):
     state = RecurrentState(c=np.zeros((batch, 2)), h=np.zeros((batch, 2)), p_prev=p_prev)
     # zero weights give uniform outputs, so the target row has no zero probability
     symbols = np.stack([x_idx, np.zeros_like(x_idx)])
-    caches = []
-    run_lanes(params, symbols, state, mask_mode="expected", on_step=caches.append)
-    return caches[0].s_val
+    return record(params, symbols, state, mask_mode="expected")[2].s_val[0]
 
 
 class TestModelParams:
@@ -227,7 +225,7 @@ class TestHiddenFromCell:
 
 
 class TestProjectOutputs:
-    """The output distribution a step's cache holds as p."""
+    """The output distribution a step records as p."""
 
     @staticmethod
     def output(params, batch, seed):
@@ -237,10 +235,7 @@ class TestProjectOutputs:
         state.c[:] = rng.standard_normal(state.c.shape)
         state.h[:] = rng.standard_normal(state.h.shape)
         x_idx = rng.integers(0, params.vocab_size, size=batch)
-        caches = []
-        run_lanes(params, np.stack([x_idx, x_idx]), state, mask_mode="expected",
-                  on_step=caches.append)
-        return caches[0].p
+        return record(params, np.stack([x_idx, x_idx]), state, mask_mode="expected")[2].p[0]
 
     def test_zero_weights_give_uniform(self):
         params = ModelParams.zeros(5, 3, dtype=np.float64)
@@ -260,12 +255,10 @@ class TestProjectOutputs:
 
 
 def drive(params, steps, seed=0, mask_mode="sampled", batch=2):
-    """Run `steps` steps on a shared random symbol stream; returns (state, caches)."""
+    """Run `steps` steps on a shared random symbol stream; returns (state, arena)."""
     sym = RngState(seed).fork(2).integers(0, params.vocab_size, size=(steps + 1, batch))
-    caches = []
-    state, _ = run_lanes(params, sym, None, RngState(seed).fork(3), mask_mode,
-                         on_step=caches.append)
-    return state, caches
+    state, _, arena = record(params, sym, None, RngState(seed).fork(3), mask_mode)
+    return state, arena
 
 
 class TestCellStep:
@@ -274,10 +267,8 @@ class TestCellStep:
         ps = tiny_params(variant="sf", dtype=np.float32)
         _, ca = drive(pa, 50)
         _, cs = drive(ps, 50)
-        for a, b in zip(ca, cs):
-            np.testing.assert_array_equal(a.c, b.c)
-            np.testing.assert_array_equal(a.h, b.h)
-            np.testing.assert_array_equal(a.p, b.p)
+        for name in ("c", "h", "p"):
+            np.testing.assert_array_equal(getattr(ca, name), getattr(cs, name), err_msg=name)
 
     def test_sf_with_zero_feedback_equals_standard(self):
         ps = tiny_params(variant="sf", dtype=np.float32)
@@ -286,13 +277,12 @@ class TestCellStep:
         pstd = tiny_params(variant="standard", dtype=np.float32)
         _, cs = drive(ps, 50)
         _, cn = drive(pstd, 50)
-        for a, b in zip(cs, cn):
-            np.testing.assert_array_equal(a.p, b.p)
+        np.testing.assert_array_equal(cs.p, cn.p)
 
     def test_cache_invariants(self):
         params = tiny_params(variant="adaptive", tau=0.05)
-        _, caches = drive(params, 40)
-        for cache in caches:
+        _, arena = drive(params, 40)
+        for cache in recorded_steps(arena):
             assert np.all(cache.z >= 0.05) and np.all(cache.z <= 1.0)
             assert set(np.unique(cache.mask)).issubset({0.0, 1.0})
             np.testing.assert_allclose(cache.p.sum(axis=1), 1.0, atol=1e-12)
@@ -301,17 +291,18 @@ class TestCellStep:
 
     @pytest.mark.parametrize("variant", ["standard", "sf"])
     def test_every_cache_shares_one_read_only_all_ones_mask(self, variant):
-        _, caches = drive(tiny_params(variant=variant), 5)
-        ones = caches[0].z
-        assert all(cache.z is ones and cache.mask is ones for cache in caches)
-        np.testing.assert_array_equal(ones, np.ones((2, 8)))
-        assert not ones.flags.writeable
+        # every step of a standard/sf arena reads z and mask from one
+        # read-only all-ones view of a single element
+        _, arena = drive(tiny_params(variant=variant), 5)
+        assert arena.z is arena.mask
+        np.testing.assert_array_equal(arena.z, np.ones((5, 2, 8)))
+        assert arena.z.strides == (0, 0, 0)
+        assert not arena.z.flags.writeable
 
     def test_expected_mask_mode_uses_probability(self):
         params = tiny_params(variant="fixed_zoneout", zoneout_rate=0.3)
-        _, caches = drive(params, 5, mask_mode="expected")
-        for cache in caches:
-            np.testing.assert_array_equal(cache.mask, np.full_like(cache.mask, 0.3))
+        _, arena = drive(params, 5, mask_mode="expected")
+        np.testing.assert_array_equal(arena.mask, np.full_like(arena.mask, 0.3))
 
     def test_untrained_loss_near_uniform(self):
         vocab, hidden = 27, 32
@@ -348,11 +339,12 @@ class TestRunLanes:
         state, total, ref_caches = state0, 0.0, []
         ref_rng = RngState(8)
         for t in range(sym.shape[0] - 1):
-            state, loss = run_lanes(params, sym[t: t + 2], state, ref_rng, mask_mode,
-                                    on_step=ref_caches.append)
+            state, loss, arena = record(params, sym[t: t + 2], state, ref_rng, mask_mode)
+            ref_caches.append(step_views(arena, 0))
             total += loss
-        rng, caches = RngState(8), []
-        out, loss = run_lanes(params, sym, state0, rng, mask_mode, on_step=caches.append)
+        rng = RngState(8)
+        out, loss, arena = record(params, sym, state0, rng, mask_mode)
+        caches = recorded_steps(arena)
         assert loss == total
         assert rng.state() == ref_rng.state()
         for name in ("c", "h", "p_prev"):
@@ -364,15 +356,13 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_frozen_replay_reproduces_the_run(self, variant):
-        # the gradient oracle's replay: the run's own caches as frozen steps,
-        # holding each step's (s_val, z, mask) with no rng to draw from, give
+        # the gradient oracle's replay: the run's own arena as frozen steps,
+        # holding each step's (s_val, z, mask) with no rng to draw from, gives
         # back the run bit for bit
         params = tiny_params(variant=variant)
         sym, state0 = self.stream(params)
-        caches = []
-        out, loss = run_lanes(params, sym, state0, RngState(8), "sampled",
-                              on_step=caches.append)
-        replay, replay_loss = run_lanes(params, sym, state0, frozen=caches)
+        out, loss, arena = record(params, sym, state0, RngState(8), "sampled")
+        replay, replay_loss = run_lanes(params, sym, state0, frozen=arena)
         assert replay_loss == loss
         for name in ("c", "h", "p_prev"):
             np.testing.assert_array_equal(getattr(replay, name), getattr(out, name),
@@ -402,15 +392,13 @@ class TestRunLanes:
         params = tiny_params(variant="adaptive", dtype=dtype)
         params.bg[:] = np.where(np.arange(params.bg.size) % 2, 1000.0, -1000.0)
         sym, state0 = self.stream(params)
-        caches = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, loss = run_lanes(params, sym, state0, RngState(1), "sampled",
-                                  on_step=caches.append)
+            out, loss, arena = record(params, sym, state0, RngState(1), "sampled")
         assert np.isfinite(loss)
         for name in ("c", "h", "p_prev"):
             assert np.all(np.isfinite(getattr(out, name))), name
-        gates = np.concatenate([np.concatenate([c.f, c.i, c.o], axis=1) for c in caches])
+        gates = arena.gates[..., : 3 * params.hidden_size]   # f|i|o
         assert set(np.unique(gates).tolist()) == {0.0, 1.0}
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])

@@ -279,6 +279,23 @@ class TestMalformedCheckpoint:
         assert str(corpus.vocab_size) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("field,value", [("hidden", "4"), ("hidden", True), ("hidden", 0),
+                                             ("vocab_size", -1), ("step", 2.5),
+                                             ("vocab", 300), ("vocab", -1), ("vocab", False)])
+    def test_malformed_header_value_named(self, corpus, tmp_path, capsys, field, value):
+        # a vocab value replaces the last vocab entry
+        ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
+        if field == "vocab":
+            value = [int(v) for v in corpus.vocab[:-1]] + [value]
+        rewrite_header(ckpt, **{field: value})
+        with pytest.raises(ValueError, match=f"header {field} must"):
+            load_checkpoint(str(ckpt))
+        prompt = bytes(corpus.vocab[:1]).decode("ascii")
+        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and field in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
         params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
         ckpt = tmp_path / "renamed.ckpt"

@@ -15,14 +15,12 @@ import pytest
 from szlstm.cell import (
     GradientSet,
     RecurrentState,
-    WindowArena,
     backward_window,
     fuse_gate_weights,
-    run_lanes,
 )
 from szlstm.numerics import RngState
 
-from conftest import CACHE_FIELDS, dense_backward, dense_step, tiny_params
+from conftest import CACHE_FIELDS, dense_backward, dense_step, record, recorded_steps, tiny_params
 
 BATCH, VOCAB, HIDDEN, STEPS = 3, 7, 6, 8
 
@@ -36,10 +34,9 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     sym = RngState(21).integers(0, VOCAB, size=(STEPS + 1, BATCH))
     ref_state = RecurrentState.initial(BATCH, HIDDEN, VOCAB, dtype=dtype)
     rng, ref_rng = RngState(22), RngState(22)
-    caches, ref_caches, ref_total = [], [], 0.0
-    arena = WindowArena(params, STEPS, BATCH)
-    state, total = run_lanes(params, sym, None, rng, mask_mode, on_step=caches.append,
-                             arena=arena)
+    ref_caches, ref_total = [], 0.0
+    state, total, arena = record(params, sym, None, rng, mask_mode)
+    caches = recorded_steps(arena)
     for t in range(STEPS):
         ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, fused, ref_rng,
                                               mask_mode, sym[t + 1])
@@ -57,7 +54,7 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     assert rng.state() == ref_rng.state()
 
     grads = GradientSet.zeros_like(params)
-    d_h, d_c = backward_window(caches, arena, params, sym, grads)
+    d_h, d_c = backward_window(arena, params, sym, grads)
     ref_grads, ref_d_h, ref_d_c = dense_backward(ref_caches, params, sym)
     np.testing.assert_array_equal(d_h, ref_d_h)
     np.testing.assert_array_equal(d_c, ref_d_c)

@@ -1,11 +1,7 @@
-from collections import deque
-from dataclasses import replace
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from szlstm.cell import run_lanes
+from szlstm.cell import WindowArena, run_lanes
 from szlstm.numerics import RngState
 from szlstm.trace import (
     TraceBuffer,
@@ -15,7 +11,7 @@ from szlstm.trace import (
     trace_stream,
 )
 
-from conftest import CACHE_FIELDS, tiny_params
+from conftest import CACHE_FIELDS, record, recorded_steps, tiny_params
 
 
 def lane_symbols(params, steps, seed):
@@ -24,23 +20,26 @@ def lane_symbols(params, steps, seed):
 
 def run_and_record(params, steps, frozen_mask=None, seed=0):
     """trace_stream over a seeded stream with its default 100-step window.
-    With frozen_mask, the run is replayed from its own caches with every
-    mask forced to frozen_mask, and the replay's caches are kept instead."""
+    With frozen_mask, the run is replayed from its own arena with every
+    mask forced to frozen_mask, and the replay's arena is kept instead."""
     symbols = lane_symbols(params, steps, seed)
     buffer = trace_stream(params, symbols, seed=seed)
     if frozen_mask is None:
         return buffer
-    assert len(buffer) == steps, "a replay needs every step's cache"
-    frozen = [replace(c, mask=np.full_like(c.mask, frozen_mask)) for c in buffer.steps]
-    kept = deque()
-    run_lanes(params, symbols[:, None], frozen=frozen, on_step=kept.append)
-    return TraceBuffer(start=0, steps=kept)
+    assert len(buffer) == steps, "a replay needs every step's rows"
+    buffer.arena.mask[...] = frozen_mask
+    _, _, replay = record(params, symbols[:, None], frozen=buffer.arena)
+    return TraceBuffer(start=0, arena=replay)
+
+
+def empty_buffer():
+    return TraceBuffer(start=0, arena=WindowArena(tiny_params(), 0, 1))
 
 
 def reference_gate_map(buffer):
     """The per-row writer export_gate_map must match byte for byte."""
     out = ["t,cell,i,o,f,Z\n"]
-    for t, step in enumerate(buffer.steps, buffer.start):
+    for t, step in enumerate(recorded_steps(buffer.arena), buffer.start):
         for cell in range(step.c.shape[1]):
             out.append(f"{t},{cell},{step.i[0, cell]:.7g},{step.o[0, cell]:.7g},"
                        f"{step.f[0, cell]:.7g},{step.mask[0, cell]:.7g}\n")
@@ -50,7 +49,7 @@ def reference_gate_map(buffer):
 def reference_cell_change(buffer):
     """The per-row writer export_cell_change must match byte for byte."""
     out = ["t,dc_l1\n"]
-    for t, step in enumerate(buffer.steps, buffer.start):
+    for t, step in enumerate(recorded_steps(buffer.arena), buffer.start):
         dc = float(np.abs(step.c[0] - step.c_prev[0]).mean())
         out.append(f"{t},{dc:.7g}\n")
     return "".join(out).encode()
@@ -65,7 +64,7 @@ def assert_exports_match_reference(buffer, tmp_path):
 
 
 class TestRecordStep:
-    """trace_stream keeps the StepCaches of the run's last window steps."""
+    """trace_stream records the run's last window steps in an arena."""
 
     def test_window_fill(self):
         buffer = run_and_record(tiny_params(), 100)
@@ -78,16 +77,15 @@ class TestRecordStep:
 
     def test_masks_recorded_binary(self):
         buffer = run_and_record(tiny_params(variant="adaptive"), 60)
-        for step in buffer.steps:
-            assert set(np.unique(step.mask)).issubset({0.0, 1.0})
+        assert set(np.unique(buffer.arena.mask)).issubset({0.0, 1.0})
 
     def test_cell_column_passthrough(self):
-        # the last kept cache holds the cell and hidden state the run ended in
+        # the last recorded step holds the cell and hidden state the run ended in
         params = tiny_params()
         buffer = run_and_record(params, 20)
         state, _ = run_lanes(params, lane_symbols(params, 20, 0)[:, None], None, RngState(0))
-        np.testing.assert_array_equal(buffer.steps[-1].c, state.c)
-        np.testing.assert_array_equal(buffer.steps[-1].h, state.h)
+        np.testing.assert_array_equal(buffer.arena.c[-1], state.c)
+        np.testing.assert_array_equal(buffer.arena.h[-1], state.h)
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_must_be_positive(self, window):
@@ -99,19 +97,17 @@ class TestRecordStep:
     @pytest.mark.parametrize("variant", ["standard", "adaptive"])
     @pytest.mark.parametrize("window", [1, 17, 40])
     def test_keeps_the_last_caches_of_an_untraced_run(self, variant, mask_mode, window):
-        # every field of every kept cache as the run made it at that step:
-        # the copies are taken when on_step runs, so a later write to a kept
-        # array would show here
+        # every field of every recorded step as one unsplit run over the whole
+        # stream makes it: a window shorter than the stream runs its prefix
+        # unrecorded and must carry the state and the rng into the window
         params = tiny_params(variant=variant)
         stream = lane_symbols(params, 40, 0)
-        made = []
-        run_lanes(params, stream[:, None], None, RngState(7), mask_mode,
-                  on_step=lambda cache: made.append(replace(cache, **{
-                      k: getattr(cache, k).copy() for k in CACHE_FIELDS})))
+        _, _, made = record(params, stream[:, None], None, RngState(7), mask_mode)
         buffer = trace_stream(params, stream, window=window, mask_mode=mask_mode, seed=7)
         assert len(buffer) == window
         assert buffer.start == len(stream) - 1 - window
-        for t, (kept, ref) in enumerate(zip(buffer.steps, made[-window:], strict=True)):
+        for t, (kept, ref) in enumerate(zip(recorded_steps(buffer.arena),
+                                            recorded_steps(made)[-window:], strict=True)):
             for name in CACHE_FIELDS:
                 np.testing.assert_array_equal(getattr(kept, name), getattr(ref, name),
                                               err_msg=f"step {t}: {name}")
@@ -119,9 +115,8 @@ class TestRecordStep:
     def test_recording_does_not_perturb_the_run(self):
         params = tiny_params()
         symbols = lane_symbols(params, 40, 0)[:, None]
-        kept = deque(maxlen=10)
-        with_trace, loss = run_lanes(params, symbols, None, RngState(0), on_step=kept.append)
-        # identical run that builds no step caches at all
+        with_trace, loss, _ = record(params, symbols, None, RngState(0))
+        # identical run that records no steps at all
         state, ref_loss = run_lanes(params, symbols, None, RngState(0))
         assert loss == ref_loss
         np.testing.assert_array_equal(state.c, with_trace.c)
@@ -146,7 +141,9 @@ class TestGateMapExport:
 
     def test_empty_buffer_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            export_gate_map(TraceBuffer(start=0, steps=deque()), str(tmp_path / "x.csv"))
+            export_gate_map(empty_buffer(), str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError, match="empty"):
+            export_cell_change(empty_buffer(), str(tmp_path / "y.csv"))
 
     def test_unwritable_path(self, tmp_path):
         buffer = run_and_record(tiny_params(), 3)
@@ -168,7 +165,7 @@ class TestExportGolden:
         assert len(buffer) == min(window, steps)
         assert buffer.start == max(0, steps - window)
         if variant == "adaptive" and mask_mode == "expected":
-            masks = np.concatenate([s.mask for s in buffer.steps])
+            masks = buffer.arena.mask
             assert np.any((masks > 0) & (masks < 1))
         assert_exports_match_reference(buffer, tmp_path)
 
@@ -176,16 +173,16 @@ class TestExportGolden:
     def test_special_values(self, tmp_path, dtype):
         special = np.array([np.nan, np.inf, -np.inf, 1e-45, 3.4e38, -0.0, 0.1],
                            dtype=dtype)
-        steps = deque()
+        arena = WindowArena(tiny_params(hidden=7, dtype=dtype), 45, 1)
+        arena.c[...] = 0.0
         for t in range(45):
-            row = np.roll(special, t)[None]
-            # one special value in an otherwise unchanged cell row, so the
-            # cell change is |row[0]| / 7
-            c = np.zeros_like(row)
-            c[0, 0] = row[0, 0]
-            steps.append(SimpleNamespace(f=row, i=row[:, ::-1].copy(), o=np.roll(row, 3),
-                                         mask=np.roll(row, 5), c=c, c_prev=np.zeros_like(c)))
-        buffer = TraceBuffer(start=3, steps=steps)
+            row = np.roll(special, t)
+            f, i, o, _ = arena.gate_rows(t)
+            f[0], i[0], o[0], arena.mask[t, 0] = row, row[::-1], np.roll(row, 3), np.roll(row, 5)
+            # cell 0 steps through the special values, so the cell changes
+            # meet them too, and their differences (inf - inf is nan)
+            arena.c[t + 1, 0, 0] = row[0]
+        buffer = TraceBuffer(start=3, arena=arena)
         assert_exports_match_reference(buffer, tmp_path)
 
 
@@ -197,12 +194,9 @@ class TestCellChangeStats:
         assert overall == 0.0
 
     def test_constant_increment(self):
-        n = 4
-        steps = deque()
-        for t in range(6):
-            c_prev = np.full((1, n), 0.1 * t)
-            steps.append(SimpleNamespace(c=c_prev + 0.1, c_prev=c_prev))
-        buffer = TraceBuffer(start=0, steps=steps)
+        arena = WindowArena(tiny_params(hidden=4), 6, 1)
+        arena.c[:, 0] = 0.1 * np.arange(7)[:, None]
+        buffer = TraceBuffer(start=0, arena=arena)
         per_step, overall = cell_change_stats(buffer)
         np.testing.assert_allclose(per_step, 0.1, atol=1e-15)
         assert overall == pytest.approx(0.1)

@@ -120,10 +120,9 @@ class TestRunTbpttWindow:
                                            WindowArena(params, 1, 1))
 
         g_manual = GradientSet.zeros_like(params)
-        caches, arena = [], WindowArena(params, 1, 1)
-        s2, loss2 = run_lanes(params, seq, state0, RngState(9), on_step=caches.append,
-                              arena=arena)
-        backward_window(caches, arena, params, seq, g_manual)
+        arena = WindowArena(params, 1, 1)
+        s2, loss2 = run_lanes(params, seq, state0, RngState(9), arena=arena)
+        backward_window(arena, params, seq, g_manual)
 
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_array_equal(s1.c, s2.c)
