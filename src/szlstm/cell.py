@@ -167,7 +167,8 @@ class WindowArena:
 
     def gate_rows(self, t):
         """Views of the f, i, o and u rows of gates[t] (t an index or a slice)."""
-        return np.split(self.gates[t], 4, axis=-1)
+        g, n = self.gates[t], self.c_hat.shape[-1]
+        return g[..., :n], g[..., n: 2 * n], g[..., 2 * n: 3 * n], g[..., 3 * n:]
 
 
 class GradientSet(_FlatBlocks):
@@ -194,7 +195,7 @@ class _FusedGates:
     # contiguous copies made once per window and shared by all its steps
     WgT: np.ndarray     # (M, 4N)
     UgT: np.ndarray     # (N, 4N)
-    VgT: np.ndarray     # (M, 4N)
+    VgT: np.ndarray | None  # (M, 4N); None for standard, whose V_* are never read
     bg: np.ndarray      # (4N,), view of params.bg
     WyT: np.ndarray     # (N, M)
 
@@ -208,7 +209,7 @@ def fuse_gate_weights(params):
     return _FusedGates(
         WgT=np.ascontiguousarray(params.Wg.T),
         UgT=np.ascontiguousarray(params.Ug.T),
-        VgT=np.ascontiguousarray(params.Vg.T),
+        VgT=None if params.variant == "standard" else np.ascontiguousarray(params.Vg.T),
         bg=params.bg,
         WyT=np.ascontiguousarray(params.W_y.T),
     )
@@ -250,15 +251,16 @@ def gate_forward(x_idx, s_val, h_prev, fused, out=None):
     """Gate activations from input symbols, previous hidden state and surprisal.
 
     The one-hot input row and the single-entry surprisal row turn their
-    matmuls into row gathers of the fused weights. All variants run the same
-    expression; the standard variant simply keeps its surprisal weights at
-    zero. Callers hold np.errstate(over="ignore"): exp overflows to inf on
-    very negative pre-activations, which gives exactly the right 0. out
+    matmuls into row gathers of the fused weights. The standard variant pins
+    its surprisal weights at zero: it has no VgT, skips that term and never
+    reads V_*. Callers hold np.errstate(over="ignore"): exp overflows to inf
+    on very negative pre-activations, which gives exactly the right 0. out
     (B, 4N), when given, receives f|i|o|u.
     """
     a = fused.WgT[x_idx]
     a += h_prev @ fused.UgT
-    a += fused.VgT[x_idx] * s_val[:, None]
+    if fused.VgT is not None:
+        a += fused.VgT[x_idx] * s_val[:, None]
     a += fused.bg
     return _activate_gates(a, h_prev.shape[1], out)
 

@@ -93,7 +93,9 @@ def dense_step(state, x_idx, params, fused, rng, mask_mode, target):
     s = np.zeros_like(state.p_prev)
     s[rows, x_idx] = np.log(state.p_prev[rows, x_idx])
     err = state.p_prev - x
-    a = matmul(x, fused.WgT) + matmul(state.h, fused.UgT) + matmul(s, fused.VgT) + fused.bg
+    # standard fuses no VgT; its V_* are zero, so the product is zero either way
+    VgT = params.Vg.T if fused.VgT is None else fused.VgT
+    a = matmul(x, fused.WgT) + matmul(state.h, fused.UgT) + matmul(s, VgT) + fused.bg
     sig = sigmoid(a[:, : 3 * n])
     f, i, o, u = sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], np.tanh(a[:, 3 * n:])
     if params.variant == "adaptive":

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from szlstm.cell import (
+    GradientSet,
     ModelParams,
     RecurrentState,
+    backward_window,
     cell_update,
     cross_entropy_bpc,
     fuse_gate_weights,
@@ -316,6 +318,38 @@ class TestCellStep:
     def test_rejects_unknown_mask_mode(self):
         with pytest.raises(ValueError, match="mask_mode"):
             run_lanes(tiny_params(), np.array([[0], [0]]), mask_mode="bogus")
+
+
+class TestStandardSkipsFeedback:
+    """standard pins V_* at zero and never reads them, forward or backward."""
+
+    @staticmethod
+    def run_window(fill, mask_mode, dtype):
+        # one recorded window and its backward sweep with every V_* entry set
+        # to fill; returns (loss, final state, arena rows, gradients and d_h, d_c)
+        params = tiny_params(variant="standard", dtype=dtype)
+        params.Vg[...] = fill
+        sym = RngState(5).integers(0, params.vocab_size, size=(13, 3))
+        state, loss, arena = record(params, sym, None, RngState(8), mask_mode)
+        state = {k: getattr(state, k).copy() for k in ("c", "h", "p_prev")}
+        rows = {k: getattr(arena, k).copy()
+                for k in ("s_val", "z", "mask", "gates", "c", "h", "c_hat", "p")}
+        grads = GradientSet.zeros_like(params)
+        d_h, d_c = backward_window(arena, params, sym, grads)
+        blocks = {k: getattr(grads, k) for k in params.trainable_keys()}
+        return loss, state, rows, dict(blocks, d_h=d_h, d_c=d_c)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
+    def test_standard_never_reads_feedback_weights(self, mask_mode, dtype):
+        loss, state, rows, grads = self.run_window(0.0, mask_mode, dtype)
+        nan = self.run_window(np.nan, mask_mode, dtype)
+        assert np.isfinite(loss) and nan[0] == loss
+        for want, got in zip((state, rows, grads), nan[1:], strict=True):
+            assert want.keys() == got.keys()
+            for name, a in want.items():
+                assert np.all(np.isfinite(a)), name
+                assert got[name].tobytes() == a.tobytes(), name
 
 
 class TestRunLanes:
