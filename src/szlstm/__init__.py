@@ -8,12 +8,8 @@ from .cell import (
     RecurrentState,
     WindowArena,
     backward_window,
-    cell_update,
     cross_entropy_bpc,
     fuse_gate_weights,
-    gate_forward,
-    hidden_from_cell,
-    prediction_error,
     run_lanes,
     zoneout_rate,
 )

@@ -16,6 +16,11 @@ Four variants share one code path:
   adaptive       surprisal feedback active, update probability driven by
                  the previous prediction error
 
+run_lanes writes the step once: the gates f, i, o (logistic) and u (tanh)
+of W x + U h_prev + V s + b, the cell c = (1 - f*mask)*c_prev + mask*(i*u),
+h = o*tanh(c) and p = softmax(W_y h + b_y). f erases and i*u writes only
+where the mask fires, so mask 0 leaves the cell bit for bit.
+
 A WindowArena is the one record of a run's steps: run_lanes writes each
 step's rows into it, and the backward pass, the gradient oracle's replay
 and the trace read them there.
@@ -215,18 +220,6 @@ def fuse_gate_weights(params):
     )
 
 
-def prediction_error(p_prev, x_idx):
-    """Previous prediction minus the one-hot row of the symbol that arrived.
-
-    Rows sum to 0; x_idx holds one symbol index per row of p_prev.
-    """
-    if x_idx.shape != p_prev.shape[:1]:
-        raise ValueError(f"prediction_error shape mismatch: {p_prev.shape} vs {x_idx.shape}")
-    err = p_prev.copy()
-    err[np.arange(x_idx.shape[0]), x_idx] -= 1
-    return err
-
-
 def zoneout_rate(err, W_y, tau):
     """Per-cell update probability from the previous prediction error.
 
@@ -236,51 +229,6 @@ def zoneout_rate(err, W_y, tau):
     """
     back = matmul(err, W_y)
     return np.minimum(tau + np.abs(back), 1.0)
-
-
-def _activate_gates(a, n, out=None):
-    # the logistic 1 / (1 + exp(-a)) under the np.errstate the step's caller
-    # holds once for a whole run of steps: exp overflowing to inf gives 0
-    sig_out, u_out = (None, None) if out is None else (out[:, : 3 * n], out[:, 3 * n:])
-    sig = np.divide(1.0, 1.0 + np.exp(-a[:, : 3 * n]), out=sig_out)
-    u = np.tanh(a[:, 3 * n:], out=u_out)
-    return sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], u
-
-
-def gate_forward(x_idx, s_val, h_prev, fused, out=None):
-    """Gate activations from input symbols, previous hidden state and surprisal.
-
-    The one-hot input row and the single-entry surprisal row turn their
-    matmuls into row gathers of the fused weights. The standard variant pins
-    its surprisal weights at zero: it has no VgT, skips that term and never
-    reads V_*. Callers hold np.errstate(over="ignore"): exp overflows to inf
-    on very negative pre-activations, which gives exactly the right 0. out
-    (B, 4N), when given, receives f|i|o|u.
-    """
-    a = fused.WgT[x_idx]
-    a += h_prev @ fused.UgT
-    if fused.VgT is not None:
-        a += fused.VgT[x_idx] * s_val[:, None]
-    a += fused.bg
-    return _activate_gates(a, h_prev.shape[1], out)
-
-
-def cell_update(c_prev, f, i, u, mask, out=None):
-    """Erase-and-write update gated by the mask; mask 0 copies the cell through.
-
-    f scales how much of the old content is erased when an update fires, so a
-    masked-out step is a bit-exact NOP on the cell. mask None means every
-    cell updates; dropping the products with an all-ones mask is bit-exact.
-    """
-    if mask is None:
-        return np.add((1.0 - f) * c_prev, i * u, out=out)
-    return np.add((1.0 - f * mask) * c_prev, mask * (i * u), out=out)
-
-
-def hidden_from_cell(c, o, c_hat=None, h=None):
-    """Squash the cell and expose it through the read gate (into c_hat, h)."""
-    c_hat = np.tanh(c, out=c_hat)
-    return c_hat, np.multiply(o, c_hat, out=h)
 
 
 def _score(p, rows, target):
@@ -305,7 +253,11 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     prediction gave it, all from one gather: state's p_prev for row 0, and
     for row t+1 the log-probability step t's loss took. A zero probability
     raises NumericalError. np.errstate, the row index and the fused gate
-    weights are made once per call. state None starts fresh lanes; the
+    weights are made once per call. Under that errstate exp overflowing to
+    inf gives exact 0 gates. The one-hot input and single-entry surprisal
+    rows are row gathers of the fused weights; standard pins V_* at zero,
+    so it has no surprisal term and never reads V_*, and standard and sf
+    skip the all-ones mask products. state None starts fresh lanes; the
     input state is never written. mask_mode "sampled" draws one binary
     update mask per step from rng for fixed_zoneout and adaptive, and none
     for standard and sf; "expected" substitutes the update probability
@@ -332,7 +284,9 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     if arena is not None:
         arena.c[0], arena.h[0] = c, h
         c, h = arena.c[0], arena.h[0]
-    out = (None,) * 5
+    n = params.hidden_size
+    # each step's ufunc out= targets: its arena rows, or None for fresh arrays
+    sig_out = u_out = c_out = c_hat_out = h_out = p_out = None
     s_val = None
     total = 0.0
     with np.errstate(over="ignore", divide="ignore"):
@@ -344,22 +298,36 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                     s_val, _ = _score(p, rows, x_idx)
                 z = mask = None  # standard / sf: every cell updates every step
                 if params.variant == "adaptive":
-                    z = zoneout_rate(prediction_error(p, x_idx), params.W_y, params.tau)
+                    err = p.copy()   # the previous prediction minus the arrived one-hot rows
+                    err[rows, x_idx] -= 1
+                    z = zoneout_rate(err, params.W_y, params.tau)
                 elif params.variant == "fixed_zoneout":
                     z = np.full_like(c, params.zoneout_rate)
                 if z is not None:
                     mask = sample_bernoulli(z, rng) if sampled else z
             if arena is not None:
-                out = (arena.gates[t], arena.c[t + 1], arena.c_hat[t], arena.h[t + 1], arena.p[t])
+                sig_out, u_out = arena.gates[t, :, : 3 * n], arena.gates[t, :, 3 * n:]
+                c_out, c_hat_out, h_out, p_out = (arena.c[t + 1], arena.c_hat[t],
+                                                  arena.h[t + 1], arena.p[t])
                 arena.s_val[t] = s_val
                 if zoneout:
                     arena.z[t], arena.mask[t] = z, mask
-            f, i, o, u = gate_forward(x_idx, s_val, h, fused, out[0])
-            c = cell_update(c, f, i, u, mask, out[1])
-            _, h = hidden_from_cell(c, o, *out[2:4])
+            a = fused.WgT[x_idx]
+            a += h @ fused.UgT
+            if fused.VgT is not None:
+                a += fused.VgT[x_idx] * s_val[:, None]
+            a += fused.bg
+            sig = np.divide(1.0, 1.0 + np.exp(-a[:, : 3 * n]), out=sig_out)
+            f, i, o = sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:]
+            u = np.tanh(a[:, 3 * n:], out=u_out)
+            if mask is None:
+                c = np.add((1.0 - f) * c, i * u, out=c_out)
+            else:
+                c = np.add((1.0 - f * mask) * c, mask * (i * u), out=c_out)
+            h = np.multiply(o, np.tanh(c, out=c_hat_out), out=h_out)
             y = h @ fused.WyT
             y += params.b_y
-            p = softmax_rows(y, out[4])
+            p = softmax_rows(y, p_out)
             if choose is not None:
                 symbols[t + 1] = choose(t, y, p)
             # the target's log-probability is also the next step's surprisal

@@ -132,6 +132,8 @@ def cmd_eval(args):
     cfg = build_config(args)
     ckpt, corpus = _load_model_and_corpus(args)
     bpc = evaluate_bpc(ckpt.params, corpus.split(args.split), cfg, lanes=args.lanes)
+    if not np.isfinite(bpc):
+        raise NumericalError(f"non-finite {args.split} loss ({bpc})")
     print(f"{args.split}_bpc\t{bpc:.6f}")
     return 0
 
@@ -200,7 +202,9 @@ def cmd_sample(args):
         return min(int(np.searchsorted(np.cumsum(p[0]), u, side="right")),
                    params.vocab_size - 1)
 
-    run_lanes(params, symbols, None, rng, "expected", choose=choose)
+    _, loss = run_lanes(params, symbols, None, rng, "expected", choose=choose)
+    if not np.isfinite(loss):
+        raise NumericalError(f"non-finite loss ({loss}) over the prompt and sample")
     text = vocab[symbols[n:, 0]].tobytes().decode("utf-8", "replace")
     sys.stdout.write(args.prompt + text + "\n")
     return 0

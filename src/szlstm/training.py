@@ -37,6 +37,7 @@ with no fsync, a power loss or OS crash can still lose recent writes.
 import errno
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -468,7 +469,9 @@ def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view; bad magic, version, missing
     or malformed header fields (precision, step, sizes, vocab bytes and
-    length), truncation and trailing bytes all hard-fail with ValueError."""
+    length, rates, optimizer constants, rng streams, config), truncation
+    (checked before the arrays are allocated) and trailing bytes all
+    hard-fail with ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -502,12 +505,30 @@ def load_checkpoint(path):
         if len(vocab) != vocab_size:
             raise ValueError(f"checkpoint vocab has {len(vocab)} bytes, "
                              f"not vocab_size {vocab_size}")
+        for name in ("tau", "zoneout_rate", "rho", "eps", "lr"):
+            value, unit = header[name], name not in ("eps", "lr")
+            if type(value) not in (int, float) or not (   # bools, strings, null, ...
+                    0 <= value <= 1 if unit else 0 < value <= sys.float_info.max):
+                raise ValueError(f"checkpoint {path} header {name} must "
+                                 f"{'lie in [0, 1]' if unit else 'be a finite number > 0'}, "
+                                 f"got {value!r}")
+        rng = header.get("rng", {})
+        if not (isinstance(rng, dict) and all(
+                isinstance(v, list) and len(v) == 2
+                and all(type(k) is int and 0 <= k < 2 ** 64 for k in v) for v in rng.values())):
+            raise ValueError(f"checkpoint {path} header rng must map names to "
+                             f"[seed, counter] pairs of integers in [0, 2**64)")
+        config = header.get("config", {})
+        if not isinstance(config, dict):
+            raise ValueError(f"checkpoint {path} header config must be an object")
 
         dtype = DTYPES[header["precision"]]
         count = block_layout(vocab_size, hidden)["b_y"][1]
-        arrays = np.empty(3 * count, dtype="<f8" if dtype == np.float64 else "<f4")
         left = size - fh.tell()
-        if left < arrays.nbytes or fh.readinto(arrays) != arrays.nbytes:
+        if left < 3 * count * np.dtype(dtype).itemsize:   # before allocating what the header claims
+            raise ValueError(f"truncated checkpoint {path}: short read in arrays")
+        arrays = np.empty(3 * count, dtype="<f8" if dtype == np.float64 else "<f4")
+        if fh.readinto(arrays) != arrays.nbytes:
             raise ValueError(f"truncated checkpoint {path}: short read in arrays")
         if left > arrays.nbytes:
             raise ValueError(f"checkpoint {path} has {left - arrays.nbytes} trailing bytes")
@@ -523,8 +544,8 @@ def load_checkpoint(path):
     return Checkpoint(
         params=params,
         opt=opt,
-        config=header.get("config", {}),
+        config=config,
         vocab=np.array(vocab, dtype=np.uint8),
         step=int(header["step"]),
-        rng={k: tuple(v) for k, v in header.get("rng", {}).items()},
+        rng={k: tuple(v) for k, v in rng.items()},
     )

@@ -7,13 +7,9 @@ from szlstm.cell import (
     GradientSet,
     ModelParams,
     RecurrentState,
+    WindowArena,
     backward_window,
-    cell_update,
     cross_entropy_bpc,
-    fuse_gate_weights,
-    gate_forward,
-    hidden_from_cell,
-    prediction_error,
     run_lanes,
     zoneout_rate,
 )
@@ -73,28 +69,6 @@ class TestSurprisalVector:
         assert np.all(first_surprisal(p_prev, rng.integers(0, 5, size=6)) <= 0.0)
 
 
-class TestPredictionError:
-    def test_perfect_prediction(self):
-        x = one_hot([1], 3, dtype=np.float64)
-        np.testing.assert_array_equal(prediction_error(x, np.array([1])), np.zeros((1, 3)))
-
-    def test_uniform_case(self):
-        p_prev = np.full((1, 4), 0.25)
-        np.testing.assert_allclose(prediction_error(p_prev, np.array([2])),
-                                   [[0.25, 0.25, -0.75, 0.25]], atol=1e-15)
-
-    def test_rows_sum_to_zero(self):
-        rng = np.random.default_rng(1)
-        logits = rng.standard_normal((8, 6))
-        p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        err = prediction_error(p_prev, rng.integers(0, 6, size=8))
-        np.testing.assert_allclose(err.sum(axis=1), 0.0, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            prediction_error(np.zeros((1, 3)), np.array([0, 1]))
-
-
 class TestZoneoutRate:
     def test_zero_error_gives_tau_floor(self):
         z = zoneout_rate(np.zeros((3, 4)), np.ones((4, 6)), 0.05)
@@ -124,22 +98,74 @@ class TestZoneoutRate:
             assert np.all(z >= min(tau, 1.0)) and np.all(z <= 1.0)
 
 
+def step_rows(params, x_idx, c_prev=0.0, h_prev=0.0, p_prev=None, frozen=None):
+    """Step 0 of run_lanes from the given starting state (p_prev None is the
+    uniform prediction), scored against x_idx again, with expected masks or
+    frozen's; returns the step_views of its arena row."""
+    state = RecurrentState.initial(len(x_idx), params.hidden_size, params.vocab_size,
+                                   dtype=params.dtype)
+    state.c[...], state.h[...] = c_prev, h_prev
+    if p_prev is not None:
+        state.p_prev[...] = p_prev
+    _, _, arena = record(params, np.stack([x_idx, x_idx]), state, mask_mode="expected",
+                         frozen=frozen)
+    return step_views(arena, 0)
+
+
+def frozen_mask(params, batch, value, steps=1):
+    """A frozen arena for a zoneout variant: s_val 0, z and mask value."""
+    frozen = WindowArena(params, steps, batch)
+    frozen.s_val.fill(0.0)
+    frozen.z.fill(value)
+    frozen.mask.fill(value)
+    return frozen
+
+
+class TestPredictionError:
+    """Adaptive's step reads z = zoneout_rate(p_prev - one_hot(x), W_y, tau)."""
+
+    def test_perfect_prediction(self):
+        # a certain, right previous prediction leaves no error: z is the floor
+        params = tiny_params(vocab=3, hidden=4, tau=0.05)
+        step = step_rows(params, np.array([1]), p_prev=one_hot([1], 3, dtype=np.float64))
+        np.testing.assert_array_equal(step.z, np.full((1, 4), 0.05))
+
+    def test_uniform_case(self):
+        params = tiny_params(vocab=4, hidden=3, tau=0.05)
+        step = step_rows(params, np.array([2]), p_prev=np.full((1, 4), 0.25))
+        err = np.array([[0.25, 0.25, -0.75, 0.25]])
+        np.testing.assert_array_equal(step.z, zoneout_rate(err, params.W_y, 0.05))
+
+    def test_rows_sum_to_zero(self):
+        # all-ones output weights push back each error row's sum, and tau 0
+        # leaves z = |sum| in every cell
+        rng = np.random.default_rng(1)
+        logits = rng.standard_normal((8, 6))
+        p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        x_idx = rng.integers(0, 6, size=8)
+        params = tiny_params(vocab=6, hidden=4, tau=0.0)
+        step = step_rows(params, x_idx, p_prev=p_prev)
+        np.testing.assert_array_equal(
+            step.z, zoneout_rate(p_prev - one_hot(x_idx, 6, dtype=np.float64), params.W_y, 0.0))
+        params.W_y[...] = 1.0
+        np.testing.assert_allclose(step_rows(params, x_idx, p_prev=p_prev).z, 0.0, atol=1e-12)
+
+
 class TestGateForward:
+    """The gates f|i|o|u a step records."""
+
     def test_all_zeros(self):
         params = ModelParams.zeros(3, 4, dtype=np.float64)
-        h = np.zeros((2, 4))
-        f, i, o, u = gate_forward(np.array([1, 2]), np.zeros(2), h,
-                                  fuse_gate_weights(params))
-        np.testing.assert_array_equal(f, np.full((2, 4), 0.5))
-        np.testing.assert_array_equal(i, np.full((2, 4), 0.5))
-        np.testing.assert_array_equal(o, np.full((2, 4), 0.5))
-        np.testing.assert_array_equal(u, np.zeros((2, 4)))
+        step = step_rows(params, np.array([1, 2]))
+        np.testing.assert_array_equal(step.f, np.full((2, 4), 0.5))
+        np.testing.assert_array_equal(step.i, np.full((2, 4), 0.5))
+        np.testing.assert_array_equal(step.o, np.full((2, 4), 0.5))
+        np.testing.assert_array_equal(step.u, np.zeros((2, 4)))
 
     def test_unit_erase_bias(self):
         params = ModelParams.zeros(3, 4, dtype=np.float64)
         params.b_f.fill(1.0)
-        f, _, _, _ = gate_forward(np.array([0]), np.zeros(1), np.zeros((1, 4)),
-                                  fuse_gate_weights(params))
+        f = step_rows(params, np.array([0])).f
         np.testing.assert_allclose(f, 1.0 / (1.0 + np.exp(-1.0)), atol=1e-15)
         assert abs(f[0, 0] - 0.7310585786300049) < 1e-12
 
@@ -148,8 +174,11 @@ class TestGateForward:
         rng = np.random.default_rng(4)
         x_idx = np.array([3, 1])
         h = rng.standard_normal((2, 3))
-        s_val = -np.abs(rng.standard_normal(2))
-        f, i, o, u = gate_forward(x_idx, s_val, h, fuse_gate_weights(params))
+        logits = rng.standard_normal((2, 4))
+        p_prev = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        step = step_rows(params, x_idx, h_prev=h, p_prev=p_prev)
+        s_val = np.log(p_prev[[0, 1], x_idx])
+        np.testing.assert_array_equal(step.s_val, s_val)
         # the dense rows the gathers stand for: one-hot input, single-entry surprisal
         x = one_hot(x_idx, 4, dtype=np.float64)
         s = x * s_val[:, None]
@@ -166,64 +195,91 @@ class TestGateForward:
             return out
 
         for r in range(2):
-            np.testing.assert_allclose(
-                f[r], 1 / (1 + np.exp(-preact(params.W_f, params.U_f, params.V_f, params.b_f, r))),
-                atol=1e-12)
-            np.testing.assert_allclose(
-                i[r], 1 / (1 + np.exp(-preact(params.W_i, params.U_i, params.V_i, params.b_i, r))),
-                atol=1e-12)
-            np.testing.assert_allclose(
-                o[r], 1 / (1 + np.exp(-preact(params.W_o, params.U_o, params.V_o, params.b_o, r))),
-                atol=1e-12)
-            np.testing.assert_allclose(
-                u[r], np.tanh(preact(params.W_u, params.U_u, params.V_u, params.b_u, r)),
-                atol=1e-12)
+            for g, squash in (("f", None), ("i", None), ("o", None), ("u", np.tanh)):
+                a = preact(*(getattr(params, f"{k}_{g}") for k in "WUVb"), r)
+                want = np.tanh(a) if squash else 1 / (1 + np.exp(-a))
+                np.testing.assert_allclose(getattr(step, g)[r], want, atol=1e-12, err_msg=g)
 
 
 class TestCellUpdate:
+    """c = (1 - f*mask)*c_prev + mask*(i*u), as a step records it."""
+
     def test_masked_out_is_bit_exact_nop(self):
-        rng = np.random.default_rng(5)
-        c_prev = rng.standard_normal((3, 4)).astype(np.float32)
-        f, i, u = (rng.random((3, 4)).astype(np.float32) for _ in range(3))
-        c = cell_update(c_prev, f, i, u, np.zeros_like(c_prev))
-        np.testing.assert_array_equal(c, c_prev)
+        # a frozen zero mask leaves every step's cell at the starting one
+        params = tiny_params(dtype=np.float32)
+        c_prev = np.random.default_rng(5).standard_normal((3, 8)).astype(np.float32)
+        state = RecurrentState.initial(3, 8, params.vocab_size, dtype=np.float32)
+        state.c[...] = c_prev
+        sym = RngState(5).integers(0, params.vocab_size, size=(7, 3))
+        out, _, arena = record(params, sym, state, frozen=frozen_mask(params, 3, 0.0, steps=6))
+        for c in arena.c:
+            assert c.tobytes() == c_prev.tobytes()
+        assert out.c.tobytes() == c_prev.tobytes()
 
     def test_full_erase_full_write(self):
-        c_prev = np.full((1, 3), 7.0)
-        i = np.array([[0.2, 0.4, 0.6]])
-        u = np.array([[1.0, -1.0, 0.5]])
-        c = cell_update(c_prev, np.ones((1, 3)), i, u, np.ones((1, 3)))
-        np.testing.assert_allclose(c, i * u, atol=1e-15)
+        # f = i = 1 (saturated biases) erase the old cell and write u, both
+        # without a mask (sf) and through an all-ones one
+        c_prev = np.random.default_rng(6).standard_normal((2, 8)) * 7
+        for variant in ("sf", "adaptive"):
+            params = tiny_params(variant=variant)
+            params.b_f.fill(1000.0)
+            params.b_i.fill(1000.0)
+            frozen = frozen_mask(params, 2, 1.0) if variant == "adaptive" else None
+            step = step_rows(params, np.array([0, 3]), c_prev=c_prev, frozen=frozen)
+            assert np.all(step.f == 1.0) and np.all(step.i == 1.0)
+            np.testing.assert_array_equal(step.c, step.u, err_msg=variant)
 
     def test_no_erase_no_write(self):
-        c_prev = np.array([[1.5, -2.0]])
-        c = cell_update(c_prev, np.zeros((1, 2)), np.zeros((1, 2)),
-                        np.array([[0.9, 0.9]]), np.ones((1, 2)))
-        np.testing.assert_array_equal(c, c_prev)
+        # f = i = 0 keep the cell bit for bit, without a mask (sf) and
+        # wherever adaptive's sampled mask fires
+        sym = RngState(5).integers(0, 5, size=(7, 3))
+        c_prev = np.random.default_rng(7).standard_normal((3, 8))
+        for variant in ("sf", "adaptive"):
+            params = tiny_params(variant=variant)
+            params.b_f.fill(-1000.0)
+            params.b_i.fill(-1000.0)
+            state = RecurrentState.initial(3, 8, params.vocab_size, dtype=params.dtype)
+            state.c[...] = c_prev
+            _, _, arena = record(params, sym, state, RngState(2))
+            assert variant == "sf" or 0.0 < arena.mask.mean() < 1.0
+            for c in arena.c:
+                np.testing.assert_array_equal(c, c_prev, err_msg=variant)
 
 
 class TestHiddenFromCell:
+    """c_hat = tanh(c) and h = o*c_hat, as a step records them."""
+
     def test_zero_cell(self):
-        c_hat, h = hidden_from_cell(np.zeros((1, 3)), np.array([[0.1, 0.5, 0.9]]))
-        np.testing.assert_array_equal(h, np.zeros((1, 3)))
+        # zero weights keep the cell at 0 whatever the read gate's bias
+        params = ModelParams.zeros(3, 3, dtype=np.float64)
+        params.b_o[:] = [-2.0, 0.0, 2.2]
+        step = step_rows(params, np.array([1]))
+        np.testing.assert_array_equal(step.c, np.zeros((1, 3)))
+        np.testing.assert_array_equal(step.h, np.zeros((1, 3)))
 
     def test_closed_read_gate(self):
-        _, h = hidden_from_cell(np.array([[2.0, -3.0]]), np.zeros((1, 2)))
-        np.testing.assert_array_equal(h, np.zeros((1, 2)))
+        params = tiny_params(hidden=2)
+        params.b_o.fill(-1000.0)
+        step = step_rows(params, np.array([0]), c_prev=np.array([[2.0, -3.0]]))
+        assert np.all(step.c != 0.0)
+        np.testing.assert_array_equal(step.h, np.zeros((1, 2)))
 
     def test_half_open_gate_on_unit_cell(self):
-        _, h = hidden_from_cell(np.array([[1.0]]), np.array([[0.5]]))
-        assert abs(h[0, 0] - 0.3807970779778824) < 1e-12
+        # zero weights open the read gate half way; the frozen zero mask keeps c = 1
+        params = ModelParams.zeros(3, 1, dtype=np.float64)
+        step = step_rows(params, np.array([0]), c_prev=1.0, frozen=frozen_mask(params, 1, 0.0))
+        assert step.c[0, 0] == 1.0 and step.o[0, 0] == 0.5
+        assert abs(step.h[0, 0] - 0.3807970779778824) < 1e-12
 
     def test_bounded(self):
-        rng = np.random.default_rng(6)
-        c = rng.standard_normal((5, 5)) * 3
-        o = rng.random((5, 5)) * 0.999
-        c_hat, h = hidden_from_cell(c, o)
-        assert np.all(np.abs(c_hat) < 1.0) and np.all(np.abs(h) < 1.0)
+        params = tiny_params(hidden=5)
+        c = np.random.default_rng(6).standard_normal((5, 5)) * 3
+        x_idx = np.arange(5)
+        step = step_rows(params, x_idx, c_prev=c, frozen=frozen_mask(params, 5, 0.0))
+        assert np.all(np.abs(step.c_hat) < 1.0) and np.all(np.abs(step.h) < 1.0)
         # saturation never exceeds the bound even for extreme cells
-        c_hat_big, h_big = hidden_from_cell(c * 100, o)
-        assert np.all(np.abs(c_hat_big) <= 1.0) and np.all(np.abs(h_big) <= 1.0)
+        big = step_rows(params, x_idx, c_prev=c * 100, frozen=frozen_mask(params, 5, 0.0))
+        assert np.all(np.abs(big.c_hat) <= 1.0) and np.all(np.abs(big.h) <= 1.0)
 
 
 class TestProjectOutputs:

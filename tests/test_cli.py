@@ -250,6 +250,32 @@ def rewrite_header(path, **changes):
     path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + hlen:])
 
 
+class TestNonFiniteWalk:
+    """eval and sample exit 2, writing nothing to stdout, when the walk's loss is not finite."""
+
+    @staticmethod
+    def checkpoint(corpus, path):
+        # zero weights leave h = 0, and 0 * NaN spreads the NaN to every logit
+        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        params.W_y[0, 0] = np.nan
+        save_checkpoint(str(path), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        return str(path)
+
+    def test_eval_exits_2(self, corpus, corpus_path, tmp_path, capsys):
+        assert run(["eval", self.checkpoint(corpus, tmp_path / "nan.ckpt"), corpus_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:") and "non-finite" in captured.err
+        assert captured.out == ""
+
+    def test_sample_exits_2(self, corpus, tmp_path, capsys):
+        prompt = bytes(corpus.vocab[:2]).decode("ascii")
+        ckpt = self.checkpoint(corpus, tmp_path / "nan.ckpt")
+        assert run(["sample", ckpt, "--prompt", prompt, "--length", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:") and "non-finite" in captured.err
+        assert captured.out == ""
+
+
 class TestMalformedCheckpoint:
     """A checkpoint missing what a command reads fails with exit 1, not a traceback."""
 
@@ -279,9 +305,15 @@ class TestMalformedCheckpoint:
         assert str(corpus.vocab_size) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("field,value", [("hidden", "4"), ("hidden", True), ("hidden", 0),
-                                             ("vocab_size", -1), ("step", 2.5),
-                                             ("vocab", 300), ("vocab", -1), ("vocab", False)])
+    @pytest.mark.parametrize("field,value", [
+        ("hidden", "4"), ("hidden", True), ("hidden", 0), ("vocab_size", -1), ("step", 2.5),
+        ("vocab", 300), ("vocab", -1), ("vocab", False),
+        *((name, value) for name in ("tau", "zoneout_rate", "rho", "eps", "lr")
+          for value in ("0.5", None, [0.5], {"v": 0.5}, True)),
+        ("rho", -0.1), ("rho", 1.5), ("eps", 0), ("eps", float("nan")), ("lr", -1.0),
+        pytest.param("lr", 10 ** 400, id="lr-1e400"), ("rng", {"data": 5}), ("rng", [[1, 2]]), ("rng", {"data": [1]}),
+        ("rng", {"data": [1, -1]}), ("rng", {"data": [1, True]}), ("config", [1, 2]),
+        ("config", "seed=1")])
     def test_malformed_header_value_named(self, corpus, tmp_path, capsys, field, value):
         # a vocab value replaces the last vocab entry
         ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
@@ -294,6 +326,20 @@ class TestMalformedCheckpoint:
         assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and field in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_arrays_beyond_the_file_refused_before_allocation(self, corpus, corpus_path,
+                                                             tmp_path, capsys):
+        # the header's shape asks for about 4 PiB of arrays: more than a 64-bit
+        # address space holds, so only a size check ahead of the allocation
+        # turns it into an error message
+        ckpt = self.checkpoint(corpus, tmp_path / "huge.ckpt")
+        rewrite_header(ckpt, hidden=10 ** 7)
+        with pytest.raises(ValueError, match="truncated checkpoint .* short read in arrays"):
+            load_checkpoint(str(ckpt))
+        assert run(["eval", str(ckpt), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "short read in arrays" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
