@@ -9,7 +9,6 @@ from .cell import (
     WindowArena,
     backward_window,
     cross_entropy_bpc,
-    fuse_gate_weights,
     run_lanes,
     zoneout_rate,
 )
@@ -17,7 +16,6 @@ from .numerics import (
     DTYPES,
     NumericalError,
     RngState,
-    matmul,
     sample_bernoulli,
     softmax_rows,
 )

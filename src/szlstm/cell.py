@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import NumericalError, matmul, sample_bernoulli, softmax_rows
+from .numerics import NumericalError, sample_bernoulli, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 
@@ -194,32 +194,6 @@ class GradientSet(_FlatBlocks):
         return float(np.sqrt(total))
 
 
-@dataclass
-class _FusedGates:
-    # per-gate blocks stacked f|i|o|u along the cell axis; the transposes are
-    # contiguous copies made once per window and shared by all its steps
-    WgT: np.ndarray     # (M, 4N)
-    UgT: np.ndarray     # (N, 4N)
-    VgT: np.ndarray | None  # (M, 4N); None for standard, whose V_* are never read
-    bg: np.ndarray      # (4N,), view of params.bg
-    WyT: np.ndarray     # (N, M)
-
-
-def fuse_gate_weights(params):
-    """Pre-transpose the gate weights so steps run few wide matmuls.
-
-    Transposed views would save the copies, but their matmuls round
-    differently at small batch and run slower at B = 32.
-    """
-    return _FusedGates(
-        WgT=np.ascontiguousarray(params.Wg.T),
-        UgT=np.ascontiguousarray(params.Ug.T),
-        VgT=None if params.variant == "standard" else np.ascontiguousarray(params.Vg.T),
-        bg=params.bg,
-        WyT=np.ascontiguousarray(params.W_y.T),
-    )
-
-
 def zoneout_rate(err, W_y, tau):
     """Per-cell update probability from the previous prediction error.
 
@@ -227,7 +201,7 @@ def zoneout_rate(err, W_y, tau):
     magnitude of the previous step's loss gradient at each hidden unit),
     floored at tau and clipped at 1.
     """
-    back = matmul(err, W_y)
+    back = err @ W_y
     return np.minimum(tau + np.abs(back), 1.0)
 
 
@@ -252,10 +226,10 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     Python floats. Each row's surprisal is the log-probability its previous
     prediction gave it, all from one gather: state's p_prev for row 0, and
     for row t+1 the log-probability step t's loss took. A zero probability
-    raises NumericalError. np.errstate, the row index and the fused gate
+    raises NumericalError. np.errstate, the row index and the transposed
     weights are made once per call. Under that errstate exp overflowing to
     inf gives exact 0 gates. The one-hot input and single-entry surprisal
-    rows are row gathers of the fused weights; standard pins V_* at zero,
+    rows are row gathers of the transposed weights; standard pins V_* at zero,
     so it has no surprisal term and never reads V_*, and standard and sf
     skip the all-ones mask products. state None starts fresh lanes; the
     input state is never written. mask_mode "sampled" draws one binary
@@ -274,7 +248,11 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     sampled = mask_mode == "sampled"
     zoneout = params.variant in ("fixed_zoneout", "adaptive")
-    fused = fuse_gate_weights(params)
+    # contiguous copies of the transposes, each gate family stacked f|i|o|u:
+    # transposed views would save the copies, but their matmuls round
+    # differently at small batch and run slower at B = 32
+    WgT, UgT, WyT = (np.ascontiguousarray(w.T) for w in (params.Wg, params.Ug, params.W_y))
+    VgT = None if params.variant == "standard" else np.ascontiguousarray(params.Vg.T)
     batch = symbols.shape[1]
     rows = np.arange(batch)
     if state is None:
@@ -312,11 +290,11 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 arena.s_val[t] = s_val
                 if zoneout:
                     arena.z[t], arena.mask[t] = z, mask
-            a = fused.WgT[x_idx]
-            a += h @ fused.UgT
-            if fused.VgT is not None:
-                a += fused.VgT[x_idx] * s_val[:, None]
-            a += fused.bg
+            a = WgT[x_idx]
+            a += h @ UgT
+            if VgT is not None:
+                a += VgT[x_idx] * s_val[:, None]
+            a += params.bg
             sig = np.divide(1.0, 1.0 + np.exp(-a[:, : 3 * n]), out=sig_out)
             f, i, o = sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:]
             u = np.tanh(a[:, 3 * n:], out=u_out)
@@ -325,7 +303,7 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
             else:
                 c = np.add((1.0 - f * mask) * c, mask * (i * u), out=c_out)
             h = np.multiply(o, np.tanh(c, out=c_hat_out), out=h_out)
-            y = h @ fused.WyT
+            y = h @ WyT
             y += params.b_y
             p = softmax_rows(y, p_out)
             if choose is not None:
@@ -370,7 +348,7 @@ def backward_window(arena, params, symbols, grads):
         np.divide(d_y, batch, out=d_y)
         d_y[rows, symbols[t + 1]] -= 1.0 / batch
 
-        d_h = d_h + matmul(d_y, params.W_y)
+        d_h = d_h + d_y @ params.W_y
         d_o = d_h * c_hat
         d_c = d_c + d_h * o * (1.0 - c_hat * c_hat)
         d_cm = d_c * mask
@@ -382,16 +360,16 @@ def backward_window(arena, params, symbols, grads):
         np.concatenate([d_f * f * (1.0 - f), d_i * i * (1.0 - i),
                         d_o * o * (1.0 - o), d_u * (1.0 - u * u)], axis=1, out=d_a)
         # carry to the previous step
-        d_h = matmul(d_a, params.Ug)
+        d_h = d_a @ params.Ug
         d_c = d_c * carry
 
     # (T*B, .) views of the arena; step t's h_prev is step t-1's h, so row
     # blocks 1..T of hidden are the steps' h and 0..T-1 their h_prev
     d_y_flat, d_a_flat, hidden = (a.reshape(-1, a.shape[2])
                                   for a in (arena.p, arena.gates, arena.h))
-    grads.W_y += matmul(d_y_flat.T, hidden[batch:])
+    grads.W_y += d_y_flat.T @ hidden[batch:]
     grads.b_y += d_y_flat.sum(axis=0)
-    grads.Ug += matmul(d_a_flat.T, hidden[:-batch])
+    grads.Ug += d_a_flat.T @ hidden[:-batch]
     grads.bg += d_a_flat.sum(axis=0)
 
     # per-symbol input contractions. The stable sort keeps each symbol's rows

@@ -163,6 +163,8 @@ def cmd_trace(args):
     stream = split[args.offset: args.offset + args.window + 1]
     buffer = trace_stream(ckpt.params, stream, window=args.window,
                           mask_mode=args.mask_mode, seed=args.seed)
+    if not np.isfinite(buffer.arena.p).all():
+        raise NumericalError("non-finite outputs in the traced window")
     os.makedirs(args.out_dir, exist_ok=True)
     gates = os.path.join(args.out_dir, f"{args.run_id}_gates.csv")
     cells = os.path.join(args.out_dir, f"{args.run_id}_cellchange.csv")
@@ -189,7 +191,10 @@ def cmd_sample(args):
     rng = RngState(args.seed).fork(STREAM_SAMPLE)
     # one walk over the prompt's rows, then the rows generation fills in
     n = len(prompt_idx)
-    symbols = np.empty((n + args.length, 1), dtype=np.intp)
+    try:
+        symbols = np.empty((n + args.length, 1), dtype=np.intp)
+    except MemoryError:
+        raise ValueError(f"--length {args.length} is more than memory can hold")
     symbols[:n, 0] = prompt_idx
 
     def choose(t, y, p):

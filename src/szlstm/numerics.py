@@ -69,13 +69,6 @@ class RngState:
         return f"RngState(seed={self.seed}, counter={self.counter})"
 
 
-def matmul(a, b):
-    """Matrix product with an explicit shape guard."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def softmax_rows(y, out=None):
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
     # the ufunc reductions y.max and e.sum call, without their Python wrappers

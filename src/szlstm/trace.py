@@ -94,7 +94,7 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled", seed=0):
     start = max(len(symbols) - 1 - window, 0)
     rng, state = RngState(seed), None
     if start:
-        # a stream that fits the window runs as one call: each call fuses the gate weights
+        # a stream that fits the window runs as one call: each call copies the gate weights
         state, _ = run_lanes(params, symbols[: start + 1, None], None, rng, mask_mode)
     arena = WindowArena(params, len(symbols) - 1 - start, 1)
     run_lanes(params, symbols[start:, None], state, rng, mask_mode, arena=arena)

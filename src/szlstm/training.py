@@ -166,10 +166,14 @@ class TrainConfig:
 
     def validate(self):
         for name in ("seq_len", "batch_size", "chunk_len", "hidden",
-                     "val_interval", "val_prefix", "lr", "eps", "clip_norm"):
+                     "val_interval", "val_prefix", "clip_norm"):
             # negated, so that a NaN from a config file fails too
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("lr", "eps"):   # as load_checkpoint requires of the header
+            if not 0 < getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {getattr(self, name)}")
         for name in ("steps", "val_lanes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -491,7 +495,7 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_FIELDS if k not in header]
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
-        if header["precision"] not in DTYPES:
+        if type(header["precision"]) is not str or header["precision"] not in DTYPES:
             raise ValueError(f"checkpoint precision {header['precision']!r} is not f32/f64")
         for name, least in (("step", 0), ("hidden", 1), ("vocab_size", 1)):
             value = header[name]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szlstm import ModelParams, RecurrentState, RngState, WindowArena, load_corpus, run_lanes
-from szlstm.numerics import matmul, sample_bernoulli, softmax_rows
+from szlstm.numerics import sample_bernoulli, softmax_rows
 from szlstm.optim import xavier_init
 
 
@@ -84,22 +84,24 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def dense_step(state, x_idx, params, fused, rng, mask_mode, target):
+def dense_step(state, x_idx, params, rng, mask_mode, target):
     """One reference step; returns (state, cache, loss). The cache has every
-    CACHE_FIELDS entry plus the dense rows x and s."""
+    CACHE_FIELDS entry plus the dense rows x and s. Its products take the
+    same contiguous transposed copies run_lanes makes."""
     b, n = x_idx.shape[0], params.hidden_size
     rows = np.arange(b)
     x = one_hot(x_idx, params.vocab_size, dtype=params.dtype)
     s = np.zeros_like(state.p_prev)
     s[rows, x_idx] = np.log(state.p_prev[rows, x_idx])
     err = state.p_prev - x
-    # standard fuses no VgT; its V_* are zero, so the product is zero either way
-    VgT = params.Vg.T if fused.VgT is None else fused.VgT
-    a = matmul(x, fused.WgT) + matmul(state.h, fused.UgT) + matmul(s, VgT) + fused.bg
+    WgT, UgT, WyT = (np.ascontiguousarray(w.T) for w in (params.Wg, params.Ug, params.W_y))
+    # run_lanes copies no VgT for standard; its V_* are zero, so the product is zero either way
+    VgT = params.Vg.T if params.variant == "standard" else np.ascontiguousarray(params.Vg.T)
+    a = x @ WgT + state.h @ UgT + s @ VgT + params.bg
     sig = sigmoid(a[:, : 3 * n])
     f, i, o, u = sig[:, :n], sig[:, n: 2 * n], sig[:, 2 * n:], np.tanh(a[:, 3 * n:])
     if params.variant == "adaptive":
-        z = np.minimum(params.tau + np.abs(matmul(err, params.W_y)), 1.0)
+        z = np.minimum(params.tau + np.abs(err @ params.W_y), 1.0)
     elif params.variant == "fixed_zoneout":
         z = np.full_like(state.c, params.zoneout_rate)
     else:
@@ -111,7 +113,7 @@ def dense_step(state, x_idx, params, fused, rng, mask_mode, target):
     c = (1.0 - f * mask) * state.c + mask * (i * u)
     c_hat = np.tanh(c)
     h = o * c_hat
-    p = softmax_rows(matmul(h, fused.WyT) + params.b_y)
+    p = softmax_rows(h @ WyT + params.b_y)
     loss = float(-np.log(p[rows, target]).mean())
     cache = SimpleNamespace(x=x, s_val=s[rows, x_idx], s=s, z=z, mask=mask, f=f, i=i, o=o,
                             u=u, h_prev=state.h, c_prev=state.c, c=c, c_hat=c_hat, h=h, p=p)
@@ -132,7 +134,7 @@ def dense_deltas(caches, params, symbols):
         batch = k.p.shape[0]
         d_y = k.p / batch
         d_y[np.arange(batch), symbols[t + 1]] -= 1.0 / batch
-        d_h = d_h + matmul(d_y, params.W_y)
+        d_h = d_h + d_y @ params.W_y
         d_o = d_h * k.c_hat
         d_c = d_c + d_h * k.o * (1.0 - k.c_hat * k.c_hat)
         d_c_prev = d_c * (1.0 - k.f * k.mask)
@@ -141,7 +143,7 @@ def dense_deltas(caches, params, symbols):
         d_u = d_c * k.mask * k.i
         d_a = np.concatenate([d_f * k.f * (1.0 - k.f), d_i * k.i * (1.0 - k.i),
                               d_o * k.o * (1.0 - k.o), d_u * (1.0 - k.u * k.u)], axis=1)
-        d_h = matmul(d_a, params.Ug)
+        d_h = d_a @ params.Ug
         d_c = d_c_prev
         d_ys.insert(0, d_y)
         d_as.insert(0, d_a)
@@ -156,13 +158,13 @@ def dense_backward(caches, params, symbols):
     d_ys, d_as, d_h, d_c = dense_deltas(caches, params, symbols)
     d_y = np.concatenate(d_ys)
     d_a = np.concatenate(d_as)
-    grads = {"W_y": matmul(d_y.T, np.concatenate([k.h for k in caches])),
+    grads = {"W_y": d_y.T @ np.concatenate([k.h for k in caches]),
              "b_y": d_y.sum(axis=0)}
-    stacked = {"W_": matmul(d_a.T, np.concatenate([k.x for k in caches])),
-               "U_": matmul(d_a.T, np.concatenate([k.h_prev for k in caches])),
+    stacked = {"W_": d_a.T @ np.concatenate([k.x for k in caches]),
+               "U_": d_a.T @ np.concatenate([k.h_prev for k in caches]),
                "b_": d_a.sum(axis=0)}
     if params.variant != "standard":
-        stacked["V_"] = matmul(d_a.T, np.concatenate([k.s for k in caches]))
+        stacked["V_"] = d_a.T @ np.concatenate([k.s for k in caches])
     for gi, g in enumerate(GATES):
         for prefix, block in stacked.items():
             grads[prefix + g] = block[gi * n: (gi + 1) * n]

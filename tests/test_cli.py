@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from szlstm import cell, cli
+from szlstm import cli
 from szlstm.cell import ModelParams
 from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file
 from szlstm.numerics import NumericalError
@@ -251,7 +251,7 @@ def rewrite_header(path, **changes):
 
 
 class TestNonFiniteWalk:
-    """eval and sample exit 2, writing nothing to stdout, when the walk's loss is not finite."""
+    """eval, sample and trace exit 2, writing nothing to stdout, when the walk is not finite."""
 
     @staticmethod
     def checkpoint(corpus, path):
@@ -275,6 +275,16 @@ class TestNonFiniteWalk:
         assert captured.err.startswith("numerical failure:") and "non-finite" in captured.err
         assert captured.out == ""
 
+    def test_trace_exits_2(self, corpus, corpus_path, tmp_path, capsys):
+        ckpt = self.checkpoint(corpus, tmp_path / "nan.ckpt")
+        out_dir = tmp_path / "out"
+        assert run(["trace", ckpt, corpus_path, "--window", "5",
+                    "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:") and "non-finite" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("**/*.csv"))
+
 
 class TestMalformedCheckpoint:
     """A checkpoint missing what a command reads fails with exit 1, not a traceback."""
@@ -292,6 +302,18 @@ class TestMalformedCheckpoint:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "'f16'" in captured.err
         assert "f32" in captured.err and "f64" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", [["f32"], {"a": 1}], ids=["list", "dict"])
+    def test_non_string_precision_named(self, corpus, corpus_path, tmp_path, capsys, value):
+        ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
+        rewrite_header(ckpt, precision=value)
+        with pytest.raises(ValueError, match="precision"):
+            load_checkpoint(str(ckpt))
+        prompt = bytes(corpus.vocab[:1]).decode("ascii")
+        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "precision" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_vocab_list_shorter_than_vocab_size_rejected(self, corpus, tmp_path, capsys):
@@ -442,7 +464,8 @@ class TestTrainEvalCommands:
         assert load_checkpoint(str(tmp_path / "cfg.ckpt")).step == 2
 
     @pytest.mark.parametrize("key,value", [("clip_norm", "0"), ("rho", "1.5"), ("rho", "nan"),
-                                           ("eps", "0"), ("lr", "-1"), ("val_lanes", "-3")])
+                                           ("eps", "0"), ("lr", "-1"), ("val_lanes", "-3"),
+                                           ("lr", "inf"), ("eps", "inf")])
     def test_bad_optimizer_or_validation_value_rejected_before_any_write(
             self, corpus_path, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
@@ -528,10 +551,11 @@ class TestSampleCommand:
                         "--temperature", bad]) == 1
 
     def test_fuses_the_gate_weights_once(self, checkpoint, monkeypatch, capsys):
-        # the prompt and the generated rows run as one run_lanes call
-        fuse, calls = cell.fuse_gate_weights, []
-        monkeypatch.setattr(cell, "fuse_gate_weights",
-                            lambda params: calls.append(params) or fuse(params))
+        # the prompt and the generated rows run as one run_lanes call, which
+        # makes the transposed gate weights once
+        walk, calls = cli.run_lanes, []
+        monkeypatch.setattr(cli, "run_lanes",
+                            lambda *args, **kw: calls.append(args) or walk(*args, **kw))
         assert run(["sample", checkpoint, "--prompt", "the ", "--length", "20"]) == 0
         assert len(calls) == 1
 
@@ -546,3 +570,12 @@ class TestSampleCommand:
         captured = capsys.readouterr()
         assert "--length must be nonnegative, got -1" in captured.err
         assert captured.out == ""
+
+    def test_unallocatable_length_rejected(self, checkpoint, capsys):
+        # 10**14 rows of indices need about 728 TiB, beyond a 64-bit address
+        # space, so the allocation fails without touching memory
+        capsys.readouterr()
+        assert run(["sample", checkpoint, "--prompt", "the ", "--length", str(10 ** 14)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--length" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -3,56 +3,9 @@ import pytest
 
 from szlstm.numerics import (
     RngState,
-    matmul,
     sample_bernoulli,
     softmax_rows,
 )
-
-
-def matmul_oracle(a, b):
-    """Independent triple-loop product the fast path is checked against."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for l in range(k):
-                acc += float(a[i, l]) * float(b[l, j])
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.eye(2)
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(eye, b), b)
-
-    def test_scalar_product(self):
-        assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        expected = matmul_oracle(a, b)
-        got = matmul(a, b)
-        assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1.0)) < 1e-12
-
-    def test_random_square_instances(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a = rng.standard_normal((8, 8))
-            b = rng.standard_normal((8, 8))
-            expected = matmul_oracle(a, b)
-            rel = np.abs(matmul(a, b) - expected) / np.maximum(np.abs(expected), 1e-30)
-            assert rel.max() < 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestSoftmaxRows:

@@ -12,12 +12,7 @@ merely to a tolerance.
 import numpy as np
 import pytest
 
-from szlstm.cell import (
-    GradientSet,
-    RecurrentState,
-    backward_window,
-    fuse_gate_weights,
-)
+from szlstm.cell import GradientSet, RecurrentState, backward_window
 from szlstm.numerics import RngState
 
 from conftest import CACHE_FIELDS, dense_backward, dense_step, record, recorded_steps, tiny_params
@@ -30,7 +25,6 @@ BATCH, VOCAB, HIDDEN, STEPS = 3, 7, 6, 8
 @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
 def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     params = tiny_params(vocab=VOCAB, hidden=HIDDEN, variant=variant, dtype=dtype)
-    fused = fuse_gate_weights(params)
     sym = RngState(21).integers(0, VOCAB, size=(STEPS + 1, BATCH))
     ref_state = RecurrentState.initial(BATCH, HIDDEN, VOCAB, dtype=dtype)
     rng, ref_rng = RngState(22), RngState(22)
@@ -38,8 +32,8 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     state, total, arena = record(params, sym, None, rng, mask_mode)
     caches = recorded_steps(arena)
     for t in range(STEPS):
-        ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, fused, ref_rng,
-                                              mask_mode, sym[t + 1])
+        ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, ref_rng, mask_mode,
+                                              sym[t + 1])
         ref_total += ref_loss
         ref_caches.append(ref)
     assert len(caches) == STEPS
