@@ -39,6 +39,32 @@ import numpy as np
 from .numerics import NumericalError, sample_bernoulli, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
+MASK_MODES = ("expected", "sampled")
+
+
+def require(name, value, ok, rule):
+    """value if ok, else ValueError "<name> must <rule>, got <value!r>": the one
+    form of every setting's check."""
+    if not ok:
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return value
+
+
+def is_number(value):
+    """A real number; bools (JSON true/false) and strings are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_unit(name, value):
+    """value if it is a number in [0, 1] (NaN is not); else ValueError."""
+    return require(name, value, is_number(value) and 0 <= value <= 1, "lie in [0, 1]")
+
+
+def check_choice(name, value, choices):
+    """value if it is one of the strings in choices; else ValueError."""
+    return require(name, value, isinstance(value, str) and value in choices,
+                   f"be one of {choices}")
+
 
 # Block order is load-bearing: checkpoints serialize arrays in exactly this order.
 PARAM_KEYS = (
@@ -101,22 +127,16 @@ class ModelParams(_FlatBlocks):
 
     def __init__(self, flat, vocab_size, hidden_size, variant="adaptive", tau=0.05,
                  zoneout_rate=0.5):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        for name, rate in (("tau", tau), ("zoneout_rate", zoneout_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         super().__init__(flat, vocab_size, hidden_size)
-        self.variant = variant
-        self.tau = float(tau)
-        self.zoneout_rate = float(zoneout_rate)
+        self.variant = check_choice("variant", variant, VARIANTS)
+        self.tau = float(check_unit("tau", tau))
+        self.zoneout_rate = float(check_unit("zoneout_rate", zoneout_rate))
 
     @classmethod
-    def zeros(cls, vocab_size, hidden_size, variant="adaptive", tau=0.05,
-              zoneout_rate=0.5, dtype=np.float32):
+    def zeros(cls, vocab_size, hidden_size, dtype=np.float32, **settings):
+        """All-zero blocks; settings are the variant, tau and zoneout_rate keywords."""
         size = block_layout(vocab_size, hidden_size)["b_y"][1]
-        return cls(np.zeros(size, dtype=dtype), vocab_size, hidden_size, variant=variant,
-                   tau=tau, zoneout_rate=zoneout_rate)
+        return cls(np.zeros(size, dtype=dtype), vocab_size, hidden_size, **settings)
 
     def trainable_keys(self):
         """Blocks the optimizer may touch; the standard variant never trains V_*."""
@@ -244,9 +264,7 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     before that row is scored and read by step t+1 (text generation;
     returning symbols[t+1] keeps a given row, as of a prompt).
     """
-    if mask_mode not in ("sampled", "expected"):
-        raise ValueError(f"unknown mask_mode {mask_mode!r}")
-    sampled = mask_mode == "sampled"
+    sampled = check_choice("mask_mode", mask_mode, MASK_MODES) == "sampled"
     zoneout = params.variant in ("fixed_zoneout", "adaptive")
     # contiguous copies of the transposes, each gate family stacked f|i|o|u:
     # transposed views would save the copies, but their matmuls round

@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .cell import VARIANTS, run_lanes
-from .numerics import NumericalError, RngState, softmax_rows
+from .cell import MASK_MODES, VARIANTS, require, run_lanes
+from .numerics import DTYPES, NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
+    SPLITS,
     STREAM_SAMPLE,
     TrainConfig,
     encode_bytes,
@@ -28,17 +29,15 @@ from .training import (
 
 
 def parse_variant(text):
-    """Accept standard | sf | fixed:RATE | adaptive (RATE becomes zoneout_rate)."""
-    if text in ("standard", "sf", "adaptive"):
+    """(variant, zoneout_rate) of a --variant or config file value: the
+    shorthand fixed:RATE is fixed_zoneout at RATE; any other text is a
+    variant name, left to TrainConfig.validate, with rate None."""
+    if not text.startswith("fixed:"):
         return text, None
-    if text.startswith("fixed:"):
-        try:
-            return "fixed_zoneout", float(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"--variant fixed:RATE needs a number, got {text!r}")
-    raise ValueError(
-        f"unknown --variant {text!r}; expected standard, sf, fixed:RATE or adaptive"
-    )
+    try:
+        return "fixed_zoneout", float(text[len("fixed:"):])
+    except ValueError:
+        raise ValueError(f"--variant fixed:RATE needs a number, got {text!r}")
 
 
 def read_config_file(path):
@@ -63,29 +62,31 @@ def read_config_file(path):
     return values
 
 
-def _add_eval_flags(p):
-    p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
-    p.add_argument("--mask-mode", dest="eval_mask_mode", choices=("expected", "sampled"),
-                   default=None, help="evaluation mask convention (default expected)")
+# (flag, TrainConfig field, argparse keywords, help): the settings eval takes,
+# then the ones only train takes; each help ends with the field's default
+EVAL_FLAGS = (
+    ("--seed", "seed", {"type": int}, "rng seed"),
+    ("--mask-mode", "eval_mask_mode", {"choices": MASK_MODES}, "evaluation mask convention"),
+)
+MODEL_FLAGS = (
+    ("--variant", "variant", {},
+     f"{' | '.join(VARIANTS)}, or fixed:RATE for fixed_zoneout at zoneout_rate RATE"),
+    ("--tau", "tau", {"type": float}, "minimum update probability of the adaptive variant"),
+    ("--hidden", "hidden", {"type": int}, "memory cells"),
+    ("--batch", "batch_size", {"type": int}, "batch lanes"),
+    ("--seq-len", "seq_len", {"type": int}, "BPTT window length"),
+    ("--chunk-len", "chunk_len", {"type": int}, "symbols per sampled chunk"),
+    ("--steps", "steps", {"type": int}, "total optimizer steps"),
+    ("--precision", "precision", {"choices": tuple(DTYPES)}, "float width"),
+    ("--lr", "lr", {"type": float}, "Adadelta step scale; desk-scale runs want 1.0"),
+)
+
+
+def _add_setting_flags(p, flags):
+    for flag, dest, kwargs, text in flags:
+        p.add_argument(flag, dest=dest, default=None,
+                       help=f"{text} (default {getattr(TrainConfig, dest)})", **kwargs)
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
-
-
-def _add_model_flags(p):
-    _add_eval_flags(p)
-    p.add_argument("--variant", default=None,
-                   help="standard | sf | fixed:RATE | adaptive (default adaptive)")
-    p.add_argument("--tau", type=float, default=None,
-                   help="minimum update probability of the adaptive variant")
-    p.add_argument("--hidden", type=int, default=None, help="memory cells (default 256)")
-    p.add_argument("--batch", dest="batch_size", type=int, default=None,
-                   help="batch lanes (default 128)")
-    p.add_argument("--seq-len", type=int, default=None, help="BPTT window length (default 100)")
-    p.add_argument("--chunk-len", type=int, default=None,
-                   help="symbols per sampled chunk (default 10000)")
-    p.add_argument("--steps", type=int, default=None, help="total optimizer steps")
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--lr", type=float, default=None,
-                   help="Adadelta step scale (default 0.001; desk-scale runs want 1.0)")
 
 
 def build_config(args):
@@ -156,10 +157,8 @@ def cmd_trace(args):
     ckpt, corpus = _load_model_and_corpus(args)
     split = corpus.split(args.split)
     if args.offset < 0 or args.offset + args.window + 1 > len(split):
-        raise ValueError(
-            f"offset {args.offset} + window {args.window} does not fit in "
-            f"split of {len(split)} symbols"
-        )
+        raise ValueError(f"offset {args.offset} + window {args.window} does not fit in "
+                         f"split of {len(split)} symbols")
     stream = split[args.offset: args.offset + args.window + 1]
     buffer = trace_stream(ckpt.params, stream, window=args.window,
                           mask_mode=args.mask_mode, seed=args.seed)
@@ -177,16 +176,12 @@ def cmd_trace(args):
 
 def cmd_sample(args):
     ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.params
-    vocab = ckpt.vocab
+    params, vocab = ckpt.params, ckpt.vocab
     prompt = args.prompt.encode("utf-8")
-    if not prompt:
-        raise ValueError("--prompt must not be empty")
+    require("--prompt", args.prompt, prompt, "not be empty")
     prompt_idx = encode_bytes(vocab, prompt)
-    if not args.temperature > 0:
-        raise ValueError(f"--temperature must be positive, got {args.temperature}")
-    if args.length < 0:
-        raise ValueError(f"--length must be nonnegative, got {args.length}")
+    require("--temperature", args.temperature, args.temperature > 0, "be positive")
+    require("--length", args.length, args.length >= 0, "be nonnegative")
 
     rng = RngState(args.seed).fork(STREAM_SAMPLE)
     # one walk over the prompt's rows, then the rows generation fills in
@@ -228,18 +223,18 @@ def build_parser():
     p.add_argument("--run-dir", default="runs", help="directory for logs and checkpoints")
     p.add_argument("--run-id", default="run", help="basename for log and checkpoint files")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    _add_model_flags(p)
+    _add_setting_flags(p, EVAL_FLAGS + MODEL_FLAGS)
     p.set_defaults(func=cmd_train, config_keys=tuple(TrainConfig.__annotations__))
 
     p = sub.add_parser("eval", help="score a checkpoint on a corpus split")
     p.add_argument("checkpoint")
     p.add_argument("corpus")
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--lanes", type=int, default=1,
                    help="parallel contiguous segments (1 = strict sequential pass)")
     # the model itself comes from the checkpoint
-    _add_eval_flags(p)
-    p.set_defaults(func=cmd_eval, config_keys=("seed", "eval_mask_mode"))
+    _add_setting_flags(p, EVAL_FLAGS)
+    p.set_defaults(func=cmd_eval, config_keys=tuple(field for _, field, _, _ in EVAL_FLAGS))
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--eps", type=float, default=gradcheck_mod.DEFAULT_EPS)
@@ -250,12 +245,12 @@ def build_parser():
     p = sub.add_parser("trace", help="export gate/cell activity CSVs for a stream")
     p.add_argument("checkpoint")
     p.add_argument("corpus")
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--offset", type=int, default=0, help="start position inside the split")
     p.add_argument("--window", type=int, default=100, help="steps to record")
     p.add_argument("--out-dir", default=".", help="directory for the CSV files")
     p.add_argument("--run-id", default="trace")
-    p.add_argument("--mask-mode", choices=("expected", "sampled"), default="sampled")
+    p.add_argument("--mask-mode", choices=MASK_MODES, default="sampled")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_trace)
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import GradientSet, ModelParams, RecurrentState, WindowArena, backward_window, run_lanes
+from .cell import (GradientSet, ModelParams, RecurrentState, WindowArena, backward_window,
+                   require, run_lanes)
 from .numerics import NumericalError, RngState
 from .optim import xavier_init
 
@@ -60,8 +61,7 @@ def numerical_gradient(loss_fn, arrays, eps=DEFAULT_EPS):
     loss_fn takes no arguments and must read the arrays in `arrays`, which
     are perturbed in place and restored. Every coordinate is checked.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    require("eps", eps, eps > 0, "be positive")
     out = {}
     for name, block in arrays.items():
         if block.dtype != np.float64:

@@ -7,7 +7,7 @@ float64.
 
 import numpy as np
 
-DTYPES = {"f32": np.float32, "f64": np.float64}
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}   # also the checkpoint byte codes
 
 _MASK64 = (1 << 64) - 1
 

@@ -6,7 +6,7 @@ ratio is multiplied by an explicit lr (default 0.001) before being applied.
 
 import numpy as np
 
-from .cell import GradientSet
+from .cell import GradientSet, require
 from .numerics import NumericalError
 
 # elements per Adadelta piece: 256 KiB of f32, 512 KiB of f64
@@ -85,8 +85,7 @@ def adadelta_step(params, grads, state):
 
 def clip_gradients(grads, max_norm):
     """Rescale all blocks together if the global L2 norm exceeds max_norm."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    require("max_norm", max_norm, max_norm > 0, "be positive")
     norm = grads.global_norm()
     if norm > max_norm:
         grads.flat *= max_norm / norm

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import WindowArena, run_lanes
+from .cell import WindowArena, require, run_lanes
 from .numerics import RngState
 
 EXPORT_CHUNK = 32  # steps per formatted write in export_gate_map
@@ -86,8 +86,7 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled", seed=0):
     Scores symbols[t+1] from symbols[t] like evaluation does; returns the
     filled buffer. Weights are never written.
     """
-    if window < 1:
-        raise ValueError(f"trace window must be at least 1 step, got {window}")
+    require("trace window", window, window >= 1, "be at least 1 step")
     symbols = np.asarray(symbols)
     if len(symbols) < 2:
         raise ValueError("trace stream needs at least 2 symbols")

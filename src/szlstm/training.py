@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cell import (
+    MASK_MODES,
     VARIANTS,
     GradientSet,
     ModelParams,
@@ -51,7 +52,11 @@ from .cell import (
     WindowArena,
     backward_window,
     block_layout,
+    check_choice,
+    check_unit,
     cross_entropy_bpc,
+    is_number,
+    require,
     run_lanes,
 )
 from .numerics import DTYPES, NumericalError, RngState
@@ -67,6 +72,8 @@ STREAM_MASK = 3
 STREAM_EVAL = 4
 STREAM_SAMPLE = 5
 
+SPLITS = ("train", "valid", "test")
+
 LOG_HEADER = "step\ttrain_bpc\tvalid_bpc\tmean_z\tmean_update_rate\twall_ms"
 
 # config fields a bit-exact resume depends on; steps and the validation-only
@@ -74,9 +81,15 @@ LOG_HEADER = "step\ttrain_bpc\tvalid_bpc\tmean_z\tmean_update_rate\twall_ms"
 RESUME_FIELDS = ("hidden", "variant", "batch_size", "seq_len", "chunk_len", "seed",
                  "precision", "lr", "rho", "eps", "clip_norm", "tau", "zoneout_rate")
 
-# checkpoint header fields load_checkpoint reads; config and rng may be absent
+# header fields load_checkpoint reads, in the order saves write them; config and rng may be absent
 HEADER_FIELDS = ("step", "precision", "hidden", "vocab_size", "vocab", "variant", "tau",
                  "zoneout_rate", "rho", "eps", "lr")
+
+
+def check_integer(name, value, least):
+    """value if it is an integer (not a bool) >= least; else ValueError."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+    return require(name, value, ok, f"be an integer >= {least}")
 
 
 @dataclass
@@ -94,13 +107,9 @@ class Corpus:
         return len(self.vocab)
 
     def split(self, name):
-        if name == "train":
-            return self.encoded[: self.train_end]
-        if name == "valid":
-            return self.encoded[self.train_end: self.valid_end]
-        if name == "test":
-            return self.encoded[self.valid_end:]
-        raise ValueError(f"unknown split {name!r}, expected train/valid/test")
+        a, b = {"train": (0, self.train_end), "valid": (self.train_end, self.valid_end),
+                "test": (self.valid_end, None)}[check_choice("split", name, SPLITS)]
+        return self.encoded[a:b]
 
     def check_vocab(self, vocab):
         """Raise ValueError unless a model's vocabulary is this corpus's, byte
@@ -165,36 +174,30 @@ class TrainConfig:
     val_lanes: int = 0          # 0 means batch_size
 
     def validate(self):
-        for name in ("seq_len", "batch_size", "chunk_len", "hidden",
-                     "val_interval", "val_prefix", "clip_norm"):
-            # negated, so that a NaN from a config file fails too
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("lr", "eps"):   # as load_checkpoint requires of the header
-            if not 0 < getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number > 0, "
-                                 f"got {getattr(self, name)}")
-        for name in ("steps", "val_lanes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.chunk_len % self.seq_len != 0:
-            raise ValueError(
-                f"chunk_len ({self.chunk_len}) must be divisible by seq_len ({self.seq_len})"
-            )
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.precision not in DTYPES:
-            raise ValueError(f"unknown precision {self.precision!r}, expected f32 or f64")
-        if self.eval_mask_mode not in ("expected", "sampled"):
-            raise ValueError(f"unknown eval_mask_mode {self.eval_mask_mode!r}")
+        """Return self if every field keeps its rule below, else raise
+        ValueError "<name> must <rule>, got <value!r>" for the first that does
+        not. The rules are type-strict (a bool or a string is no number), and
+        they are the only check of CLI flags, config files and checkpoint
+        headers alike."""
+        for name in ("seq_len", "batch_size", "chunk_len", "hidden", "val_interval",
+                     "val_prefix"):
+            check_integer(name, getattr(self, name), 1)
+        for name in ("steps", "val_lanes", "seed"):
+            check_integer(name, getattr(self, name), 0)
+        require("chunk_len", self.chunk_len, self.chunk_len % self.seq_len == 0,
+                f"be divisible by seq_len ({self.seq_len})")
         for name in ("tau", "zoneout_rate", "rho"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+            check_unit(name, getattr(self, name))
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            require(name, value, is_number(value) and 0 < value <= sys.float_info.max,
+                    "be a finite number > 0")
+        require("clip_norm", self.clip_norm, is_number(self.clip_norm) and self.clip_norm > 0,
+                "be a number > 0")
+        check_choice("variant", self.variant, VARIANTS)
+        check_choice("precision", self.precision, tuple(DTYPES))
+        check_choice("eval_mask_mode", self.eval_mask_mode, MASK_MODES)
         return self
-
-    @property
-    def dtype(self):
-        return DTYPES[self.precision]
 
     @property
     def windows_per_chunk(self):
@@ -232,10 +235,8 @@ def sample_training_chunks(corpus, cfg, rng):
     """
     limit = corpus.train_end - cfg.chunk_len
     if limit < 1:
-        raise ValueError(
-            f"training split ({corpus.train_end} symbols) shorter than "
-            f"chunk_len + 1 ({cfg.chunk_len + 1})"
-        )
+        raise ValueError(f"training split ({corpus.train_end} symbols) shorter than "
+                         f"chunk_len + 1 ({cfg.chunk_len + 1})")
     return rng.integers(0, limit, size=cfg.batch_size)
 
 
@@ -271,8 +272,7 @@ def evaluate_bpc(params, split, cfg, lanes=1):
     sees symbols already scored. Parameters are never written.
     """
     split = np.asarray(split)
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    check_integer("lanes", lanes, 1)
     seg = len(split) // lanes
     if seg < 2:
         raise ValueError(f"split of {len(split)} symbols is too short for {lanes} lanes")
@@ -283,11 +283,18 @@ def evaluate_bpc(params, split, cfg, lanes=1):
     return cross_entropy_bpc(total / (seg - 1))
 
 
+def model_settings(params, opt):
+    """The TrainConfig fields a model and its optimizer hold themselves."""
+    return {"precision": {d: k for k, d in DTYPES.items()}[params.dtype],
+            "hidden": int(params.hidden_size), "variant": params.variant, "tau": params.tau,
+            "zoneout_rate": params.zoneout_rate, "rho": opt.rho, "eps": opt.eps, "lr": opt.lr}
+
+
 def init_model(corpus, cfg):
     """Fresh Xavier-initialized parameters and optimizer state for a corpus."""
     params = ModelParams.zeros(corpus.vocab_size, cfg.hidden, variant=cfg.variant,
                                tau=cfg.tau, zoneout_rate=cfg.zoneout_rate,
-                               dtype=cfg.dtype)
+                               dtype=DTYPES[cfg.precision])
     xavier_init(params, RngState(cfg.seed).fork(STREAM_INIT))
     opt = AdadeltaState(params, rho=cfg.rho, eps=cfg.eps, lr=cfg.lr)
     return params, opt
@@ -300,27 +307,25 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     and appends the tab-separated line to log_path when given. ckpt_path,
     when given, is rewritten at every chunk boundary and once at the end.
     resume takes a Checkpoint and continues it, bit-exactly when it was
-    written at a chunk boundary and from a fresh chunk otherwise. It raises
-    ValueError naming every RESUME_FIELDS entry in which cfg differs from the
-    checkpoint, if the corpus vocabulary is not the checkpoint's, and if the
-    checkpoint lacks the data and mask rng streams, all before any write.
+    written at a chunk boundary and from a fresh chunk otherwise. Before any
+    write, train raises ValueError: if cfg fails TrainConfig.validate; naming
+    every RESUME_FIELDS entry in which cfg differs from the checkpoint (its
+    model_settings, then its config echo for the rest); if the corpus
+    vocabulary is not the checkpoint's; and if the checkpoint lacks the data
+    and mask rng streams.
     """
     cfg.validate()
     if resume is not None:
         corpus.check_vocab(resume.vocab)
-        params = resume.params
-        opt = resume.opt
-        # the parameters themselves say hidden and variant; the config echo
-        # says the rest, as far as the checkpoint recorded it
-        saved = dict(resume.config, hidden=params.hidden_size, variant=params.variant)
+        params, opt = resume.params, resume.opt
+        saved = dict(resume.config, **model_settings(params, opt))
         changed = [f"{k} (checkpoint {saved[k]!r}, config {getattr(cfg, k)!r})"
                    for k in RESUME_FIELDS if k in saved and saved[k] != getattr(cfg, k)]
         if changed:
             raise ValueError("checkpoint does not match config: " + ", ".join(changed))
         if not {"data", "mask"} <= resume.rng.keys():
             raise ValueError("checkpoint lacks the data and mask rng streams a resume replays")
-        rng_data = RngState(*resume.rng["data"])
-        rng_mask = RngState(*resume.rng["mask"])
+        rng_data, rng_mask = (RngState(*resume.rng[k]) for k in ("data", "mask"))
         step = resume.step
     else:
         params, opt = init_model(corpus, cfg)
@@ -426,23 +431,12 @@ class Checkpoint:
 
 def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
     """Write the checkpoint format above as "Checkpoint saves" describes."""
-    header = {
-        "step": int(step),
-        "precision": "f64" if params.dtype == np.float64 else "f32",
-        "hidden": int(params.hidden_size),
-        "vocab_size": int(params.vocab_size),
-        "vocab": [int(v) for v in vocab],
-        "variant": params.variant,
-        "tau": params.tau,
-        "zoneout_rate": params.zoneout_rate,
-        "rho": opt.rho,
-        "eps": opt.eps,
-        "lr": opt.lr,
-        "rng": {k: list(v) for k, v in (rng or {}).items()},
-        "config": asdict(cfg) if isinstance(cfg, TrainConfig) else dict(cfg or {}),
-    }
+    fields = dict(model_settings(params, opt), step=int(step),
+                  vocab_size=int(params.vocab_size), vocab=[int(v) for v in vocab],
+                  rng={k: list(v) for k, v in (rng or {}).items()},
+                  config=asdict(cfg) if isinstance(cfg, TrainConfig) else dict(cfg or {}))
+    header = {k: fields[k] for k in HEADER_FIELDS + ("rng", "config")}
     blob = json.dumps(header).encode("utf-8")
-    dtype_le = "<f8" if params.dtype == np.float64 else "<f4"
     path = os.path.realpath(path)   # a symlinked path keeps its link
     spare, old = path + ".spare", path + ".old"
     previous = os.path.exists(path)
@@ -452,7 +446,7 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
         fh.write(np.array([len(blob)], dtype="<u8").tobytes())
         fh.write(blob)
         for buffer in (params, opt.eg2, opt.edx2):
-            fh.write(np.ascontiguousarray(buffer.flat, dtype=dtype_le))
+            fh.write(np.ascontiguousarray(buffer.flat, dtype=DTYPES[header["precision"]]))
         fh.truncate()
     if os.path.lexists(old):
         os.unlink(old)   # left by a save interrupted between its renames
@@ -471,11 +465,12 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
-    buffer, which parameters and accumulators view; bad magic, version, missing
-    or malformed header fields (precision, step, sizes, vocab bytes and
-    length, rates, optimizer constants, rng streams, config), truncation
-    (checked before the arrays are allocated) and trailing bytes all
-    hard-fail with ValueError."""
+    buffer, which parameters and accumulators view. Bad magic or version, a
+    missing header field, a malformed step, vocab_size, vocab (bytes and
+    length), rng or config, a header setting that breaks its
+    TrainConfig.validate rule (the message prefixed "checkpoint PATH
+    header"), truncation (checked before the arrays are allocated) and
+    trailing bytes all hard-fail with ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -495,13 +490,13 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_FIELDS if k not in header]
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
-        if type(header["precision"]) is not str or header["precision"] not in DTYPES:
-            raise ValueError(f"checkpoint precision {header['precision']!r} is not f32/f64")
-        for name, least in (("step", 0), ("hidden", 1), ("vocab_size", 1)):
-            value = header[name]
-            if type(value) is not int or value < least:   # JSON true/false load as bools
-                raise ValueError(f"checkpoint {path} header {name} must be an integer "
-                                 f">= {least}, got {value!r}")
+        try:
+            TrainConfig(**{k: header[k] for k in HEADER_FIELDS
+                           if k in TrainConfig.__annotations__}).validate()
+            for name, least in (("step", 0), ("vocab_size", 1)):
+                check_integer(name, header[name], least)
+        except ValueError as err:
+            raise ValueError(f"checkpoint {path} header {err}") from None
         vocab = header["vocab"]
         if not (isinstance(vocab, list) and all(type(v) is int and 0 <= v <= 255 for v in vocab)):
             raise ValueError(f"checkpoint {path} header vocab must list byte values 0..255")
@@ -509,13 +504,6 @@ def load_checkpoint(path):
         if len(vocab) != vocab_size:
             raise ValueError(f"checkpoint vocab has {len(vocab)} bytes, "
                              f"not vocab_size {vocab_size}")
-        for name in ("tau", "zoneout_rate", "rho", "eps", "lr"):
-            value, unit = header[name], name not in ("eps", "lr")
-            if type(value) not in (int, float) or not (   # bools, strings, null, ...
-                    0 <= value <= 1 if unit else 0 < value <= sys.float_info.max):
-                raise ValueError(f"checkpoint {path} header {name} must "
-                                 f"{'lie in [0, 1]' if unit else 'be a finite number > 0'}, "
-                                 f"got {value!r}")
         rng = header.get("rng", {})
         if not (isinstance(rng, dict) and all(
                 isinstance(v, list) and len(v) == 2
@@ -529,15 +517,14 @@ def load_checkpoint(path):
         dtype = DTYPES[header["precision"]]
         count = block_layout(vocab_size, hidden)["b_y"][1]
         left = size - fh.tell()
-        if left < 3 * count * np.dtype(dtype).itemsize:   # before allocating what the header claims
+        if left < 3 * count * dtype.itemsize:   # before allocating what the header claims
             raise ValueError(f"truncated checkpoint {path}: short read in arrays")
-        arrays = np.empty(3 * count, dtype="<f8" if dtype == np.float64 else "<f4")
+        arrays = np.empty(3 * count, dtype=dtype)
         if fh.readinto(arrays) != arrays.nbytes:
             raise ValueError(f"truncated checkpoint {path}: short read in arrays")
         if left > arrays.nbytes:
             raise ValueError(f"checkpoint {path} has {left - arrays.nbytes} trailing bytes")
 
-    arrays = arrays.astype(dtype, copy=False)
     params = ModelParams(arrays[:count], vocab_size, hidden, variant=header["variant"],
                          tau=header["tau"], zoneout_rate=header["zoneout_rate"])
     accumulators = (GradientSet(arrays[count: 2 * count], vocab_size, hidden),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szlstm import cli
-from szlstm.cell import ModelParams
+from szlstm.cell import VARIANTS, ModelParams
 from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file
 from szlstm.numerics import NumericalError
 from szlstm.optim import AdadeltaState
@@ -30,8 +30,6 @@ class TestParsing:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             parse_variant("fixed:two")
-        with pytest.raises(ValueError):
-            parse_variant("zoned")
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -96,6 +94,34 @@ class TestConfigPrecedence:
         assert (cfg.variant, cfg.zoneout_rate) == ("fixed_zoneout", 0.3)
 
 
+class TestEchoSpelling:
+    """fixed_zoneout, the variant name a checkpoint's config echo holds, is
+    a config file's spelling too."""
+
+    FLAGS = ["--hidden", "12", "--batch", "4", "--seq-len", "10", "--chunk-len", "50",
+             "--steps", "2"]
+
+    def test_config_file_names_fixed_zoneout(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text("variant = fixed_zoneout\nzoneout_rate = 0.3\n")
+        assert run(["train", corpus_path, "--config", str(cfg), *self.FLAGS,
+                    "--run-dir", str(tmp_path), "--run-id", "fixed"]) == 0
+        params = load_checkpoint(str(tmp_path / "fixed.ckpt")).params
+        assert (params.variant, params.zoneout_rate) == ("fixed_zoneout", 0.3)
+
+    def test_checkpoint_echo_is_a_config_file(self, corpus_path, tmp_path, capsys):
+        assert run(["train", corpus_path, "--variant", "fixed:0.3", *self.FLAGS,
+                    "--run-dir", str(tmp_path), "--run-id", "first"]) == 0
+        echo = load_checkpoint(str(tmp_path / "first.ckpt")).config
+        assert echo["variant"] == "fixed_zoneout"
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in echo.items()))
+        assert run(["train", corpus_path, "--config", str(cfg),
+                    "--run-dir", str(tmp_path), "--run-id", "again"]) == 0
+        # the same settings train the same run, down to the checkpoint's bytes
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "first.ckpt").read_bytes()
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -112,6 +138,13 @@ class TestExitCodes:
 
     def test_failed_gradcheck_is_numerical_failure(self, capsys):
         assert run(["gradcheck", "--threshold", "1e-12"]) == 2
+
+    def test_unknown_variant_names_the_variants(self, corpus_path, tmp_path, capsys):
+        run_dir = tmp_path / "runs"
+        assert run(["train", corpus_path, "--variant", "zoned", "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: variant must be one of {VARIANTS}, got 'zoned'\n"
+        assert not run_dir.exists()
 
 
 class TestConfidentlyWrongF32:
@@ -397,6 +430,48 @@ class TestMalformedCheckpoint:
         assert captured.err.startswith("error:") and "data and mask" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert list(run_dir.iterdir()) == []
+
+
+def _bad_settings():
+    inf, nan = float("inf"), float("nan")
+    for name in ("tau", "zoneout_rate", "rho", "eps", "lr", "hidden", "precision"):
+        for value in (True, "0.5", None, nan):
+            yield name, value
+    yield from (("tau", 1.5), ("zoneout_rate", -0.5), ("rho", 1.5), ("eps", 0), ("lr", -1.0),
+                ("hidden", 0), ("precision", "f16"), ("eps", inf), ("lr", inf), ("hidden", inf))
+
+
+class TestOneRuleEverySource:
+    """A setting's rule is TrainConfig.validate's wherever the value comes
+    from: a config built in code, a checkpoint header, a flag or a config
+    file all get its "<name> must ..." message."""
+
+    @pytest.mark.parametrize("name,value", list(_bad_settings()))
+    def test_header_gets_the_config_message(self, corpus, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must ") as direct:
+            TrainConfig(**{name: value}).validate()
+        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        rewrite_header(ckpt, **{name: value})
+        with pytest.raises(ValueError) as header:
+            load_checkpoint(str(ckpt))
+        assert str(header.value) == f"checkpoint {ckpt} header {direct.value}"
+
+    @pytest.mark.parametrize("flag,text,name,value", [
+        ("--lr", "inf", "lr", float("inf")), ("--tau", "nan", "tau", float("nan")),
+        ("--hidden", "0", "hidden", 0), ("--steps", "-1", "steps", -1)])
+    def test_flag_and_config_file_get_the_config_message(self, corpus_path, tmp_path, capsys,
+                                                         flag, text, name, value):
+        with pytest.raises(ValueError) as direct:
+            TrainConfig(**{name: value}).validate()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        run_dir = tmp_path / "runs"
+        for source in ([flag, text], ["--config", str(cfg)]):
+            assert run(["train", corpus_path, *source, "--run-dir", str(run_dir)]) == 1
+            assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert not run_dir.exists()
 
 
 class TestGradcheckCommand:

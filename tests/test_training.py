@@ -614,6 +614,23 @@ class TestCheckpoint:
         for field in change:
             assert field in str(info.value)
 
+    def test_resume_compares_the_checkpoints_own_model_and_optimizer(self, tmp_path, corpus):
+        # a checkpoint saved without a config echo still holds the tau of its
+        # model and the lr of its optimizer; a resume may change neither
+        ck = str(tmp_path / "echo.ckpt")
+        train(small_cfg(steps=5), corpus, ckpt_path=ck)
+        ckpt = load_checkpoint(ck)
+        bare = str(tmp_path / "bare.ckpt")
+        save_checkpoint(bare, ckpt.params, ckpt.opt, None, ckpt.vocab, ckpt.step, rng=ckpt.rng)
+        assert load_checkpoint(bare).config == {}
+        log, out = tmp_path / "resumed.log", tmp_path / "resumed.ckpt"
+        with pytest.raises(ValueError, match="does not match") as info:
+            train(small_cfg(steps=10, lr=7.0, tau=0.3), corpus, resume=load_checkpoint(bare),
+                  log_path=str(log), ckpt_path=str(out))
+        assert "lr (checkpoint 1.0, config 7.0)" in str(info.value)
+        assert "tau (checkpoint 0.05, config 0.3)" in str(info.value)
+        assert not log.exists() and not out.exists()
+
     def test_resume_refuses_other_vocabulary(self, tmp_path, corpus):
         ck = str(tmp_path / "vocab.ckpt")
         train(small_cfg(steps=5), corpus, ckpt_path=ck)
