@@ -76,6 +76,7 @@ PARAM_KEYS = (
 )
 
 LN2 = float(np.log(2.0))
+HEAD_BLOCK_ROWS = 64   # h rows per run of standard's block output head (see run_lanes)
 
 
 def block_layout(vocab_size, hidden_size):
@@ -262,7 +263,12 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     and draws nothing. choose(t, y, p), when given, gets step t's index,
     logits and distribution and returns the row written into symbols[t+1]
     before that row is scored and read by step t+1 (text generation;
-    returning symbols[t+1] keeps a given row, as of a prompt).
+    returning symbols[t+1] keeps a given row, as of a prompt). The surprisal
+    variants' output head runs in each step, as its p feeds the next step.
+    standard's feeds none, so without choose it runs once per block of up to
+    HEAD_BLOCK_ROWS // B steps on their stacked (k, B, N) h rows: a stacked
+    matmul makes one BLAS call per (B, N) slice, so every product, loss and
+    row is the per-step head's bit for bit (one (k*B, N) product is not).
     """
     sampled = check_choice("mask_mode", mask_mode, MASK_MODES) == "sampled"
     zoneout = params.variant in ("fixed_zoneout", "adaptive")
@@ -284,7 +290,11 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     # each step's ufunc out= targets: its arena rows, or None for fresh arrays
     sig_out = u_out = c_out = c_hat_out = h_out = p_out = None
     s_val = None
-    total = 0.0
+    total, a0 = 0.0, 0   # a0: the first step of the block head's open block
+    # steps per head run (0: each step runs its own); hid: h rows no arena holds
+    block = (max(1, HEAD_BLOCK_ROWS // batch)
+             if params.variant == "standard" and choose is None else 0)
+    hid = np.empty((block, batch, n), params.dtype) if block and arena is None else None
     with np.errstate(over="ignore", divide="ignore"):
         for t, x_idx in enumerate(symbols[:-1]):
             if frozen is not None:
@@ -321,14 +331,33 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
             else:
                 c = np.add((1.0 - f * mask) * c, mask * (i * u), out=c_out)
             h = np.multiply(o, np.tanh(c, out=c_hat_out), out=h_out)
-            y = h @ WyT
+            if not block:
+                y = h @ WyT
+                y += params.b_y
+                p = softmax_rows(y, p_out)
+                if choose is not None:
+                    symbols[t + 1] = choose(t, y, p)
+                # the target's log-probability is also the next step's surprisal
+                s_val, loss = _score(p, rows, symbols[t + 1])
+                total += loss
+                continue
+            if hid is not None:
+                hid[t - a0] = h
+            if t + 1 - a0 < block and t + 2 < len(symbols):
+                continue
+            # steps a0..t's head and _score in one go (see the docstring)
+            y = np.matmul(arena.h[a0 + 1: t + 2] if hid is None else hid[: t + 1 - a0], WyT)
             y += params.b_y
-            p = softmax_rows(y, p_out)
-            if choose is not None:
-                symbols[t + 1] = choose(t, y, p)
-            # the target's log-probability is also the next step's surprisal
-            s_val, loss = _score(p, rows, symbols[t + 1])
-            total += loss
+            p = softmax_rows(y, None if arena is None else arena.p[a0: t + 1])
+            logp = np.log(p[np.arange(t + 1 - a0)[:, None], rows, symbols[a0 + 1: t + 2]])
+            losses = -np.add.reduce(logp, axis=1) / batch
+            if math.inf in losses:
+                raise NumericalError("output assigns zero probability to a target symbol")
+            for loss in losses.tolist():
+                total += loss
+            if arena is not None and frozen is None:   # the run's last logp has no row
+                arena.s_val[a0 + 1: t + 2] = logp[: len(symbols) - 2 - a0]
+            p, s_val, a0 = p[-1], logp[-1], t + 1
     return RecurrentState(c=c, h=h, p_prev=p), total
 
 

@@ -70,10 +70,12 @@ class RngState:
 
 
 def softmax_rows(y, out=None):
-    """Row-wise softmax with max subtraction so large logits cannot overflow."""
+    """Softmax over the last axis with max subtraction so large logits cannot
+    overflow. Any leading shape is accepted: a (B, M) step or a (k, B, M)
+    block of steps, each row rounding as it would alone."""
     # the ufunc reductions y.max and e.sum call, without their Python wrappers
-    e = np.exp(y - np.maximum.reduce(y, axis=1, keepdims=True))
-    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=out)
+    e = np.exp(y - np.maximum.reduce(y, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
 def sample_bernoulli(probs, rng):

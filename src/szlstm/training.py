@@ -466,19 +466,18 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view. Bad magic or version, a
-    missing header field, a malformed step, vocab_size, vocab (bytes and
-    length), rng or config, a header setting that breaks its
-    TrainConfig.validate rule (the message prefixed "checkpoint PATH
-    header"), truncation (checked before the arrays are allocated) and
-    trailing bytes all hard-fail with ValueError."""
+    header that is no JSON object (or nests too deep), a missing header
+    field, a malformed step, vocab_size, vocab (bytes and length), rng or
+    config, a header setting that breaks its TrainConfig.validate rule (the
+    message prefixed "checkpoint PATH header"), truncation (checked before
+    each read or allocation) and trailing bytes all hard-fail with ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def take(n, what):
-            chunk = fh.read(n)
-            if len(chunk) != n:
+            if n > size - fh.tell():   # before reading (and allocating) what n claims
                 raise ValueError(f"truncated checkpoint {path}: short read in {what}")
-            return chunk
+            return fh.read(n)
 
         if take(4, "magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -486,7 +485,12 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         hlen = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
-        header = json.loads(take(hlen, "header").decode("utf-8"))
+        try:
+            header = json.loads(take(hlen, "header").decode("utf-8"))
+        except RecursionError:   # nested deeper than the parser's stack
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint {path} header must be a JSON object")
         missing = [k for k in HEADER_FIELDS if k not in header]
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")

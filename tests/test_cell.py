@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from szlstm.cell import (
+    HEAD_BLOCK_ROWS,
     GradientSet,
     ModelParams,
     RecurrentState,
@@ -423,26 +424,37 @@ class TestRunLanes:
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_equals_forward_step_loop(self, variant, mask_mode, dtype):
         # one call over T steps equals T one-step calls that carry the state
-        # and the rng along, as training carries them across its windows
+        # and the rng along, as training carries them across its windows, with
+        # an arena and without. At B = 1 and B = 3, T spans two of standard's
+        # output-head blocks and a partial third
         params = tiny_params(variant=variant, dtype=dtype)
-        sym, state0 = self.stream(params)
-        state, total, ref_caches = state0, 0.0, []
-        ref_rng = RngState(8)
-        for t in range(sym.shape[0] - 1):
-            state, loss, arena = record(params, sym[t: t + 2], state, ref_rng, mask_mode)
-            ref_caches.append(step_views(arena, 0))
-            total += loss
-        rng = RngState(8)
-        out, loss, arena = record(params, sym, state0, rng, mask_mode)
-        caches = recorded_steps(arena)
-        assert loss == total
-        assert rng.state() == ref_rng.state()
-        for name in ("c", "h", "p_prev"):
-            np.testing.assert_array_equal(getattr(out, name), getattr(state, name), err_msg=name)
-        for t, (cache, ref) in enumerate(zip(caches, ref_caches, strict=True)):
-            for name in CACHE_FIELDS:
-                np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
-                                              err_msg=f"step {t}: {name}")
+        for batch in (1, 3):
+            sym, state0 = self.stream(params, 2 * (HEAD_BLOCK_ROWS // batch) + 5, batch)
+            state, total, ref_caches = state0, 0.0, []
+            ref_rng = RngState(8)
+            for t in range(sym.shape[0] - 1):
+                state, loss, arena = record(params, sym[t: t + 2], state, ref_rng, mask_mode)
+                ref_caches.append(step_views(arena, 0))
+                total += loss
+            rng = RngState(8)
+            out, loss, arena = record(params, sym, state0, rng, mask_mode)
+            free, free_loss = run_lanes(params, sym, state0, RngState(8), mask_mode)
+            assert loss == total and free_loss == total
+            assert rng.state() == ref_rng.state()
+            for name in ("c", "h", "p_prev"):
+                for run in (out, free):
+                    np.testing.assert_array_equal(getattr(run, name), getattr(state, name),
+                                                  err_msg=name)
+            for t, (cache, ref) in enumerate(zip(recorded_steps(arena), ref_caches,
+                                                 strict=True)):
+                for name in CACHE_FIELDS:
+                    np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
+                                                  err_msg=f"B {batch} step {t}: {name}")
+            # a later call leaves the state an arena-free call returned as it was
+            run_lanes(params, sym[::-1].copy(), free, RngState(9), mask_mode)
+            for name in ("c", "h", "p_prev"):
+                np.testing.assert_array_equal(getattr(free, name), getattr(state, name),
+                                              err_msg=name)
 
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
     def test_frozen_replay_reproduces_the_run(self, variant):
@@ -522,6 +534,17 @@ class TestRunLanes:
         state = RecurrentState.initial(1, 4, 5, dtype=np.float32)
         with pytest.raises(NumericalError, match="target symbol"):
             run_lanes(params, np.array([[4], [4], [0]]), state, mask_mode="expected")
+
+    def test_zero_probability_target_mid_block_raises(self):
+        # standard scores these 100 steps in two output-head blocks; the zero
+        # probability target of step 10 falls inside the first, not at its end
+        params = ModelParams.zeros(5, 4, variant="standard", dtype=np.float32)
+        params.b_y[:] = [0, 0, 0, 0, 120]
+        state = RecurrentState.initial(1, 4, 5, dtype=np.float32)
+        symbols = np.full((101, 1), 4)
+        symbols[11] = 0
+        with pytest.raises(NumericalError, match="target symbol"):
+            run_lanes(params, symbols, state, mask_mode="expected")
 
 
 class TestCrossEntropyBpc:

@@ -152,17 +152,29 @@ class TestConfidentlyWrongF32:
     prediction; the loss of the symbol that then arrives, and its surprisal
     one step later, would be log(0)."""
 
-    @pytest.fixture()
-    def model(self, tmp_path):
+    @staticmethod
+    def checkpoint(tmp_path, text, variant="adaptive"):
         corpus = tmp_path / "abcde.txt"
-        corpus.write_bytes(b"abcde" * 200)
+        corpus.write_bytes(text)
         # zero weights leave h = 0, so the logits are exactly b_y
-        params = ModelParams.zeros(5, 8, dtype=np.float32)
+        params = ModelParams.zeros(5, 8, variant=variant, dtype=np.float32)
         params.b_y[:] = [0, 0, 0, 0, 120]
         ckpt = str(tmp_path / "confident.ckpt")
         save_checkpoint(ckpt, params, AdadeltaState(params), None,
                         np.frombuffer(b"abcde", dtype=np.uint8), step=0)
         return ckpt, str(corpus)
+
+    @pytest.fixture()
+    def model(self, tmp_path):
+        return self.checkpoint(tmp_path, b"abcde" * 200)
+
+    @pytest.fixture()
+    def standard_model(self, tmp_path):
+        # the 50 test symbols are all e but the 21st, an a: standard scores the
+        # 49 steps in one output-head block, and the zero-probability target
+        # falls at step 19 of it, not at its end
+        return self.checkpoint(tmp_path, b"abcde" * 180 + b"e" * 70 + b"a" + b"e" * 29,
+                               variant="standard")
 
     def test_evaluation_raises_numerical_error(self, model):
         ckpt, corpus = model
@@ -173,6 +185,18 @@ class TestConfidentlyWrongF32:
     def test_eval_command_exits_2(self, model, capsys):
         assert run(["eval", *model]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_standard_evaluation_raises_mid_block(self, standard_model):
+        ckpt, corpus = standard_model
+        split = load_corpus(corpus).split("test")
+        assert split.tolist() == [4] * 20 + [0] + [4] * 29
+        with pytest.raises(NumericalError, match="zero probability"):
+            evaluate_bpc(load_checkpoint(ckpt).params, split, TrainConfig())
+
+    def test_standard_eval_command_exits_2(self, standard_model, capsys):
+        assert run(["eval", *standard_model]) == 2
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err and "Traceback" not in captured.err
 
     def test_single_scored_step_raises_numerical_error(self, model):
         # one step: the target's zero probability shows in the loss, and no
@@ -381,6 +405,26 @@ class TestMalformedCheckpoint:
         assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and field in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("length,header", [
+        (None, b"null"), (None, b"7"), (2 ** 63, None), (2 ** 40, None), (None, b"[" * 100000)],
+        ids=["null", "number", "length-2**63", "length-2**40", "nested-100000"])
+    def test_unreadable_header_refused(self, corpus, corpus_path, tmp_path, capsys, length,
+                                       header):
+        # a header length past the end of the file is refused before the read;
+        # a header that is not a JSON object, or nests too deep to parse, after it
+        ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
+        blob = ckpt.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = blob[16: 16 + hlen] if header is None else header
+        length = len(header) if length is None else length
+        ckpt.write_bytes(blob[:8] + length.to_bytes(8, "little") + header + blob[16 + hlen:])
+        with pytest.raises(ValueError, match="header"):
+            load_checkpoint(str(ckpt))
+        assert run(["eval", str(ckpt), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "header" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_arrays_beyond_the_file_refused_before_allocation(self, corpus, corpus_path,
