@@ -76,7 +76,7 @@ PARAM_KEYS = (
 )
 
 LN2 = float(np.log(2.0))
-HEAD_BLOCK_ROWS = 64   # h rows per run of standard's block output head (see run_lanes)
+HEAD_BLOCK_ROWS = 64   # h rows per output-head block of standard (see run_lanes)
 
 
 def block_layout(vocab_size, hidden_size):
@@ -226,49 +226,51 @@ def zoneout_rate(err, W_y, tau):
     return np.minimum(tau + np.abs(back), 1.0)
 
 
-def _score(p, rows, target):
-    # (log p of each row's target, their negated batch mean). Under the caller's
-    # np.errstate(divide="ignore") a zero probability (underflowed outputs) gives
-    # a +inf loss, as no other log p <= 0 terms can; a NaN passes, as elsewhere
-    logp = np.log(p[rows, target])
-    # sum / B is np.mean's own reduction and division, without its overhead
-    loss = float(-np.add.reduce(logp) / logp.shape[0])
-    if loss == math.inf:
+def _score(p, rows, targets):
+    """The one scorer: log p of a (k, B, M) block's (k, B) targets (rows: each
+    (step, lane) row's offset into p's flat entries) and the k batch-mean
+    losses as Python floats. Under the caller's np.errstate(divide="ignore") a
+    zero probability (underflowed outputs) gives a +inf loss, as no other
+    log p <= 0 terms can, and raises NumericalError; a NaN passes, as elsewhere."""
+    logp = np.log(p.reshape(-1)[rows + targets])
+    # sum / -B: np.mean's own reduction and division, negated exactly, without its overhead
+    losses = (np.add.reduce(logp, axis=1) / -logp.shape[1]).tolist()
+    if math.inf in losses:
         raise NumericalError("output assigns zero probability to a target symbol")
-    return logp, loss
+    return logp, losses
 
 
 def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen=None,
               choose=None, arena=None):
     """Walk every lane of state over symbols; returns (final_state, loss_nats).
 
-    symbols is a (T+1, B) index array: step t reads row t and is scored
-    against row t+1, and loss_nats sums the T batch-mean cross entropies as
-    Python floats. Each row's surprisal is the log-probability its previous
-    prediction gave it, all from one gather: state's p_prev for row 0, and
-    for row t+1 the log-probability step t's loss took. A zero probability
-    raises NumericalError. np.errstate, the row index and the transposed
-    weights are made once per call. Under that errstate exp overflowing to
-    inf gives exact 0 gates. The one-hot input and single-entry surprisal
-    rows are row gathers of the transposed weights; standard pins V_* at zero,
-    so it has no surprisal term and never reads V_*, and standard and sf
-    skip the all-ones mask products. state None starts fresh lanes; the
-    input state is never written. mask_mode "sampled" draws one binary
-    update mask per step from rng for fixed_zoneout and adaptive, and none
-    for standard and sf; "expected" substitutes the update probability
-    itself (the evaluation convention). Each step writes its rows into
-    arena, a WindowArena of symbols' shape, when given (ufunc out= where it
-    can; the final state then views it), and makes fresh arrays otherwise.
-    frozen, an earlier run's arena, gives each step its s_val, z and mask
-    and draws nothing. choose(t, y, p), when given, gets step t's index,
-    logits and distribution and returns the row written into symbols[t+1]
-    before that row is scored and read by step t+1 (text generation;
-    returning symbols[t+1] keeps a given row, as of a prompt). The surprisal
-    variants' output head runs in each step, as its p feeds the next step.
-    standard's feeds none, so without choose it runs once per block of up to
-    HEAD_BLOCK_ROWS // B steps on their stacked (k, B, N) h rows: a stacked
-    matmul makes one BLAS call per (B, N) slice, so every product, loss and
-    row is the per-step head's bit for bit (one (k*B, N) product is not).
+    symbols is a (T+1, B) index array: step t reads row t and is scored against
+    row t+1, and loss_nats sums the T batch-mean cross entropies as Python
+    floats. One output head serves every run: it takes k steps' stacked (k, B,
+    N) h rows through W_y, softmax_rows and _score at once. k is 1 wherever the
+    next step reads p (the surprisal variants and every choose run); standard
+    without choose reads none, so its blocks hold up to HEAD_BLOCK_ROWS // B
+    steps. A stacked matmul makes one BLAS call per (B, N) slice, so every
+    product, loss and row is the same bit for bit at any k (one (k*B, N)
+    product is not). Each row's surprisal is the log-probability its previous
+    prediction gave it, as _score found it: state's p_prev scores row 0 (even
+    when no step runs), and step t's loss row t+1. np.errstate, the index rows
+    and the transposed weights are made once per call. Under that errstate exp
+    overflowing to inf gives exact 0 gates. The one-hot input and single-entry
+    surprisal rows are row gathers of the transposed weights; standard pins V_*
+    at zero, so it has no surprisal term and never reads V_*, and standard and
+    sf skip the all-ones mask products. state None starts fresh lanes; the
+    input state is never written. mask_mode "sampled" draws one binary update
+    mask per step from rng for fixed_zoneout and adaptive, and none for
+    standard and sf; "expected" substitutes the update probability itself (the
+    evaluation convention). Each step writes its rows into arena, a WindowArena
+    of symbols' shape, when given (ufunc out= where it can; the final state
+    then views it), and makes fresh arrays otherwise. frozen, an earlier run's
+    arena, gives each step its s_val, z and mask and draws nothing. choose(t,
+    y, p), when given, gets step t's index and (B, M) logits and distribution
+    and returns the row written into symbols[t+1] before that row is scored and
+    read by step t+1 (text generation; returning symbols[t+1] keeps a given
+    row, as of a prompt).
     """
     sampled = check_choice("mask_mode", mask_mode, MASK_MODES) == "sampled"
     zoneout = params.variant in ("fixed_zoneout", "adaptive")
@@ -277,35 +279,32 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
     # differently at small batch and run slower at B = 32
     WgT, UgT, WyT = (np.ascontiguousarray(w.T) for w in (params.Wg, params.Ug, params.W_y))
     VgT = None if params.variant == "standard" else np.ascontiguousarray(params.Vg.T)
-    batch = symbols.shape[1]
-    rows = np.arange(batch)
+    batch, n = symbols.shape[1], params.hidden_size
     if state is None:
-        state = RecurrentState.initial(batch, params.hidden_size, params.vocab_size,
-                                       dtype=params.dtype)
+        state = RecurrentState.initial(batch, n, params.vocab_size, dtype=params.dtype)
     c, h, p = state.c, state.h, state.p_prev
     if arena is not None:
         arena.c[0], arena.h[0] = c, h
         c, h = arena.c[0], arena.h[0]
-    n = params.hidden_size
-    # each step's ufunc out= targets: its arena rows, or None for fresh arrays
-    sig_out = u_out = c_out = c_hat_out = h_out = p_out = None
-    s_val = None
-    total, a0 = 0.0, 0   # a0: the first step of the block head's open block
-    # steps per head run (0: each step runs its own); hid: h rows no arena holds
     block = (max(1, HEAD_BLOCK_ROWS // batch)
-             if params.variant == "standard" and choose is None else 0)
-    hid = np.empty((block, batch, n), params.dtype) if block and arena is None else None
+             if params.variant == "standard" and choose is None else 1)
+    lanes = np.arange(batch)
+    rows = (np.arange(block)[:, None] * batch + lanes) * params.vocab_size   # see _score
+    # each step's ufunc out= targets: its arena rows, or None for fresh arrays;
+    # h goes to hid, the open block's h rows (the arena's, or a buffer of block rows)
+    sig_out = u_out = c_out = c_hat_out = None
+    hid = arena.h[1:] if arena is not None else np.empty((block, batch, n), params.dtype)
+    total, a0 = 0.0, 0   # a0: the open block's first step
     with np.errstate(over="ignore", divide="ignore"):
+        s_val = _score(p[None], rows[:1], symbols[:1])[0][0]
         for t, x_idx in enumerate(symbols[:-1]):
             if frozen is not None:
                 s_val, z, mask = frozen.s_val[t], frozen.z[t], frozen.mask[t]
             else:
-                if s_val is None:
-                    s_val, _ = _score(p, rows, x_idx)
                 z = mask = None  # standard / sf: every cell updates every step
                 if params.variant == "adaptive":
                     err = p.copy()   # the previous prediction minus the arrived one-hot rows
-                    err[rows, x_idx] -= 1
+                    err[lanes, x_idx] -= 1
                     z = zoneout_rate(err, params.W_y, params.tau)
                 elif params.variant == "fixed_zoneout":
                     z = np.full_like(c, params.zoneout_rate)
@@ -313,8 +312,7 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                     mask = sample_bernoulli(z, rng) if sampled else z
             if arena is not None:
                 sig_out, u_out = arena.gates[t, :, : 3 * n], arena.gates[t, :, 3 * n:]
-                c_out, c_hat_out, h_out, p_out = (arena.c[t + 1], arena.c_hat[t],
-                                                  arena.h[t + 1], arena.p[t])
+                c_out, c_hat_out = arena.c[t + 1], arena.c_hat[t]
                 arena.s_val[t] = s_val
                 if zoneout:
                     arena.z[t], arena.mask[t] = z, mask
@@ -330,33 +328,24 @@ def run_lanes(params, symbols, state=None, rng=None, mask_mode="sampled", frozen
                 c = np.add((1.0 - f) * c, i * u, out=c_out)
             else:
                 c = np.add((1.0 - f * mask) * c, mask * (i * u), out=c_out)
-            h = np.multiply(o, np.tanh(c, out=c_hat_out), out=h_out)
-            if not block:
-                y = h @ WyT
-                y += params.b_y
-                p = softmax_rows(y, p_out)
-                if choose is not None:
-                    symbols[t + 1] = choose(t, y, p)
-                # the target's log-probability is also the next step's surprisal
-                s_val, loss = _score(p, rows, symbols[t + 1])
-                total += loss
+            h = np.multiply(o, np.tanh(c, out=c_hat_out), out=hid[t - a0])
+            k = t + 1 - a0
+            if k < block and t + 2 < len(symbols):
                 continue
-            if hid is not None:
-                hid[t - a0] = h
-            if t + 1 - a0 < block and t + 2 < len(symbols):
-                continue
-            # steps a0..t's head and _score in one go (see the docstring)
-            y = np.matmul(arena.h[a0 + 1: t + 2] if hid is None else hid[: t + 1 - a0], WyT)
+            # the head of steps a0..t (see the docstring)
+            y = np.matmul(hid[:k], WyT)
             y += params.b_y
             p = softmax_rows(y, None if arena is None else arena.p[a0: t + 1])
-            logp = np.log(p[np.arange(t + 1 - a0)[:, None], rows, symbols[a0 + 1: t + 2]])
-            losses = -np.add.reduce(logp, axis=1) / batch
-            if math.inf in losses:
-                raise NumericalError("output assigns zero probability to a target symbol")
-            for loss in losses.tolist():
+            if choose is not None:
+                symbols[t + 1] = choose(t, y[0], p[0])
+            # each target's log-probability is also the next step's surprisal
+            logp, losses = _score(p, rows[:k], symbols[a0 + 1: t + 2])
+            for loss in losses:
                 total += loss
-            if arena is not None and frozen is None:   # the run's last logp has no row
-                arena.s_val[a0 + 1: t + 2] = logp[: len(symbols) - 2 - a0]
+            if arena is not None:
+                if frozen is None:   # the run's last logp has no row
+                    arena.s_val[a0 + 1: t + 2] = logp[: len(symbols) - 2 - a0]
+                hid = arena.h[t + 2:]
             p, s_val, a0 = p[-1], logp[-1], t + 1
     return RecurrentState(c=c, h=h, p_prev=p), total
 

@@ -227,17 +227,21 @@ class TrainResult:
     step: int
 
 
-def sample_training_chunks(corpus, cfg, rng):
-    """Uniform random chunk start offsets inside the training split, one per lane.
-
-    Each chunk provides chunk_len inputs plus one trailing symbol for the
-    final target.
-    """
+def chunk_starts(corpus, cfg):
+    """How many chunk start offsets the training split has room for; raises
+    ValueError if it has none. Each chunk provides chunk_len inputs plus one
+    trailing symbol for the final target."""
     limit = corpus.train_end - cfg.chunk_len
     if limit < 1:
         raise ValueError(f"training split ({corpus.train_end} symbols) shorter than "
                          f"chunk_len + 1 ({cfg.chunk_len + 1})")
-    return rng.integers(0, limit, size=cfg.batch_size)
+    return limit
+
+
+def sample_training_chunks(corpus, cfg, rng):
+    """Uniform random chunk start offsets inside the training split, one per
+    lane (see chunk_starts)."""
+    return rng.integers(0, chunk_starts(corpus, cfg), size=cfg.batch_size)
 
 
 def run_tbptt_window(states, symbols, params, rng, grads, arena):
@@ -308,17 +312,18 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     when given, is rewritten at every chunk boundary and once at the end.
     resume takes a Checkpoint and continues it, bit-exactly when it was
     written at a chunk boundary and from a fresh chunk otherwise. Before any
-    write, train raises ValueError: if cfg fails TrainConfig.validate; naming
-    every RESUME_FIELDS entry in which cfg differs from the checkpoint (its
-    model_settings, then its config echo for the rest); if the corpus
-    vocabulary is not the checkpoint's; and if the checkpoint lacks the data
-    and mask rng streams.
+    write, train raises ValueError: if cfg fails TrainConfig.validate; if the
+    training split is too short for chunk_len; naming every RESUME_FIELDS
+    entry in which cfg differs from the checkpoint (its model_settings, then
+    its config echo for the rest); if the corpus vocabulary is not the
+    checkpoint's; if the checkpoint lacks the data and mask rng streams; and
+    if the model and its window arrays cannot be allocated.
     """
     cfg.validate()
+    chunk_starts(corpus, cfg)
     if resume is not None:
         corpus.check_vocab(resume.vocab)
-        params, opt = resume.params, resume.opt
-        saved = dict(resume.config, **model_settings(params, opt))
+        saved = dict(resume.config, **model_settings(resume.params, resume.opt))
         changed = [f"{k} (checkpoint {saved[k]!r}, config {getattr(cfg, k)!r})"
                    for k in RESUME_FIELDS if k in saved and saved[k] != getattr(cfg, k)]
         if changed:
@@ -328,13 +333,17 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         rng_data, rng_mask = (RngState(*resume.rng[k]) for k in ("data", "mask"))
         step = resume.step
     else:
-        params, opt = init_model(corpus, cfg)
         rng_data = RngState(cfg.seed).fork(STREAM_DATA)
         rng_mask = RngState(cfg.seed).fork(STREAM_MASK)
         step = 0
-
-    grads = GradientSet.zeros_like(params)
-    arena = WindowArena(params, cfg.seq_len, cfg.batch_size)
+    try:
+        params, opt = ((resume.params, resume.opt) if resume is not None
+                       else init_model(corpus, cfg))
+        grads = GradientSet.zeros_like(params)
+        arena = WindowArena(params, cfg.seq_len, cfg.batch_size)
+    except (MemoryError, ValueError):   # ValueError: a size past numpy's largest array
+        raise ValueError(f"hidden {cfg.hidden}, batch_size {cfg.batch_size} and seq_len "
+                         f"{cfg.seq_len} need more memory than there is")
     records = []
     losses = []
     t_start = time.monotonic()

@@ -40,7 +40,9 @@ class TestModelParams:
             ModelParams.zeros(5, 4, **{field: value})
 
 
-class TestSurprisalVector:
+class TestFirstSurprisal:
+    """Step 0's surprisal: the one scorer applied to the input state's p_prev."""
+
     def test_uniform_previous_prediction(self):
         p_prev = np.full((1, 4), 0.25)
         s = first_surprisal(p_prev, np.array([2]))
@@ -422,11 +424,11 @@ class TestRunLanes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
     @pytest.mark.parametrize("variant", ["standard", "sf", "fixed_zoneout", "adaptive"])
-    def test_equals_forward_step_loop(self, variant, mask_mode, dtype):
-        # one call over T steps equals T one-step calls that carry the state
-        # and the rng along, as training carries them across its windows, with
-        # an arena and without. At B = 1 and B = 3, T spans two of standard's
-        # output-head blocks and a partial third
+    def test_one_call_equals_one_step_calls_across_head_blocks(self, variant, mask_mode, dtype):
+        # one call over T steps equals T one-step calls (each one head block of
+        # k = 1) that carry the state and the rng along, as training carries
+        # them across its windows, with an arena and without. At B = 1 and
+        # B = 3, T spans two of standard's output-head blocks and a partial third
         params = tiny_params(variant=variant, dtype=dtype)
         for batch in (1, 3):
             sym, state0 = self.stream(params, 2 * (HEAD_BLOCK_ROWS // batch) + 5, batch)

@@ -604,6 +604,36 @@ class TestTrainEvalCommands:
         assert rate in capsys.readouterr().err
         assert not run_dir.exists()
 
+    def test_chunk_longer_than_the_split_refused_before_any_write(self, corpus, corpus_path,
+                                                                 tmp_path, capsys):
+        # the first chunk_len that the training split has no room for: refused
+        # before the step-0 log record and checkpoint are written
+        run_dir = tmp_path / "run"
+        chunk_len = 100 * (corpus.train_end // 100 + 1)
+        assert run(["train", corpus_path, "--steps", "1", "--hidden", "8", "--batch", "2",
+                    "--chunk-len", str(chunk_len), "--run-dir", str(run_dir)]) == 1
+        assert "chunk_len" in capsys.readouterr().err
+        assert not any(run_dir.iterdir())
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--hidden", "6000000"], "hidden"),                       # 524 TiB of parameters
+        (["--batch", str(10 ** 12)], "batch_size"),                # 364 TiB of window rows
+        (["--seq-len", str(10 ** 12), "--chunk-len", str(10 ** 12)], "chunk_len"),  # 466 TiB
+        (["--hidden", str(10 ** 10)], "hidden"),   # past numpy's largest array size
+    ], ids=["hidden", "batch", "seq-len", "hidden-1e10"])
+    def test_unallocatable_size_refused_before_any_write(self, corpus_path, tmp_path, capsys,
+                                                         flags, name):
+        # each size is past what a process can map (128 TiB on x86-64 Linux), so
+        # its allocation fails at once without touching memory; a chunk longer
+        # than the corpus is refused before any allocation
+        run_dir = tmp_path / "run"
+        assert run(["train", corpus_path, "--steps", "1", "--hidden", "8", *flags,
+                    "--run-dir", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and name in captured.err
+        assert "Traceback" not in captured.err
+        assert not any(run_dir.iterdir())
+
     def test_invalid_flag_combination_names_field(self, corpus_path, tmp_path, capsys):
         code = run(["train", corpus_path, "--seq-len", "7", "--chunk-len", "50",
                     "--run-dir", str(tmp_path)])
