@@ -7,7 +7,7 @@ update probability and the realized update rate react to each.
 
 import numpy as np
 
-from szlstm import ModelParams, RngState, WindowArena, run_lanes
+from szlstm import ModelParams, RngState, TrainConfig, WindowArena, run_lanes
 from szlstm.optim import xavier_init
 
 VOCAB = 16
@@ -20,7 +20,8 @@ repetitive = np.tile(np.array([1, 2, 3, 4], dtype=np.int64), 50)
 noisy = rng.integers(0, VOCAB, size=200)
 stream = np.concatenate([repetitive, noisy])
 
-params = ModelParams.zeros(VOCAB, HIDDEN, variant="adaptive", tau=0.05)
+# the model's settings come from a TrainConfig, the one place their defaults live
+params = ModelParams.zeros(VOCAB, TrainConfig(hidden=HIDDEN, variant="adaptive", tau=0.05))
 xavier_init(params, RngState(7).fork(1))
 
 # one lane from a fresh state, every step recorded in an arena for the printout

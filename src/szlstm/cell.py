@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import NumericalError, sample_bernoulli, softmax_rows
+from .numerics import DTYPES, NumericalError, sample_bernoulli, softmax_rows
 
 VARIANTS = ("standard", "sf", "fixed_zoneout", "adaptive")
 MASK_MODES = ("expected", "sampled")
@@ -55,9 +55,10 @@ def is_number(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def check_unit(name, value):
-    """value if it is a number in [0, 1] (NaN is not); else ValueError."""
-    return require(name, value, is_number(value) and 0 <= value <= 1, "lie in [0, 1]")
+def check_integer(name, value, least):
+    """value if it is an integer (not a bool) >= least; else ValueError."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+    return require(name, value, ok, f"be an integer >= {least}")
 
 
 def check_choice(name, value, choices):
@@ -118,7 +119,7 @@ class _FlatBlocks:
 
 
 class ModelParams(_FlatBlocks):
-    """All trainable blocks plus the update-probability floor and variant flags.
+    """All trainable blocks plus a TrainConfig's variant, tau and zoneout_rate.
 
     W_* and V_* map the M-dim input / surprisal rows to the N cells, U_* are
     the recurrent weights, W_y projects hidden state back to the vocabulary.
@@ -126,18 +127,17 @@ class ModelParams(_FlatBlocks):
     zoneout_rate is the constant update probability of fixed_zoneout.
     """
 
-    def __init__(self, flat, vocab_size, hidden_size, variant="adaptive", tau=0.05,
-                 zoneout_rate=0.5):
-        super().__init__(flat, vocab_size, hidden_size)
-        self.variant = check_choice("variant", variant, VARIANTS)
-        self.tau = float(check_unit("tau", tau))
-        self.zoneout_rate = float(check_unit("zoneout_rate", zoneout_rate))
+    def __init__(self, flat, vocab_size, cfg):
+        super().__init__(flat, vocab_size, cfg.validate().hidden)
+        self.variant = cfg.variant
+        self.tau = float(cfg.tau)
+        self.zoneout_rate = float(cfg.zoneout_rate)
 
     @classmethod
-    def zeros(cls, vocab_size, hidden_size, dtype=np.float32, **settings):
-        """All-zero blocks; settings are the variant, tau and zoneout_rate keywords."""
-        size = block_layout(vocab_size, hidden_size)["b_y"][1]
-        return cls(np.zeros(size, dtype=dtype), vocab_size, hidden_size, **settings)
+    def zeros(cls, vocab_size, cfg):
+        """All-zero blocks in the float width of cfg.precision."""
+        size = block_layout(vocab_size, cfg.validate().hidden)["b_y"][1]
+        return cls(np.zeros(size, dtype=DTYPES[cfg.precision]), vocab_size, cfg)
 
     def trainable_keys(self):
         """Blocks the optimizer may touch; the standard variant never trains V_*."""

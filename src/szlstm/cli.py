@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .cell import MASK_MODES, VARIANTS, require, run_lanes
+from .cell import MASK_MODES, VARIANTS, check_integer, require, run_lanes
 from .numerics import DTYPES, NumericalError, RngState, softmax_rows
 from .trace import export_cell_change, export_gate_map, trace_stream
 from .training import (
@@ -111,7 +111,6 @@ def build_config(args):
 def cmd_train(args):
     cfg = build_config(args)
     corpus = load_corpus(args.corpus)
-    os.makedirs(args.run_dir, exist_ok=True)
     log_path = os.path.join(args.run_dir, f"{args.run_id}.log")
     ckpt_path = os.path.join(args.run_dir, f"{args.run_id}.ckpt")
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -175,6 +174,7 @@ def cmd_trace(args):
 
 
 def cmd_sample(args):
+    check_integer("seed", args.seed, 0)
     ckpt = load_checkpoint(args.checkpoint)
     params, vocab = ckpt.params, ckpt.vocab
     prompt = args.prompt.encode("utf-8")

@@ -14,6 +14,7 @@ from .cell import (GradientSet, ModelParams, RecurrentState, WindowArena, backwa
                    require, run_lanes)
 from .numerics import NumericalError, RngState
 from .optim import xavier_init
+from .training import TrainConfig
 
 DEFAULT_EPS = 1e-5
 PASS_THRESHOLD = 1e-5
@@ -105,14 +106,15 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
                       eps=DEFAULT_EPS, mask_mode="sampled"):
     """Full harness on a small window; returns the GradReport.
 
-    Builds a float64 model of 8 cells with ModelParams' default tau and
-    zoneout_rate, collects a window with sampled masks (replayed twice and
-    asserted bit-identical), freezes the per-step surprisal / rate / mask,
-    and compares the analytic sweep against central differences over every
-    coordinate of every trainable block.
+    Builds a float64 model of 8 cells from the TrainConfig of variant and
+    seed (its rules, its default tau and zoneout_rate), collects a window with
+    sampled masks (replayed twice and asserted bit-identical), freezes the
+    per-step surprisal / rate / mask, and compares the analytic sweep against
+    central differences over every coordinate of every trainable block.
     """
+    cfg = TrainConfig(hidden=8, variant=variant, precision="f64", seed=seed)
     root = RngState(seed)
-    params = ModelParams.zeros(vocab, 8, variant=variant, dtype=np.float64)
+    params = ModelParams.zeros(vocab, cfg)
     xavier_init(params, root.fork(1))
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel

@@ -1,7 +1,7 @@
 """Parameter initialization and Adadelta updates.
 
 Adadelta here is the learning-rate-scaled form: the canonical accumulator
-ratio is multiplied by an explicit lr (default 0.001) before being applied.
+ratio is multiplied by an explicit lr (TrainConfig.lr) before being applied.
 """
 
 import numpy as np
@@ -40,14 +40,15 @@ def xavier_init(params, rng):
 
 
 class AdadeltaState:
-    """Running E[g^2] and E[dx^2] accumulators in the ModelParams layout; both
-    start at zero unless an (E[g^2], E[dx^2]) pair, such as a checkpoint's,
-    is adopted through accumulators."""
+    """Running E[g^2] and E[dx^2] accumulators in the ModelParams layout and a
+    TrainConfig's rho, eps and lr; both accumulators start at zero unless an
+    (E[g^2], E[dx^2]) pair, such as a checkpoint's, is adopted through them."""
 
-    def __init__(self, params, rho=0.95, eps=1e-6, lr=0.001, accumulators=None):
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self.lr = float(lr)
+    def __init__(self, params, cfg, accumulators=None):
+        cfg.validate()
+        self.rho = float(cfg.rho)
+        self.eps = float(cfg.eps)
+        self.lr = float(cfg.lr)
         self.eg2, self.edx2 = accumulators or (GradientSet.zeros_like(params),
                                                GradientSet.zeros_like(params))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import WindowArena, require, run_lanes
+from .cell import WindowArena, check_integer, require, run_lanes
 from .numerics import RngState
 
 EXPORT_CHUNK = 32  # steps per formatted write in export_gate_map
@@ -84,9 +84,10 @@ def trace_stream(params, symbols, window=100, mask_mode="sampled", seed=0):
     """Run a single-lane pass over a symbol stream, recording the last window steps.
 
     Scores symbols[t+1] from symbols[t] like evaluation does; returns the
-    filled buffer. Weights are never written.
+    filled buffer. Weights are never written. seed must be an integer >= 0.
     """
     require("trace window", window, window >= 1, "be at least 1 step")
+    check_integer("seed", seed, 0)
     symbols = np.asarray(symbols)
     if len(symbols) < 2:
         raise ValueError("trace stream needs at least 2 symbols")

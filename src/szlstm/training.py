@@ -53,7 +53,7 @@ from .cell import (
     backward_window,
     block_layout,
     check_choice,
-    check_unit,
+    check_integer,
     cross_entropy_bpc,
     is_number,
     require,
@@ -84,12 +84,6 @@ RESUME_FIELDS = ("hidden", "variant", "batch_size", "seq_len", "chunk_len", "see
 # header fields load_checkpoint reads, in the order saves write them; config and rng may be absent
 HEADER_FIELDS = ("step", "precision", "hidden", "vocab_size", "vocab", "variant", "tau",
                  "zoneout_rate", "rho", "eps", "lr")
-
-
-def check_integer(name, value, least):
-    """value if it is an integer (not a bool) >= least; else ValueError."""
-    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-    return require(name, value, ok, f"be an integer >= {least}")
 
 
 @dataclass
@@ -187,7 +181,8 @@ class TrainConfig:
         require("chunk_len", self.chunk_len, self.chunk_len % self.seq_len == 0,
                 f"be divisible by seq_len ({self.seq_len})")
         for name in ("tau", "zoneout_rate", "rho"):
-            check_unit(name, getattr(self, name))
+            value = getattr(self, name)
+            require(name, value, is_number(value) and 0 <= value <= 1, "lie in [0, 1]")
         for name in ("lr", "eps"):
             value = getattr(self, name)
             require(name, value, is_number(value) and 0 < value <= sys.float_info.max,
@@ -296,12 +291,9 @@ def model_settings(params, opt):
 
 def init_model(corpus, cfg):
     """Fresh Xavier-initialized parameters and optimizer state for a corpus."""
-    params = ModelParams.zeros(corpus.vocab_size, cfg.hidden, variant=cfg.variant,
-                               tau=cfg.tau, zoneout_rate=cfg.zoneout_rate,
-                               dtype=DTYPES[cfg.precision])
+    params = ModelParams.zeros(corpus.vocab_size, cfg)
     xavier_init(params, RngState(cfg.seed).fork(STREAM_INIT))
-    opt = AdadeltaState(params, rho=cfg.rho, eps=cfg.eps, lr=cfg.lr)
-    return params, opt
+    return params, AdadeltaState(params, cfg)
 
 
 def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
@@ -317,7 +309,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     entry in which cfg differs from the checkpoint (its model_settings, then
     its config echo for the rest); if the corpus vocabulary is not the
     checkpoint's; if the checkpoint lacks the data and mask rng streams; and
-    if the model and its window arrays cannot be allocated.
+    if the model and its window arrays cannot be allocated. Only then does it
+    create the directories of log_path and ckpt_path.
     """
     cfg.validate()
     chunk_starts(corpus, cfg)
@@ -344,6 +337,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     except (MemoryError, ValueError):   # ValueError: a size past numpy's largest array
         raise ValueError(f"hidden {cfg.hidden}, batch_size {cfg.batch_size} and seq_len "
                          f"{cfg.seq_len} need more memory than there is")
+    for path in filter(None, (log_path, ckpt_path)):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     records = []
     losses = []
     t_start = time.monotonic()
@@ -382,7 +377,6 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     emit(step, float("nan"), 0.0, 0.0, 0)
 
     window_index = cfg.windows_per_chunk   # the first step starts a chunk
-    interval_nats = []
     z_sum = mask_sum = 0.0
     n_sym = 0
 
@@ -407,7 +401,6 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
                 f"grad norm {grads.global_norm():.3e}"
             )
         losses.append(loss_nats)
-        interval_nats.append(loss_nats)
         z_sum += mean_z
         mask_sum += mean_rate
         n_sym += 1
@@ -418,9 +411,8 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
         window_index += 1
 
         if step % cfg.val_interval == 0 or step == cfg.steps:
-            train_bpc = cross_entropy_bpc(float(np.mean(interval_nats)))
+            train_bpc = cross_entropy_bpc(float(np.mean(losses[-n_sym:])))
             emit(step, train_bpc, z_sum, mask_sum, n_sym)
-            interval_nats = []
             z_sum = mask_sum = 0.0
             n_sym = 0
 
@@ -504,8 +496,8 @@ def load_checkpoint(path):
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
         try:
-            TrainConfig(**{k: header[k] for k in HEADER_FIELDS
-                           if k in TrainConfig.__annotations__}).validate()
+            cfg = TrainConfig(**{k: header[k] for k in HEADER_FIELDS
+                                 if k in TrainConfig.__annotations__}).validate()
             for name, least in (("step", 0), ("vocab_size", 1)):
                 check_integer(name, header[name], least)
         except ValueError as err:
@@ -513,7 +505,7 @@ def load_checkpoint(path):
         vocab = header["vocab"]
         if not (isinstance(vocab, list) and all(type(v) is int and 0 <= v <= 255 for v in vocab)):
             raise ValueError(f"checkpoint {path} header vocab must list byte values 0..255")
-        vocab_size, hidden = header["vocab_size"], header["hidden"]
+        vocab_size = header["vocab_size"]
         if len(vocab) != vocab_size:
             raise ValueError(f"checkpoint vocab has {len(vocab)} bytes, "
                              f"not vocab_size {vocab_size}")
@@ -527,8 +519,8 @@ def load_checkpoint(path):
         if not isinstance(config, dict):
             raise ValueError(f"checkpoint {path} header config must be an object")
 
-        dtype = DTYPES[header["precision"]]
-        count = block_layout(vocab_size, hidden)["b_y"][1]
+        dtype = DTYPES[cfg.precision]
+        count = block_layout(vocab_size, cfg.hidden)["b_y"][1]
         left = size - fh.tell()
         if left < 3 * count * dtype.itemsize:   # before allocating what the header claims
             raise ValueError(f"truncated checkpoint {path}: short read in arrays")
@@ -538,12 +530,10 @@ def load_checkpoint(path):
         if left > arrays.nbytes:
             raise ValueError(f"checkpoint {path} has {left - arrays.nbytes} trailing bytes")
 
-    params = ModelParams(arrays[:count], vocab_size, hidden, variant=header["variant"],
-                         tau=header["tau"], zoneout_rate=header["zoneout_rate"])
-    accumulators = (GradientSet(arrays[count: 2 * count], vocab_size, hidden),
-                    GradientSet(arrays[2 * count:], vocab_size, hidden))
-    opt = AdadeltaState(params, rho=header["rho"], eps=header["eps"], lr=header["lr"],
-                        accumulators=accumulators)
+    params = ModelParams(arrays[:count], vocab_size, cfg)
+    accumulators = (GradientSet(arrays[count: 2 * count], vocab_size, cfg.hidden),
+                    GradientSet(arrays[2 * count:], vocab_size, cfg.hidden))
+    opt = AdadeltaState(params, cfg, accumulators)
 
     return Checkpoint(
         params=params,

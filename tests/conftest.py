@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from szlstm import ModelParams, RecurrentState, RngState, WindowArena, load_corpus, run_lanes
+from szlstm import (DTYPES, ModelParams, RecurrentState, RngState, TrainConfig, WindowArena,
+                    load_corpus, run_lanes)
 from szlstm.numerics import sample_bernoulli, softmax_rows
 from szlstm.optim import xavier_init
 
@@ -58,9 +59,13 @@ def record(params, symbols, state=None, rng=None, mask_mode="sampled", **kw):
     return state, loss, arena
 
 
-def tiny_params(vocab=5, hidden=8, variant="adaptive", seed=3, dtype=np.float64, **kw):
-    params = ModelParams.zeros(vocab, hidden, variant=variant, dtype=dtype, **kw)
-    xavier_init(params, RngState(seed).fork(1))
+def tiny_params(vocab=5, dtype=np.float64, hidden=8, seed=3, **fields):
+    """A Xavier-initialized model of vocab symbols built from the TrainConfig
+    of fields (hidden 8 and seed 3 unless given), whose precision is dtype's."""
+    precision = {d: k for k, d in DTYPES.items()}[np.dtype(dtype)]
+    cfg = TrainConfig(hidden=hidden, seed=seed, precision=precision, **fields)
+    params = ModelParams.zeros(vocab, cfg)
+    xavier_init(params, RngState(cfg.seed).fork(1))
     return params
 
 

@@ -38,8 +38,8 @@ def drive_variant(variant, steps=1000, seed=11, tau=0.05, rate=0.5,
     """Shared driver: same symbol stream and init seed for every variant.
     Returns the run's WindowArena and its final state."""
     batch, hidden, vocab = 2, 8, 5
-    params = ModelParams.zeros(vocab, hidden, variant=variant, tau=tau,
-                               zoneout_rate=rate, dtype=np.float32)
+    params = ModelParams.zeros(vocab, TrainConfig(hidden=hidden, variant=variant, tau=tau,
+                                                  zoneout_rate=rate))
     xavier_init(params, RngState(seed).fork(1))
     if zero_feedback:
         for g in "fiou":
@@ -109,7 +109,7 @@ def test_criterion_4_rate_bounds():
 def test_criterion_5_init_contract(corpus):
     cfg = TrainConfig(seq_len=10, batch_size=4, chunk_len=50, hidden=64,
                       variant="adaptive", steps=0, seed=9, val_prefix=2000)
-    params = ModelParams.zeros(corpus.vocab_size, cfg.hidden, dtype=np.float32)
+    params = ModelParams.zeros(corpus.vocab_size, cfg)
     xavier_init(params, RngState(9).fork(1))
     assert np.all(params.b_f == 1.0)
     for name in ("b_i", "b_o", "b_u", "b_y"):

@@ -15,7 +15,8 @@ from szlstm.cell import (
     zoneout_rate,
 )
 from szlstm.numerics import NumericalError, RngState, softmax_rows
-from szlstm.optim import xavier_init
+from szlstm.optim import AdadeltaState, xavier_init
+from szlstm.training import TrainConfig
 
 from conftest import CACHE_FIELDS, one_hot, record, recorded_steps, step_views, tiny_params
 
@@ -24,7 +25,7 @@ def first_surprisal(p_prev, x_idx):
     """The s_val step 0 of run_lanes reads when its input state predicted p_prev
     and the rows x_idx arrive."""
     batch, vocab = p_prev.shape
-    params = ModelParams.zeros(vocab, 2, dtype=np.float64)
+    params = ModelParams.zeros(vocab, TrainConfig(hidden=2, precision="f64"))
     state = RecurrentState(c=np.zeros((batch, 2)), h=np.zeros((batch, 2)), p_prev=p_prev)
     # zero weights give uniform outputs, so the target row has no zero probability
     symbols = np.stack([x_idx, np.zeros_like(x_idx)])
@@ -34,10 +35,16 @@ def first_surprisal(p_prev, x_idx):
 class TestModelParams:
     @pytest.mark.parametrize("field,value", [("tau", 1.5), ("zoneout_rate", -0.5),
                                              ("zoneout_rate", 1.5),
-                                             ("zoneout_rate", float("nan"))])
+                                             ("zoneout_rate", float("nan")),
+                                             ("rho", 1.5), ("eps", 0), ("lr", -1)])
     def test_rate_outside_unit_interval_rejected(self, field, value):
-        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\]"):
-            ModelParams.zeros(5, 4, **{field: value})
+        # the model and the optimizer each refuse a config with TrainConfig.validate's message
+        rule = "be a finite number > 0" if field in ("eps", "lr") else r"lie in \[0, 1\]"
+        cfg = TrainConfig(hidden=4, **{field: value})
+        params = ModelParams.zeros(5, TrainConfig(hidden=4))
+        for build in (lambda: ModelParams.zeros(5, cfg), lambda: AdadeltaState(params, cfg)):
+            with pytest.raises(ValueError, match=rf"^{field} must {rule}, got"):
+                build()
 
 
 class TestFirstSurprisal:
@@ -124,7 +131,7 @@ def frozen_mask(params, batch, value, steps=1):
     return frozen
 
 
-class TestPredictionError:
+class TestAdaptiveUpdateProbability:
     """Adaptive's step reads z = zoneout_rate(p_prev - one_hot(x), W_y, tau)."""
 
     def test_perfect_prediction(self):
@@ -158,7 +165,7 @@ class TestGateForward:
     """The gates f|i|o|u a step records."""
 
     def test_all_zeros(self):
-        params = ModelParams.zeros(3, 4, dtype=np.float64)
+        params = ModelParams.zeros(3, TrainConfig(hidden=4, precision="f64"))
         step = step_rows(params, np.array([1, 2]))
         np.testing.assert_array_equal(step.f, np.full((2, 4), 0.5))
         np.testing.assert_array_equal(step.i, np.full((2, 4), 0.5))
@@ -166,7 +173,7 @@ class TestGateForward:
         np.testing.assert_array_equal(step.u, np.zeros((2, 4)))
 
     def test_unit_erase_bias(self):
-        params = ModelParams.zeros(3, 4, dtype=np.float64)
+        params = ModelParams.zeros(3, TrainConfig(hidden=4, precision="f64"))
         params.b_f.fill(1.0)
         f = step_rows(params, np.array([0])).f
         np.testing.assert_allclose(f, 1.0 / (1.0 + np.exp(-1.0)), atol=1e-15)
@@ -249,12 +256,12 @@ class TestCellUpdate:
                 np.testing.assert_array_equal(c, c_prev, err_msg=variant)
 
 
-class TestHiddenFromCell:
+class TestHiddenState:
     """c_hat = tanh(c) and h = o*c_hat, as a step records them."""
 
     def test_zero_cell(self):
         # zero weights keep the cell at 0 whatever the read gate's bias
-        params = ModelParams.zeros(3, 3, dtype=np.float64)
+        params = ModelParams.zeros(3, TrainConfig(hidden=3, precision="f64"))
         params.b_o[:] = [-2.0, 0.0, 2.2]
         step = step_rows(params, np.array([1]))
         np.testing.assert_array_equal(step.c, np.zeros((1, 3)))
@@ -269,7 +276,7 @@ class TestHiddenFromCell:
 
     def test_half_open_gate_on_unit_cell(self):
         # zero weights open the read gate half way; the frozen zero mask keeps c = 1
-        params = ModelParams.zeros(3, 1, dtype=np.float64)
+        params = ModelParams.zeros(3, TrainConfig(hidden=1, precision="f64"))
         step = step_rows(params, np.array([0]), c_prev=1.0, frozen=frozen_mask(params, 1, 0.0))
         assert step.c[0, 0] == 1.0 and step.o[0, 0] == 0.5
         assert abs(step.h[0, 0] - 0.3807970779778824) < 1e-12
@@ -299,7 +306,7 @@ class TestProjectOutputs:
         return record(params, np.stack([x_idx, x_idx]), state, mask_mode="expected")[2].p[0]
 
     def test_zero_weights_give_uniform(self):
-        params = ModelParams.zeros(5, 3, dtype=np.float64)
+        params = ModelParams.zeros(5, TrainConfig(hidden=3, precision="f64"))
         np.testing.assert_array_equal(self.output(params, 2, 7), np.full((2, 5), 0.2))
 
     def test_bias_shift_invariance(self):
@@ -367,7 +374,7 @@ class TestCellStep:
 
     def test_untrained_loss_near_uniform(self):
         vocab, hidden = 27, 32
-        params = ModelParams.zeros(vocab, hidden, variant="adaptive", dtype=np.float32)
+        params = ModelParams.zeros(vocab, TrainConfig(hidden=hidden, variant="adaptive"))
         xavier_init(params, RngState(0).fork(1))
         sym = RngState(0).fork(2).integers(0, vocab, size=(201, 4))
         _, total = run_lanes(params, sym, None, RngState(0).fork(3))
@@ -531,7 +538,7 @@ class TestRunLanes:
 
     def test_zero_probability_target_raises(self):
         # zero weights leave h = 0, so the logits are exactly b_y
-        params = ModelParams.zeros(5, 4, dtype=np.float32)
+        params = ModelParams.zeros(5, TrainConfig(hidden=4))
         params.b_y[:] = [0, 0, 0, 0, 120]
         state = RecurrentState.initial(1, 4, 5, dtype=np.float32)
         with pytest.raises(NumericalError, match="target symbol"):
@@ -540,7 +547,7 @@ class TestRunLanes:
     def test_zero_probability_target_mid_block_raises(self):
         # standard scores these 100 steps in two output-head blocks; the zero
         # probability target of step 10 falls inside the first, not at its end
-        params = ModelParams.zeros(5, 4, variant="standard", dtype=np.float32)
+        params = ModelParams.zeros(5, TrainConfig(hidden=4, variant="standard"))
         params.b_y[:] = [0, 0, 0, 0, 120]
         state = RecurrentState.initial(1, 4, 5, dtype=np.float32)
         symbols = np.full((101, 1), 4)

@@ -157,10 +157,11 @@ class TestConfidentlyWrongF32:
         corpus = tmp_path / "abcde.txt"
         corpus.write_bytes(text)
         # zero weights leave h = 0, so the logits are exactly b_y
-        params = ModelParams.zeros(5, 8, variant=variant, dtype=np.float32)
+        cfg = TrainConfig(hidden=8, variant=variant)
+        params = ModelParams.zeros(5, cfg)
         params.b_y[:] = [0, 0, 0, 0, 120]
         ckpt = str(tmp_path / "confident.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params), None,
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None,
                         np.frombuffer(b"abcde", dtype=np.uint8), step=0)
         return ckpt, str(corpus)
 
@@ -212,9 +213,10 @@ class TestVocabularyMismatch:
 
     @pytest.fixture()
     def model(self, tmp_path):
-        params = ModelParams.zeros(3, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(3, cfg)
         ckpt = str(tmp_path / "abc.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params), None,
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None,
                         np.frombuffer(b"abc", dtype=np.uint8), step=0)
         corpus = tmp_path / "xyz.txt"
         corpus.write_bytes(b"xyzzy" * 400)
@@ -238,9 +240,10 @@ class TestEvalFlags:
 
     @pytest.fixture()
     def model(self, corpus, corpus_path, tmp_path):
-        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = str(tmp_path / "zero.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params), None, corpus.vocab, step=0)
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         return ckpt, corpus_path
 
     @pytest.mark.parametrize("flag", [["--hidden", "7"], ["--variant", "standard"],
@@ -281,10 +284,10 @@ class TestCheckpointZoneoutRate:
     """A checkpoint's zoneout_rate is range-checked where its model is built."""
 
     def test_rate_outside_unit_interval_rejected(self, corpus, corpus_path, tmp_path, capsys):
-        params = ModelParams.zeros(corpus.vocab_size, 4, variant="fixed_zoneout",
-                                   dtype=np.float32)
+        cfg = TrainConfig(hidden=4, variant="fixed_zoneout")
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = tmp_path / "fixed.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         # same length, so the header length field stays right
         blob = ckpt.read_bytes()
         assert blob.count(b'"zoneout_rate": 0.5') == 1
@@ -313,9 +316,10 @@ class TestNonFiniteWalk:
     @staticmethod
     def checkpoint(corpus, path):
         # zero weights leave h = 0, and 0 * NaN spreads the NaN to every logit
-        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
         params.W_y[0, 0] = np.nan
-        save_checkpoint(str(path), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        save_checkpoint(str(path), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         return str(path)
 
     def test_eval_exits_2(self, corpus, corpus_path, tmp_path, capsys):
@@ -348,8 +352,9 @@ class TestMalformedCheckpoint:
 
     @staticmethod
     def checkpoint(corpus, path):
-        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
-        save_checkpoint(str(path), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
+        save_checkpoint(str(path), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         return path
 
     def test_unknown_precision_named(self, corpus, corpus_path, tmp_path, capsys):
@@ -442,9 +447,10 @@ class TestMalformedCheckpoint:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
-        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = tmp_path / "renamed.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         # same-length renames, so the header length field stays right
         blob = ckpt.read_bytes()
         for key in (b'"zoneout_rate"', b'"tau"'):
@@ -473,7 +479,7 @@ class TestMalformedCheckpoint:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "data and mask" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
-        assert list(run_dir.iterdir()) == []
+        assert not run_dir.exists()
 
 
 def _bad_settings():
@@ -494,9 +500,10 @@ class TestOneRuleEverySource:
     def test_header_gets_the_config_message(self, corpus, tmp_path, name, value):
         with pytest.raises(ValueError, match=f"^{name} must ") as direct:
             TrainConfig(**{name: value}).validate()
-        params = ModelParams.zeros(corpus.vocab_size, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = tmp_path / "bad.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params), None, corpus.vocab, step=0)
+        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
         rewrite_header(ckpt, **{name: value})
         with pytest.raises(ValueError) as header:
             load_checkpoint(str(ckpt))
@@ -516,6 +523,24 @@ class TestOneRuleEverySource:
             assert run(["train", corpus_path, *source, "--run-dir", str(run_dir)]) == 1
             assert capsys.readouterr().err == f"error: {direct.value}\n"
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "sample", "gradcheck"])
+    def test_seed_flag_gets_the_config_message(self, corpus, corpus_path, tmp_path, capsys,
+                                               command):
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        argv = {"trace": ["trace", ckpt, corpus_path, "--window", "5",
+                          "--out-dir", str(tmp_path)],
+                "sample": ["sample", ckpt, "--prompt", bytes(corpus.vocab[:2]).decode("ascii"),
+                           "--length", "5"],
+                "gradcheck": ["gradcheck"]}[command]
+        assert run([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("**/*.csv"))
 
 
 class TestGradcheckCommand:
@@ -613,7 +638,7 @@ class TestTrainEvalCommands:
         assert run(["train", corpus_path, "--steps", "1", "--hidden", "8", "--batch", "2",
                     "--chunk-len", str(chunk_len), "--run-dir", str(run_dir)]) == 1
         assert "chunk_len" in capsys.readouterr().err
-        assert not any(run_dir.iterdir())
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("flags,name", [
         (["--hidden", "6000000"], "hidden"),                       # 524 TiB of parameters
@@ -632,7 +657,7 @@ class TestTrainEvalCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and name in captured.err
         assert "Traceback" not in captured.err
-        assert not any(run_dir.iterdir())
+        assert not run_dir.exists()
 
     def test_invalid_flag_combination_names_field(self, corpus_path, tmp_path, capsys):
         code = run(["train", corpus_path, "--seq-len", "7", "--chunk-len", "50",

@@ -10,11 +10,12 @@ from szlstm.optim import (
     clip_gradients,
     xavier_init,
 )
+from szlstm.training import TrainConfig
 
 
 class TestXavierInit:
     def test_bias_contract(self):
-        params = ModelParams.zeros(11, 7, dtype=np.float64)
+        params = ModelParams.zeros(11, TrainConfig(hidden=7, precision="f64"))
         xavier_init(params, RngState(0))
         np.testing.assert_array_equal(params.b_f, np.ones(7))
         for name in ("b_i", "b_o", "b_u", "b_y"):
@@ -22,22 +23,22 @@ class TestXavierInit:
                                           np.zeros_like(getattr(params, name)))
 
     def test_block_variance(self):
-        params = ModelParams.zeros(512, 512, dtype=np.float64)
+        params = ModelParams.zeros(512, TrainConfig(hidden=512, precision="f64"))
         xavier_init(params, RngState(1))
         target = 2.0 / (512 + 512)  # uniform(-a, a) variance a^2 / 3
         assert abs(params.W_f.var() - target) / target < 0.10
 
     def test_same_seed_bit_identical(self):
-        a = ModelParams.zeros(9, 6, dtype=np.float32)
-        b = ModelParams.zeros(9, 6, dtype=np.float32)
+        a = ModelParams.zeros(9, TrainConfig(hidden=6))
+        b = ModelParams.zeros(9, TrainConfig(hidden=6))
         xavier_init(a, RngState(7))
         xavier_init(b, RngState(7))
         for (_, x), (_, y) in zip(a.blocks(), b.blocks()):
             np.testing.assert_array_equal(x, y)
 
     def test_standard_variant_keeps_feedback_zero_without_desyncing(self):
-        std = ModelParams.zeros(9, 6, variant="standard", dtype=np.float64)
-        sf = ModelParams.zeros(9, 6, variant="sf", dtype=np.float64)
+        std = ModelParams.zeros(9, TrainConfig(hidden=6, variant="standard", precision="f64"))
+        sf = ModelParams.zeros(9, TrainConfig(hidden=6, variant="sf", precision="f64"))
         xavier_init(std, RngState(3))
         xavier_init(sf, RngState(3))
         for g in "fiou":
@@ -47,16 +48,17 @@ class TestXavierInit:
         np.testing.assert_array_equal(std.U_f, sf.U_f)
 
     def test_feedback_blocks_initialized_for_other_variants(self):
-        params = ModelParams.zeros(9, 6, variant="adaptive", dtype=np.float64)
+        params = ModelParams.zeros(9, TrainConfig(hidden=6, variant="adaptive", precision="f64"))
         xavier_init(params, RngState(3))
         assert np.abs(params.V_f).max() > 0
 
 
 class TestAdadeltaStep:
     def test_zero_gradient_leaves_params_and_decays_accumulators(self):
-        params = ModelParams.zeros(4, 3, dtype=np.float64)
+        cfg = TrainConfig(hidden=3, precision="f64")
+        params = ModelParams.zeros(4, cfg)
         xavier_init(params, RngState(0))
-        state = AdadeltaState(params)
+        state = AdadeltaState(params, cfg)
         state.eg2.W_f += 1.0
         state.edx2.W_f += 2.0
         before = params.W_f.copy()
@@ -66,8 +68,9 @@ class TestAdadeltaStep:
         np.testing.assert_allclose(state.edx2.W_f, 1.9, atol=1e-15)
 
     def test_first_step_closed_form(self):
-        params = ModelParams.zeros(4, 3, dtype=np.float64)
-        state = AdadeltaState(params, rho=0.95, eps=1e-6, lr=0.001)
+        cfg = TrainConfig(hidden=3, precision="f64", rho=0.95, eps=1e-6, lr=0.001)
+        params = ModelParams.zeros(4, cfg)
+        state = AdadeltaState(params, cfg)
         grads = GradientSet.zeros_like(params)
         grads.b_y[0] = 1.0
         adadelta_step(params, grads, state)
@@ -76,8 +79,9 @@ class TestAdadeltaStep:
         assert params.b_y[0] == pytest.approx(expected, rel=1e-12)
 
     def test_update_opposes_gradient_sign(self):
-        params = ModelParams.zeros(4, 3, dtype=np.float64)
-        state = AdadeltaState(params)
+        cfg = TrainConfig(hidden=3, precision="f64")
+        params = ModelParams.zeros(4, cfg)
+        state = AdadeltaState(params, cfg)
         grads = GradientSet.zeros_like(params)
         signs = np.array([1.0, -1.0, 2.5, -0.3])
         grads.b_y[...] = signs
@@ -85,9 +89,10 @@ class TestAdadeltaStep:
         assert np.all(np.sign(params.b_y) == -np.sign(signs))
 
     def test_accumulators_stay_nonnegative_and_shapes_preserved(self):
-        params = ModelParams.zeros(5, 4, dtype=np.float32)
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(5, cfg)
         xavier_init(params, RngState(2))
-        state = AdadeltaState(params)
+        state = AdadeltaState(params, cfg)
         rng = np.random.default_rng(0)
         for _ in range(20):
             grads = GradientSet.zeros_like(params)
@@ -100,30 +105,33 @@ class TestAdadeltaStep:
             assert np.all(block >= 0)
 
     def test_non_finite_gradient_names_block(self):
-        params = ModelParams.zeros(4, 3, dtype=np.float64)
-        state = AdadeltaState(params)
+        cfg = TrainConfig(hidden=3, precision="f64")
+        params = ModelParams.zeros(4, cfg)
+        state = AdadeltaState(params, cfg)
         grads = GradientSet.zeros_like(params)
         grads.U_o[0, 0] = np.nan
         with pytest.raises(NumericalError, match="U_o"):
             adadelta_step(params, grads, state)
 
     def test_standard_variant_never_touches_feedback(self):
-        params = ModelParams.zeros(4, 3, variant="standard", dtype=np.float64)
-        state = AdadeltaState(params)
+        cfg = TrainConfig(hidden=3, variant="standard", precision="f64")
+        params = ModelParams.zeros(4, cfg)
+        state = AdadeltaState(params, cfg)
         grads = GradientSet.zeros_like(params)
         grads.V_f += 1.0  # poisoned on purpose; must be ignored
         adadelta_step(params, grads, state)
         np.testing.assert_array_equal(params.V_f, np.zeros_like(params.V_f))
 
     @pytest.mark.parametrize("variant", ["adaptive", "standard"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    def test_chunked_update_matches_one_pass_formula(self, variant, dtype):
-        params = ModelParams.zeros(150, 100, variant=variant, dtype=dtype)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_chunked_update_matches_one_pass_formula(self, variant, precision):
+        cfg = TrainConfig(hidden=100, variant=variant, precision=precision, lr=0.5)
+        params = ModelParams.zeros(150, cfg)
         # several pieces and a ragged tail in the first trainable slice
         first = params.trainable_slices()[0].stop or params.flat.size
         assert first > ADADELTA_CHUNK and first % ADADELTA_CHUNK
         xavier_init(params, RngState(4))
-        state = AdadeltaState(params, lr=0.5)
+        state = AdadeltaState(params, cfg)
         rho, eps, lr = state.rho, state.eps, state.lr
         p, eg2, edx2 = params.flat.copy(), state.eg2.flat.copy(), state.edx2.flat.copy()
         train = np.zeros(p.shape, dtype=bool)
@@ -132,7 +140,7 @@ class TestAdadeltaStep:
         rng = np.random.default_rng(5)
         for _ in range(3):
             grads = GradientSet.zeros_like(params)
-            grads.flat[...] = rng.standard_normal(grads.flat.shape).astype(dtype)
+            grads.flat[...] = rng.standard_normal(grads.flat.shape).astype(params.dtype)
             adadelta_step(params, grads, state)
             g = grads.flat[train]
             e = eg2[train] * rho + (1.0 - rho) * g * g
@@ -151,7 +159,7 @@ class TestAdadeltaStep:
 
 class TestClipGradients:
     def _grads(self, value):
-        params = ModelParams.zeros(3, 2, dtype=np.float64)
+        params = ModelParams.zeros(3, TrainConfig(hidden=2, precision="f64"))
         grads = GradientSet.zeros_like(params)
         grads.b_y[...] = value
         return grads

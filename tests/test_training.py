@@ -108,8 +108,8 @@ class TestSampleTrainingChunks:
 
 class TestRunTbpttWindow:
     def test_single_step_window_equals_step_composition(self, corpus):
-        params = ModelParams.zeros(corpus.vocab_size, 12, variant="adaptive",
-                                   dtype=np.float64)
+        params = ModelParams.zeros(corpus.vocab_size,
+                                   TrainConfig(hidden=12, variant="adaptive", precision="f64"))
         xavier_init(params, RngState(2).fork(1))
         # one window of seq_len=1 over a single lane
         seq = corpus.encoded[100:102, None]
@@ -243,9 +243,9 @@ class TestTrainLoop:
 
 class TestEvaluateBpc:
     def test_uniform_model_scores_log2_vocab(self, corpus):
-        params = ModelParams.zeros(corpus.vocab_size, 8, variant="standard",
-                                   dtype=np.float64)
-        bpc = evaluate_bpc(params, corpus.split("valid"), small_cfg(precision="f64"))
+        cfg = small_cfg(hidden=8, variant="standard", precision="f64")
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
+        bpc = evaluate_bpc(params, corpus.split("valid"), cfg)
         assert abs(bpc - np.log2(corpus.vocab_size)) < 1e-9
 
     def test_pure_function_of_inputs(self, corpus):
@@ -434,7 +434,7 @@ class TestCheckpoint:
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         before = self._save(path, params, opt, 1)
 
@@ -475,7 +475,7 @@ class TestCheckpoint:
 
     def test_previous_checkpoint_stays_as_spare(self, tmp_path):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         spare = tmp_path / "model.ckpt.spare"
         first = self._save(path, params, opt, 1)
@@ -489,7 +489,7 @@ class TestCheckpoint:
 
     def test_save_rewrites_the_spare_file(self, tmp_path):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         spare = tmp_path / "model.ckpt.spare"
         self._save(path, params, opt, 1)
@@ -503,7 +503,7 @@ class TestCheckpoint:
 
     def test_stale_old_link_is_removed(self, tmp_path):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         first = self._save(path, params, opt, 1)
         stale = tmp_path / "model.ckpt.old"
@@ -515,7 +515,7 @@ class TestCheckpoint:
 
     def test_saves_keep_the_checkpoint_mode(self, tmp_path):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         self._save(path, params, opt, 1)
         path.chmod(0o600)
@@ -532,7 +532,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(training.os, "link", no_links)
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         for step in (1, 2, 3):
             saved = self._save(path, params, opt, step)
@@ -545,7 +545,7 @@ class TestCheckpoint:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
         first = self._save(path, params, opt, 1)
         monkeypatch.setattr(training.os, "link", no_space)
@@ -555,7 +555,7 @@ class TestCheckpoint:
 
     def test_save_through_a_symlink_keeps_the_link(self, tmp_path):
         params = tiny_params()
-        opt = AdadeltaState(params)
+        opt = AdadeltaState(params, TrainConfig())
         target = tmp_path / "run7.ckpt"
         self._save(target, params, opt, 1)
         link = tmp_path / "latest.ckpt"
