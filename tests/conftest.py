@@ -34,19 +34,19 @@ def corpus(corpus_path):
 GATES = ("f", "i", "o", "u")
 
 # every per-step view of a WindowArena, as backward_window and the trace read them
-CACHE_FIELDS = ("s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev", "c", "c_hat",
-                "h", "p")
+STEP_FIELDS = ("s_val", "z", "mask", "f", "i", "o", "u", "h_prev", "c_prev", "c", "c_hat",
+               "h", "p")
 
 
 def step_views(arena, t):
-    """Step t of a WindowArena: a namespace of the CACHE_FIELDS views of its rows."""
+    """Step t of a WindowArena: a namespace of the STEP_FIELDS views of its rows."""
     f, i, o, u = arena.gate_rows(t)
     return SimpleNamespace(s_val=arena.s_val[t], z=arena.z[t], mask=arena.mask[t], f=f, i=i,
                            o=o, u=u, h_prev=arena.h[t], c_prev=arena.c[t], c=arena.c[t + 1],
                            c_hat=arena.c_hat[t], h=arena.h[t + 1], p=arena.p[t])
 
 
-def recorded_steps(arena):
+def arena_steps(arena):
     """step_views of every step of a WindowArena, in run order."""
     return [step_views(arena, t) for t in range(len(arena.p))]
 
@@ -91,7 +91,7 @@ def sigmoid(x):
 
 def dense_step(state, x_idx, params, rng, mask_mode, target):
     """One reference step; returns (state, cache, loss). The cache has every
-    CACHE_FIELDS entry plus the dense rows x and s. Its products take the
+    STEP_FIELDS entry plus the dense rows x and s. Its products take the
     same contiguous transposed copies run_lanes makes."""
     b, n = x_idx.shape[0], params.hidden_size
     rows = np.arange(b)
@@ -129,7 +129,7 @@ def dense_deltas(caches, params, symbols):
     """The reference reverse sweep over caches scored against symbols[1:]:
     each step's output and gate pre-activation gradients (lists of d_y and
     d_a in window order) and (d_h, d_c) at the window start. It reads only
-    CACHE_FIELDS entries, so it runs on recorded_steps of an arena as well."""
+    STEP_FIELDS entries, so it runs on the arena_steps of an arena as well."""
     n = params.hidden_size
     d_h = np.zeros_like(caches[-1].h)
     d_c = np.zeros_like(caches[-1].c)

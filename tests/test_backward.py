@@ -4,14 +4,14 @@ import pytest
 from szlstm.cell import GradientSet, backward_window
 from szlstm.numerics import RngState
 
-from conftest import dense_deltas, one_hot, record, recorded_steps, tiny_params
+from conftest import arena_steps, dense_deltas, one_hot, record, tiny_params
 
 
 def symbol_window(params, sym, rng):
     """Forward over the (T + 1, B) symbol rows sym; returns the step views
     of its arena and the arena."""
     arena = record(params, sym, None, rng)[2]
-    return recorded_steps(arena), arena
+    return arena_steps(arena), arena
 
 
 def window(params, steps=6, seed=4, batch=3):

@@ -18,7 +18,7 @@ from szlstm.numerics import NumericalError, RngState, softmax_rows
 from szlstm.optim import AdadeltaState, xavier_init
 from szlstm.training import TrainConfig
 
-from conftest import CACHE_FIELDS, one_hot, record, recorded_steps, step_views, tiny_params
+from conftest import STEP_FIELDS, arena_steps, one_hot, record, step_views, tiny_params
 
 
 def first_surprisal(p_prev, x_idx):
@@ -347,18 +347,18 @@ class TestCellStep:
         _, cn = drive(pstd, 50)
         np.testing.assert_array_equal(cs.p, cn.p)
 
-    def test_cache_invariants(self):
+    def test_arena_rows_stay_in_range(self):
         params = tiny_params(variant="adaptive", tau=0.05)
         _, arena = drive(params, 40)
-        for cache in recorded_steps(arena):
-            assert np.all(cache.z >= 0.05) and np.all(cache.z <= 1.0)
-            assert set(np.unique(cache.mask)).issubset({0.0, 1.0})
-            np.testing.assert_allclose(cache.p.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all((cache.f > 0) & (cache.f < 1))
-            assert np.all(np.abs(cache.u) < 1)
+        for step in arena_steps(arena):
+            assert np.all(step.z >= 0.05) and np.all(step.z <= 1.0)
+            assert set(np.unique(step.mask)).issubset({0.0, 1.0})
+            np.testing.assert_allclose(step.p.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all((step.f > 0) & (step.f < 1))
+            assert np.all(np.abs(step.u) < 1)
 
     @pytest.mark.parametrize("variant", ["standard", "sf"])
-    def test_every_cache_shares_one_read_only_all_ones_mask(self, variant):
+    def test_arena_z_and_mask_are_one_read_only_all_ones_view(self, variant):
         # every step of a standard/sf arena reads z and mask from one
         # read-only all-ones view of a single element
         _, arena = drive(tiny_params(variant=variant), 5)
@@ -454,9 +454,9 @@ class TestRunLanes:
                 for run in (out, free):
                     np.testing.assert_array_equal(getattr(run, name), getattr(state, name),
                                                   err_msg=name)
-            for t, (cache, ref) in enumerate(zip(recorded_steps(arena), ref_caches,
+            for t, (cache, ref) in enumerate(zip(arena_steps(arena), ref_caches,
                                                  strict=True)):
-                for name in CACHE_FIELDS:
+                for name in STEP_FIELDS:
                     np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
                                                   err_msg=f"B {batch} step {t}: {name}")
             # a later call leaves the state an arena-free call returned as it was

@@ -15,7 +15,7 @@ import pytest
 from szlstm.cell import GradientSet, RecurrentState, backward_window
 from szlstm.numerics import RngState
 
-from conftest import CACHE_FIELDS, dense_backward, dense_step, record, recorded_steps, tiny_params
+from conftest import STEP_FIELDS, arena_steps, dense_backward, dense_step, record, tiny_params
 
 BATCH, VOCAB, HIDDEN, STEPS = 3, 7, 6, 8
 
@@ -30,7 +30,7 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
     rng, ref_rng = RngState(22), RngState(22)
     ref_caches, ref_total = [], 0.0
     state, total, arena = record(params, sym, None, rng, mask_mode)
-    caches = recorded_steps(arena)
+    caches = arena_steps(arena)
     for t in range(STEPS):
         ref_state, ref, ref_loss = dense_step(ref_state, sym[t], params, ref_rng, mask_mode,
                                               sym[t + 1])
@@ -38,7 +38,7 @@ def test_index_step_matches_dense_reference(variant, mask_mode, dtype):
         ref_caches.append(ref)
     assert len(caches) == STEPS
     for t, (cache, ref) in enumerate(zip(caches, ref_caches)):
-        for name in CACHE_FIELDS:
+        for name in STEP_FIELDS:
             np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name),
                                           err_msg=f"step {t}: {name}")
     for name in ("c", "h", "p_prev"):

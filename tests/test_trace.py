@@ -11,7 +11,7 @@ from szlstm.trace import (
     trace_stream,
 )
 
-from conftest import CACHE_FIELDS, record, recorded_steps, tiny_params
+from conftest import STEP_FIELDS, arena_steps, record, tiny_params
 
 
 def lane_symbols(params, steps, seed):
@@ -39,7 +39,7 @@ def empty_buffer():
 def reference_gate_map(buffer):
     """The per-row writer export_gate_map must match byte for byte."""
     out = ["t,cell,i,o,f,Z\n"]
-    for t, step in enumerate(recorded_steps(buffer.arena), buffer.start):
+    for t, step in enumerate(arena_steps(buffer.arena), buffer.start):
         for cell in range(step.c.shape[1]):
             out.append(f"{t},{cell},{step.i[0, cell]:.7g},{step.o[0, cell]:.7g},"
                        f"{step.f[0, cell]:.7g},{step.mask[0, cell]:.7g}\n")
@@ -49,10 +49,35 @@ def reference_gate_map(buffer):
 def reference_cell_change(buffer):
     """The per-row writer export_cell_change must match byte for byte."""
     out = ["t,dc_l1\n"]
-    for t, step in enumerate(recorded_steps(buffer.arena), buffer.start):
+    for t, step in enumerate(arena_steps(buffer.arena), buffer.start):
         dc = float(np.abs(step.c[0] - step.c_prev[0]).mean())
         out.append(f"{t},{dc:.7g}\n")
     return "".join(out).encode()
+
+
+def decimal_edge_values(dtype):
+    """The values where "%.7g" built from n = rint(x * 10**k) could slip: the
+    64 floats either side of each decade bound, the exact 7-digit ties m / 2**j
+    below 10, the floats nearest decimal 7-digit ties (an f64 product may round
+    onto the tie), the largest float below 1 and exact 0 and 1; and the values
+    left to Python: -0.0, values in [1e-6, 1e-4), negatives, NaN and +-inf."""
+    bits = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    near = [(np.arange(-64, 65, dtype=bits) + np.array(bound, dtype).view(bits)).view(dtype)
+            for bound in (1e-4, 1e-3, 0.01, 0.1, 1.0)]
+    ties = []
+    for k in range(6, 11):
+        # x * 10**k is an odd multiple of 1/2 where x = m / 2**(k + 1), m odd
+        x = np.arange(1, 10 * 2 ** (k + 1), 2) / 2.0 ** (k + 1)
+        x = x[(x >= 10.0 ** (6 - k)) & (x < 10.0 ** (7 - k))]
+        assert np.all(x * 10.0 ** k % 1 == 0.5)
+        ties.append(x)
+    ties = np.concatenate(ties)
+    halves = np.arange(10 ** 6, 10 ** 7, 180_001) + 0.5
+    near_ties = (halves / 10.0 ** np.arange(7, 11)[:, None]).ravel()
+    small = 10.0 ** np.linspace(-6, -4, 40, endpoint=False)
+    special = [np.nextafter(dtype(1), dtype(0)), 0.0, 1.0, -0.0, np.nan, np.inf, -np.inf]
+    return np.concatenate(near + [ties, near_ties, small, -ties[::25], -small[::5],
+                                  special]).astype(dtype)
 
 
 def assert_exports_match_reference(buffer, tmp_path):
@@ -93,6 +118,12 @@ class TestRecordStep:
         with pytest.raises(ValueError, match=f"window must be at least 1 step, got {window}"):
             trace_stream(params, lane_symbols(params, 5, 0), window=window)
 
+    @pytest.mark.parametrize("window", [2.5, "3", True])
+    def test_window_must_be_an_integer(self, window):
+        params = tiny_params()
+        with pytest.raises(ValueError, match=f"window must be at least 1 step, got {window!r}"):
+            trace_stream(params, lane_symbols(params, 5, 0), window=window)
+
     @pytest.mark.parametrize("mask_mode", ["sampled", "expected"])
     @pytest.mark.parametrize("variant", ["standard", "adaptive"])
     @pytest.mark.parametrize("window", [1, 17, 40])
@@ -106,9 +137,9 @@ class TestRecordStep:
         buffer = trace_stream(params, stream, window=window, mask_mode=mask_mode, seed=7)
         assert len(buffer) == window
         assert buffer.start == len(stream) - 1 - window
-        for t, (kept, ref) in enumerate(zip(recorded_steps(buffer.arena),
-                                            recorded_steps(made)[-window:], strict=True)):
-            for name in CACHE_FIELDS:
+        for t, (kept, ref) in enumerate(zip(arena_steps(buffer.arena),
+                                            arena_steps(made)[-window:], strict=True)):
+            for name in STEP_FIELDS:
                 np.testing.assert_array_equal(getattr(kept, name), getattr(ref, name),
                                               err_msg=f"step {t}: {name}")
 
@@ -184,6 +215,23 @@ class TestExportGolden:
             arena.c[t + 1, 0, 0] = row[0]
         buffer = TraceBuffer(start=3, arena=arena)
         assert_exports_match_reference(buffer, tmp_path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decimal_edge_values(self, tmp_path, dtype):
+        cells = 16
+        values = decimal_edge_values(dtype)
+        steps = -(-len(values) // cells)
+        values = np.resize(values, (steps, cells))
+        arena = WindowArena(tiny_params(hidden=cells, dtype=dtype), steps, 1)
+        f, i, o, _ = arena.gate_rows(slice(None))
+        # each value is printed in all four columns, across several chunks,
+        # and the step numbers grow from 7 to 8 digits
+        i[:, 0], o[:, 0], f[:, 0] = values, np.roll(values, 1), np.roll(values, 2)
+        arena.mask[:, 0] = np.roll(values, 3)
+        buffer = TraceBuffer(start=10 ** 7 - 40, arena=arena)
+        path = tmp_path / "gates.csv"
+        export_gate_map(buffer, str(path))
+        assert path.read_bytes() == reference_gate_map(buffer)
 
 
 class TestCellChangeStats:
