@@ -6,14 +6,14 @@ long chunks from the training split, walks each one in seq_len windows with
 state carried across window boundaries (gradients truncated at them), and
 applies one clipped Adadelta update per window.
 
-Checkpoint format (version 1), all integers and floats little-endian:
+Checkpoint format (version 2), all integers and floats little-endian:
 
     bytes 0..3   magic "SZO1"
     bytes 4..7   uint32 format version
     bytes 8..15  uint64 JSON header length
-    header       UTF-8 JSON: step, precision, variant, tau, zoneout_rate,
-                 hidden/vocab sizes, vocab byte values, optimizer
-                 hyperparameters, rng stream states, config echo
+    header       UTF-8 JSON object: step, vocab (byte values), rng (stream
+                 states) and config (every TrainConfig field, with the model's
+                 and optimizer's own model_settings in place of the caller's)
     arrays       raw little-endian floats: the flat parameter buffer (the 18
                  blocks in PARAM_KEYS order, each C-order), then the flat
                  E[g^2] accumulator buffer, then the flat E[dx^2] buffer,
@@ -39,7 +39,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .numerics import DTYPES, NumericalError, RngState
 from .optim import AdadeltaState, adadelta_step, clip_gradients, xavier_init
 
 CHECKPOINT_MAGIC = b"SZO1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # rng stream tags; forked off the config seed
 STREAM_INIT = 1
@@ -81,9 +81,8 @@ LOG_HEADER = "step\ttrain_bpc\tvalid_bpc\tmean_z\tmean_update_rate\twall_ms"
 RESUME_FIELDS = ("hidden", "variant", "batch_size", "seq_len", "chunk_len", "seed",
                  "precision", "lr", "rho", "eps", "clip_norm", "tau", "zoneout_rate")
 
-# header fields load_checkpoint reads, in the order saves write them; config and rng may be absent
-HEADER_FIELDS = ("step", "precision", "hidden", "vocab_size", "vocab", "variant", "tau",
-                 "zoneout_rate", "rho", "eps", "lr")
+# the checkpoint header's keys, in the order saves write them
+HEADER_FIELDS = ("step", "vocab", "rng", "config")
 
 
 @dataclass
@@ -305,20 +304,25 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     resume takes a Checkpoint and continues it, bit-exactly when it was
     written at a chunk boundary and from a fresh chunk otherwise. Before any
     write, train raises ValueError: if cfg fails TrainConfig.validate; if the
-    training split is too short for chunk_len; naming every RESUME_FIELDS
-    entry in which cfg differs from the checkpoint (its model_settings, then
-    its config echo for the rest); if the corpus vocabulary is not the
-    checkpoint's; if the checkpoint lacks the data and mask rng streams; and
-    if the model and its window arrays cannot be allocated. Only then does it
-    create the directories of log_path and ckpt_path.
+    training split is too short for chunk_len, or val_prefix of the
+    validation split for a score; naming each RESUME_FIELDS entry in which
+    cfg differs from the checkpoint's config; if the corpus vocabulary is not
+    the checkpoint's; if the checkpoint lacks the data and mask rng streams;
+    and if the model and its window arrays cannot be allocated. Only then
+    does it create the directories of log_path and ckpt_path.
     """
     cfg.validate()
     chunk_starts(corpus, cfg)
+    valid = corpus.split("valid")
+    val_prefix = valid[: cfg.val_prefix]
+    if len(val_prefix) < 2:
+        raise ValueError(f"validation split ({len(valid)} symbols, val_prefix {cfg.val_prefix}) "
+                         f"shorter than the 2 symbols a validation score needs")
+    val_lanes = max(1, min(cfg.val_lanes or cfg.batch_size, len(val_prefix) // 2))
     if resume is not None:
         corpus.check_vocab(resume.vocab)
-        saved = dict(resume.config, **model_settings(resume.params, resume.opt))
-        changed = [f"{k} (checkpoint {saved[k]!r}, config {getattr(cfg, k)!r})"
-                   for k in RESUME_FIELDS if k in saved and saved[k] != getattr(cfg, k)]
+        changed = [f"{k} (checkpoint {getattr(resume.config, k)!r}, config {getattr(cfg, k)!r})"
+                   for k in RESUME_FIELDS if getattr(resume.config, k) != getattr(cfg, k)]
         if changed:
             raise ValueError("checkpoint does not match config: " + ", ".join(changed))
         if not {"data", "mask"} <= resume.rng.keys():
@@ -342,11 +346,6 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     records = []
     losses = []
     t_start = time.monotonic()
-
-    valid = corpus.split("valid")
-    val_prefix = valid[: cfg.val_prefix]
-    val_lanes = cfg.val_lanes or cfg.batch_size
-    val_lanes = max(1, min(val_lanes, len(val_prefix) // 2))
 
     def emit(step, train_bpc, z_sum, mask_sum, n_sym):
         valid_bpc = evaluate_bpc(params, val_prefix, cfg, lanes=val_lanes)
@@ -424,19 +423,17 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
 class Checkpoint:
     params: ModelParams
     opt: AdadeltaState
-    config: dict
+    config: TrainConfig
     vocab: np.ndarray
     step: int
     rng: dict
 
 
 def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
-    """Write the checkpoint format above as "Checkpoint saves" describes."""
-    fields = dict(model_settings(params, opt), step=int(step),
-                  vocab_size=int(params.vocab_size), vocab=[int(v) for v in vocab],
-                  rng={k: list(v) for k, v in (rng or {}).items()},
-                  config=asdict(cfg) if isinstance(cfg, TrainConfig) else dict(cfg or {}))
-    header = {k: fields[k] for k in HEADER_FIELDS + ("rng", "config")}
+    """Write the checkpoint format above, cfg a TrainConfig, as "Checkpoint saves" describes."""
+    config = replace(cfg, **model_settings(params, opt)).validate()
+    header = {"step": int(step), "vocab": [int(v) for v in vocab],
+              "rng": {k: list(v) for k, v in (rng or {}).items()}, "config": asdict(config)}
     blob = json.dumps(header).encode("utf-8")
     path = os.path.realpath(path)   # a symlinked path keeps its link
     spare, old = path + ".spare", path + ".old"
@@ -447,7 +444,7 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
         fh.write(np.array([len(blob)], dtype="<u8").tobytes())
         fh.write(blob)
         for buffer in (params, opt.eg2, opt.edx2):
-            fh.write(np.ascontiguousarray(buffer.flat, dtype=DTYPES[header["precision"]]))
+            fh.write(np.ascontiguousarray(buffer.flat, dtype=params.dtype))
         fh.truncate()
     if os.path.lexists(old):
         os.unlink(old)   # left by a save interrupted between its renames
@@ -467,11 +464,11 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view. Bad magic or version, a
-    header that is no JSON object (or nests too deep), a missing header
-    field, a malformed step, vocab_size, vocab (bytes and length), rng or
-    config, a header setting that breaks its TrainConfig.validate rule (the
-    message prefixed "checkpoint PATH header"), truncation (checked before
-    each read or allocation) and trailing bytes all hard-fail with ValueError."""
+    header that is no JSON object (or nests too deep) or lacks a key, a
+    malformed step, vocab (one or more bytes) or rng, a config not of exactly
+    TrainConfig's fields or breaking a validate rule (the message prefixed
+    "checkpoint PATH header"), truncation (checked before each read or
+    allocation) and trailing bytes all hard-fail with ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -495,29 +492,31 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_FIELDS if k not in header]
         if missing:
             raise ValueError(f"checkpoint {path} header lacks {', '.join(missing)}")
+        config = header["config"]
+        if not isinstance(config, dict):
+            raise ValueError(f"checkpoint {path} header config must be an object")
+        fields = TrainConfig.__annotations__
+        wrong = ([f"missing {k}" for k in fields if k not in config]
+                 + [f"unknown {k!r}" for k in config if k not in fields])
+        if wrong:
+            raise ValueError(f"checkpoint {path} header config must hold exactly "
+                             f"TrainConfig's fields: {', '.join(wrong)}")
         try:
-            cfg = TrainConfig(**{k: header[k] for k in HEADER_FIELDS
-                                 if k in TrainConfig.__annotations__}).validate()
-            for name, least in (("step", 0), ("vocab_size", 1)):
-                check_integer(name, header[name], least)
+            cfg = TrainConfig(**config).validate()
+            check_integer("step", header["step"], 0)
         except ValueError as err:
             raise ValueError(f"checkpoint {path} header {err}") from None
         vocab = header["vocab"]
-        if not (isinstance(vocab, list) and all(type(v) is int and 0 <= v <= 255 for v in vocab)):
-            raise ValueError(f"checkpoint {path} header vocab must list byte values 0..255")
-        vocab_size = header["vocab_size"]
-        if len(vocab) != vocab_size:
-            raise ValueError(f"checkpoint vocab has {len(vocab)} bytes, "
-                             f"not vocab_size {vocab_size}")
-        rng = header.get("rng", {})
+        if not (isinstance(vocab, list) and vocab
+                and all(type(v) is int and 0 <= v <= 255 for v in vocab)):
+            raise ValueError(f"checkpoint {path} header vocab must list 1 or more bytes 0..255")
+        vocab_size = len(vocab)
+        rng = header["rng"]
         if not (isinstance(rng, dict) and all(
                 isinstance(v, list) and len(v) == 2
                 and all(type(k) is int and 0 <= k < 2 ** 64 for k in v) for v in rng.values())):
             raise ValueError(f"checkpoint {path} header rng must map names to "
                              f"[seed, counter] pairs of integers in [0, 2**64)")
-        config = header.get("config", {})
-        if not isinstance(config, dict):
-            raise ValueError(f"checkpoint {path} header config must be an object")
 
         dtype = DTYPES[cfg.precision]
         count = block_layout(vocab_size, cfg.hidden)["b_y"][1]
@@ -538,7 +537,7 @@ def load_checkpoint(path):
     return Checkpoint(
         params=params,
         opt=opt,
-        config=config,
+        config=cfg,
         vocab=np.array(vocab, dtype=np.uint8),
         step=int(header["step"]),
         rng={k: tuple(v) for k, v in rng.items()},

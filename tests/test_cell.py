@@ -161,7 +161,7 @@ class TestAdaptiveUpdateProbability:
         np.testing.assert_allclose(step_rows(params, x_idx, p_prev=p_prev).z, 0.0, atol=1e-12)
 
 
-class TestGateForward:
+class TestStepGates:
     """The gates f|i|o|u a step records."""
 
     def test_all_zeros(self):
@@ -211,7 +211,7 @@ class TestGateForward:
                 np.testing.assert_allclose(getattr(step, g)[r], want, atol=1e-12, err_msg=g)
 
 
-class TestCellUpdate:
+class TestMaskedCellWrite:
     """c = (1 - f*mask)*c_prev + mask*(i*u), as a step records it."""
 
     def test_masked_out_is_bit_exact_nop(self):
@@ -292,7 +292,7 @@ class TestHiddenState:
         assert np.all(np.abs(big.c_hat) <= 1.0) and np.all(np.abs(big.h) <= 1.0)
 
 
-class TestProjectOutputs:
+class TestOutputDistribution:
     """The output distribution a step records as p."""
 
     @staticmethod

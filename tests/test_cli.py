@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestEchoSpelling:
     def test_checkpoint_echo_is_a_config_file(self, corpus_path, tmp_path, capsys):
         assert run(["train", corpus_path, "--variant", "fixed:0.3", *self.FLAGS,
                     "--run-dir", str(tmp_path), "--run-id", "first"]) == 0
-        echo = load_checkpoint(str(tmp_path / "first.ckpt")).config
+        echo = asdict(load_checkpoint(str(tmp_path / "first.ckpt")).config)
         assert echo["variant"] == "fixed_zoneout"
         cfg = tmp_path / "echo.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in echo.items()))
@@ -161,7 +162,7 @@ class TestConfidentlyWrongF32:
         params = ModelParams.zeros(5, cfg)
         params.b_y[:] = [0, 0, 0, 0, 120]
         ckpt = str(tmp_path / "confident.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None,
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), cfg,
                         np.frombuffer(b"abcde", dtype=np.uint8), step=0)
         return ckpt, str(corpus)
 
@@ -216,7 +217,7 @@ class TestVocabularyMismatch:
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(3, cfg)
         ckpt = str(tmp_path / "abc.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None,
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), cfg,
                         np.frombuffer(b"abc", dtype=np.uint8), step=0)
         corpus = tmp_path / "xyz.txt"
         corpus.write_bytes(b"xyzzy" * 400)
@@ -243,7 +244,7 @@ class TestEvalFlags:
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = str(tmp_path / "zero.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
         return ckpt, corpus_path
 
     @pytest.mark.parametrize("flag", [["--hidden", "7"], ["--variant", "standard"],
@@ -287,7 +288,7 @@ class TestCheckpointZoneoutRate:
         cfg = TrainConfig(hidden=4, variant="fixed_zoneout")
         params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = tmp_path / "fixed.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
         # same length, so the header length field stays right
         blob = ckpt.read_bytes()
         assert blob.count(b'"zoneout_rate": 0.5') == 1
@@ -300,14 +301,76 @@ class TestCheckpointZoneoutRate:
         assert captured.out == ""
 
 
-def rewrite_header(path, **changes):
-    """Apply changes to a checkpoint's JSON header in place, fixing its length field."""
-    blob = path.read_bytes()
+def header_of(blob):
+    """The parsed JSON header of a checkpoint's bytes."""
+    return json.loads(blob[16: 16 + int.from_bytes(blob[8:16], "little")])
+
+
+def with_header(blob, header):
+    """A checkpoint's bytes with header (a JSON value, or raw bytes) in place
+    of its own header, and the length field to match."""
     hlen = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16: 16 + hlen])
-    header.update(changes)
-    new = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + hlen:])
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + hlen:]
+
+
+# one value of each JSON type; none is valid anywhere in a header
+JSON_VALUES = (None, True, 2.5, "0.5", [None], {"x": None})
+
+
+def malformed_checkpoints(blob, seed):
+    """(label, bytes, named, config) for each malformed file made from the
+    valid checkpoint blob. named is text the refusal must contain; config is
+    the header's config when one value of it is the only fault, else None."""
+    rng = np.random.default_rng(seed)
+    header = header_of(blob)
+    hlen = int.from_bytes(blob[8:16], "little")
+    for value in (*JSON_VALUES, b"[" * 100000 + b"]" * 100000):
+        yield f"header {value!r:.20}", with_header(blob, value), "header", None
+    # each key dropped or of each JSON type; out-of-range values, also one level in
+    for key in header:
+        dropped = {k: v for k, v in header.items() if k != key}
+        yield f"{key} dropped", with_header(blob, dropped), f"lacks {key}", None
+    out_of_range = {("step",): [-1], ("vocab",): [[]], ("vocab", 0): [-1, 256],
+                    ("rng", "data"): [[1]], ("rng", "data", 1): [-1, 2 ** 64]}
+    for path in (*((key,) for key in header), *out_of_range):
+        for value in (*JSON_VALUES, *out_of_range.get(path, ())):
+            node = edited = json.loads(json.dumps(header))
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield f"{path} = {value!r}", with_header(blob, edited), path[0], None
+    # each config field dropped, of a wrong type, or out of range (each value
+    # of a pool that TrainConfig.validate refuses there); one unknown field
+    config = header["config"]
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    for name in config:
+        pool = (-1, 0, 1.5, float("inf"), float("nan"), -float(rng.exponential()),
+                int(rng.integers(2, 2 ** 31)), "".join(rng.choice(letters, 8)))
+        out_of_range = []
+        for value in pool:
+            try:
+                TrainConfig(**dict(config, **{name: value})).validate()
+            except ValueError:
+                out_of_range.append(value)
+        assert out_of_range, name
+        for value in (True, "0.5", None, [], {}, *out_of_range):
+            bad = dict(config, **{name: value})
+            yield f"config {name} = {value!r}", with_header(blob, dict(header, config=bad)), "", bad
+        dropped = {k: v for k, v in config.items() if k != name}
+        yield (f"config {name} dropped", with_header(blob, dict(header, config=dropped)),
+               f"missing {name}", None)
+    yield ("config unknown field", with_header(blob, dict(header, config=dict(config, bogus=1))),
+           "unknown 'bogus'", None)
+    for version in (1, 3):
+        yield (f"version {version}", blob[:4] + version.to_bytes(4, "little") + blob[8:],
+               "unsupported checkpoint version", None)
+    for length, named in ((0, ""), (hlen - 1, ""), (hlen + 1, ""), (len(blob) - 15, "truncated"),
+                          (2 ** 63, "truncated")):
+        yield f"length {length}", blob[:8] + length.to_bytes(8, "little") + blob[16:], named, None
+    section = (len(blob) - 16 - hlen) // 3
+    for end in (0, 4, 8, 16, 16 + hlen, 16 + hlen + section, 16 + hlen + 2 * section):
+        yield f"truncated at {end}", blob[:end], "truncated", None
 
 
 class TestNonFiniteWalk:
@@ -319,7 +382,7 @@ class TestNonFiniteWalk:
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(corpus.vocab_size, cfg)
         params.W_y[0, 0] = np.nan
-        save_checkpoint(str(path), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        save_checkpoint(str(path), params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
         return str(path)
 
     def test_eval_exits_2(self, corpus, corpus_path, tmp_path, capsys):
@@ -354,63 +417,8 @@ class TestMalformedCheckpoint:
     def checkpoint(corpus, path):
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(corpus.vocab_size, cfg)
-        save_checkpoint(str(path), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        save_checkpoint(str(path), params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
         return path
-
-    def test_unknown_precision_named(self, corpus, corpus_path, tmp_path, capsys):
-        ckpt = self.checkpoint(corpus, tmp_path / "f16.ckpt")
-        rewrite_header(ckpt, precision="f16")
-        assert run(["eval", str(ckpt), corpus_path]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "'f16'" in captured.err
-        assert "f32" in captured.err and "f64" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("value", [["f32"], {"a": 1}], ids=["list", "dict"])
-    def test_non_string_precision_named(self, corpus, corpus_path, tmp_path, capsys, value):
-        ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
-        rewrite_header(ckpt, precision=value)
-        with pytest.raises(ValueError, match="precision"):
-            load_checkpoint(str(ckpt))
-        prompt = bytes(corpus.vocab[:1]).decode("ascii")
-        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "precision" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-
-    def test_vocab_list_shorter_than_vocab_size_rejected(self, corpus, tmp_path, capsys):
-        ckpt = self.checkpoint(corpus, tmp_path / "short.ckpt")
-        rewrite_header(ckpt, vocab=[int(v) for v in corpus.vocab[:-1]])
-        prompt = bytes(corpus.vocab[:1]).decode("ascii")
-        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2000"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert f"{corpus.vocab_size - 1} bytes" in captured.err
-        assert str(corpus.vocab_size) in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("field,value", [
-        ("hidden", "4"), ("hidden", True), ("hidden", 0), ("vocab_size", -1), ("step", 2.5),
-        ("vocab", 300), ("vocab", -1), ("vocab", False),
-        *((name, value) for name in ("tau", "zoneout_rate", "rho", "eps", "lr")
-          for value in ("0.5", None, [0.5], {"v": 0.5}, True)),
-        ("rho", -0.1), ("rho", 1.5), ("eps", 0), ("eps", float("nan")), ("lr", -1.0),
-        pytest.param("lr", 10 ** 400, id="lr-1e400"), ("rng", {"data": 5}), ("rng", [[1, 2]]), ("rng", {"data": [1]}),
-        ("rng", {"data": [1, -1]}), ("rng", {"data": [1, True]}), ("config", [1, 2]),
-        ("config", "seed=1")])
-    def test_malformed_header_value_named(self, corpus, tmp_path, capsys, field, value):
-        # a vocab value replaces the last vocab entry
-        ckpt = self.checkpoint(corpus, tmp_path / "bad.ckpt")
-        if field == "vocab":
-            value = [int(v) for v in corpus.vocab[:-1]] + [value]
-        rewrite_header(ckpt, **{field: value})
-        with pytest.raises(ValueError, match=f"header {field} must"):
-            load_checkpoint(str(ckpt))
-        prompt = bytes(corpus.vocab[:1]).decode("ascii")
-        assert run(["sample", str(ckpt), "--prompt", prompt, "--length", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and field in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("length,header", [
         (None, b"null"), (None, b"7"), (2 ** 63, None), (2 ** 40, None), (None, b"[" * 100000)],
@@ -438,7 +446,10 @@ class TestMalformedCheckpoint:
         # address space holds, so only a size check ahead of the allocation
         # turns it into an error message
         ckpt = self.checkpoint(corpus, tmp_path / "huge.ckpt")
-        rewrite_header(ckpt, hidden=10 ** 7)
+        blob = ckpt.read_bytes()
+        header = header_of(blob)
+        header["config"]["hidden"] = 10 ** 7
+        ckpt.write_bytes(with_header(blob, header))
         with pytest.raises(ValueError, match="truncated checkpoint .* short read in arrays"):
             load_checkpoint(str(ckpt))
         assert run(["eval", str(ckpt), corpus_path]) == 1
@@ -446,23 +457,33 @@ class TestMalformedCheckpoint:
         assert captured.err.startswith("error:") and "short read in arrays" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    def test_missing_header_fields_named(self, corpus, corpus_path, tmp_path, capsys):
+    def test_every_generated_malformation_refused(self, corpus, corpus_path, tmp_path, capsys):
+        # load_checkpoint raises ValueError, a bad config value with the
+        # message of TrainConfig.validate, and eval exits 1 without a traceback
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(corpus.vocab_size, cfg)
-        ckpt = tmp_path / "renamed.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
-        # same-length renames, so the header length field stays right
-        blob = ckpt.read_bytes()
-        for key in (b'"zoneout_rate"', b'"tau"'):
-            assert blob.count(key) == 1
-            blob = blob.replace(key, key[:-2] + b'_"')
-        ckpt.write_bytes(blob)
-        with pytest.raises(ValueError, match="header lacks tau, zoneout_rate"):
-            load_checkpoint(str(ckpt))
-        assert run(["eval", str(ckpt), corpus_path]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "zoneout_rate" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=3,
+                        rng={"data": (1, 2), "mask": (3, 4)})
+        load_checkpoint(str(good))
+        path = tmp_path / "bad.ckpt"
+        for label, data, named, bad in malformed_checkpoints(good.read_bytes(), seed=0):
+            path.write_bytes(data)
+            try:
+                error = load_checkpoint(str(path))
+            except Exception as err:
+                error = err
+            assert isinstance(error, ValueError), (label, error)
+            if bad is None:
+                assert named in str(error), (label, error)
+            else:
+                with pytest.raises(ValueError) as direct:
+                    TrainConfig(**bad).validate()
+                assert str(error) == f"checkpoint {path} header {direct.value}", label
+            assert run(["eval", str(path), corpus_path]) == 1, label
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "Traceback" not in captured.err, label
+            assert captured.out == "", label
 
     def test_resume_without_rng_streams_rejected_before_any_write(self, corpus_path, tmp_path,
                                                                   capsys):
@@ -482,32 +503,11 @@ class TestMalformedCheckpoint:
         assert not run_dir.exists()
 
 
-def _bad_settings():
-    inf, nan = float("inf"), float("nan")
-    for name in ("tau", "zoneout_rate", "rho", "eps", "lr", "hidden", "precision"):
-        for value in (True, "0.5", None, nan):
-            yield name, value
-    yield from (("tau", 1.5), ("zoneout_rate", -0.5), ("rho", 1.5), ("eps", 0), ("lr", -1.0),
-                ("hidden", 0), ("precision", "f16"), ("eps", inf), ("lr", inf), ("hidden", inf))
-
-
 class TestOneRuleEverySource:
     """A setting's rule is TrainConfig.validate's wherever the value comes
-    from: a config built in code, a checkpoint header, a flag or a config
-    file all get its "<name> must ..." message."""
-
-    @pytest.mark.parametrize("name,value", list(_bad_settings()))
-    def test_header_gets_the_config_message(self, corpus, tmp_path, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must ") as direct:
-            TrainConfig(**{name: value}).validate()
-        cfg = TrainConfig(hidden=4)
-        params = ModelParams.zeros(corpus.vocab_size, cfg)
-        ckpt = tmp_path / "bad.ckpt"
-        save_checkpoint(str(ckpt), params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
-        rewrite_header(ckpt, **{name: value})
-        with pytest.raises(ValueError) as header:
-            load_checkpoint(str(ckpt))
-        assert str(header.value) == f"checkpoint {ckpt} header {direct.value}"
+    from: a config built in code, a flag or a config file all get its
+    "<name> must ..." message, and a checkpoint header gets it prefixed
+    (TestMalformedCheckpoint::test_every_generated_malformation_refused)."""
 
     @pytest.mark.parametrize("flag,text,name,value", [
         ("--lr", "inf", "lr", float("inf")), ("--tau", "nan", "tau", float("nan")),
@@ -530,7 +530,7 @@ class TestOneRuleEverySource:
         cfg = TrainConfig(hidden=4)
         params = ModelParams.zeros(corpus.vocab_size, cfg)
         ckpt = str(tmp_path / "model.ckpt")
-        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), None, corpus.vocab, step=0)
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
         argv = {"trace": ["trace", ckpt, corpus_path, "--window", "5",
                           "--out-dir", str(tmp_path)],
                 "sample": ["sample", ckpt, "--prompt", bytes(corpus.vocab[:2]).decode("ascii"),
@@ -629,15 +629,21 @@ class TestTrainEvalCommands:
         assert rate in capsys.readouterr().err
         assert not run_dir.exists()
 
-    def test_chunk_longer_than_the_split_refused_before_any_write(self, corpus, corpus_path,
-                                                                 tmp_path, capsys):
-        # the first chunk_len that the training split has no room for: refused
-        # before the step-0 log record and checkpoint are written
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_short_split_refused_before_any_write(self, corpus, corpus_path, tmp_path, capsys,
+                                                  split):
+        # refused before the step-0 log record and checkpoint are written: the
+        # first chunk_len that the training split has no room for, and a
+        # 39-byte corpus whose validation split is 1 symbol, too few to score
+        flags = ["--chunk-len", str(100 * (corpus.train_end // 100 + 1))]
+        if split == "validation":
+            corpus_path = tmp_path / "short.txt"
+            corpus_path.write_bytes(corpus.data[:39].tobytes())
+            flags = ["--chunk-len", "20", "--seq-len", "10"]
         run_dir = tmp_path / "run"
-        chunk_len = 100 * (corpus.train_end // 100 + 1)
-        assert run(["train", corpus_path, "--steps", "1", "--hidden", "8", "--batch", "2",
-                    "--chunk-len", str(chunk_len), "--run-dir", str(run_dir)]) == 1
-        assert "chunk_len" in capsys.readouterr().err
+        assert run(["train", str(corpus_path), "--steps", "1", "--hidden", "4", "--batch", "2",
+                    *flags, "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {split} split (")
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("flags,name", [

@@ -156,7 +156,8 @@ def sampled_text(variant, precision, temperature, tmp_path, capsys):
                          dtype=DTYPES[precision])
     params.flat *= 4.0  # sharper outputs, so the text follows the model state
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, AdadeltaState(params, TrainConfig()), None,
+    cfg = TrainConfig()
+    save_checkpoint(path, params, AdadeltaState(params, cfg), cfg,
                     np.frombuffer(b"abcdefgh", dtype=np.uint8), step=0)
     assert dispatch(["sample", path, "--prompt", "fab", "--length", "48",
                      "--temperature", temperature, "--seed", "9"]) == 0

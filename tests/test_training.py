@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ class TestTrainLoop:
         cfg = small_cfg(steps=5)
         params, opt = init_model(corpus, cfg)
         params.W_y[...] = np.nan
-        ckpt = Checkpoint(params=params, opt=opt, config={}, vocab=corpus.vocab,
+        ckpt = Checkpoint(params=params, opt=opt, config=cfg, vocab=corpus.vocab,
                           step=0, rng={"data": (1, 0), "mask": (2, 0)})
         with pytest.raises(NumericalError, match="step 1"):
             train(cfg, corpus, resume=ckpt)
@@ -274,21 +275,21 @@ class TestEvaluateBpc:
 # sha256 of the final checkpoint of TestCheckpoint's pinned tiny run
 GOLDEN_CHECKPOINTS = {
     ("standard", "f32"):
-        "5cf9e92ba7176bb6419642d27df326051c5b75b1ffc56d431e939b2009fb562d",
+        "f2bd6415ba6168c84a11053b245479f0bd3180e124fb652317cd165a7f16fdad",
     ("standard", "f64"):
-        "383e2874abd0412ff7356139ae5b056f0a849f8b41e4c21ccd9a6e4d1320967f",
+        "5df165ca59f198e0deda6498e3408999aa79dbe6043b9609079669ac27a95830",
     ("sf", "f32"):
-        "429801926e4ee27aec9c9e46ef86e657f953f30ef34a2cd6379d99a7cfd18543",
+        "e47d9cc76f2661648847dec30a83fc0b390721407ac63a69718804bc0ef31eed",
     ("sf", "f64"):
-        "f87c419884f4e0aff3abe77ebaa464c1c842da49ee34c51e9f03f6daf4e263c2",
+        "2f429b6f67efe800ab772b2b0ece450fb9022802c581d597e524f0bfe0ed3930",
     ("fixed_zoneout", "f32"):
-        "4c1c7094d75ee2ea6a3ce18c6726dd09de6f284531b48b54ef579dd442715b8b",
+        "f3bc4c2a991c56011f80464f82d697665964420901a1fe965e6f73c40ccbdc5d",
     ("fixed_zoneout", "f64"):
-        "bca68b007e7fb414952198370bd49ff077e536b84fbd982829fcbc43a3bde8d8",
+        "ccb5e40e131214338dd39dd6a604a3e11381971f0ca308869ba5f04c573025e5",
     ("adaptive", "f32"):
-        "acec67aab32dcad821c2e07479a10d4287d15c352df35483eb7fbb63aee4916c",
+        "213000e4cc6c6c9f1a618c725356e875fee0ff1ebe6c0e0057cd5f69cacf7e95",
     ("adaptive", "f64"):
-        "267f56ed9a6a48fa6cf87ee54c087abcdfc6a1fc7efb2bab49014333cede6876",
+        "c9fd7ce1dff3cb5d858ee08f0ce9f077cfd3b679eb6f2a77ef18ffbdc4a2879c",
 }
 
 # .hex() of (train_bpc, valid_bpc, mean_z, mean_update_rate) in the LogRecords
@@ -604,28 +605,44 @@ class TestCheckpoint:
         assert resumed.losses[0] == first
         assert resumed.losses != train(cfg, corpus).losses[7:]
 
-    @pytest.mark.parametrize("change", [{"batch_size": 8}, {"seq_len": 5},
-                                        {"batch_size": 8, "seq_len": 5, "lr": 0.5}])
-    def test_resume_refuses_changed_replay_config(self, tmp_path, corpus, change):
-        ck = str(tmp_path / "changed.ckpt")
+    @pytest.fixture(scope="class")
+    def five_steps(self, tmp_path_factory, corpus):
+        """The checkpoint of small_cfg(steps=5)."""
+        ck = str(tmp_path_factory.mktemp("resume") / "five.ckpt")
         train(small_cfg(steps=5), corpus, ckpt_path=ck)
-        with pytest.raises(ValueError, match="does not match") as info:
-            train(small_cfg(steps=10, **change), corpus, resume=load_checkpoint(ck))
-        for field in change:
-            assert field in str(info.value)
+        return ck
 
-    def test_resume_compares_the_checkpoints_own_model_and_optimizer(self, tmp_path, corpus):
-        # a checkpoint saved without a config echo still holds the tau of its
-        # model and the lr of its optimizer; a resume may change neither
-        ck = str(tmp_path / "echo.ckpt")
-        train(small_cfg(steps=5), corpus, ckpt_path=ck)
-        ckpt = load_checkpoint(ck)
-        bare = str(tmp_path / "bare.ckpt")
-        save_checkpoint(bare, ckpt.params, ckpt.opt, None, ckpt.vocab, ckpt.step, rng=ckpt.rng)
-        assert load_checkpoint(bare).config == {}
+    # for each RESUME_FIELDS entry, a valid value other than small_cfg's
+    REPLAY_CHANGES = {"hidden": 24, "variant": "standard", "batch_size": 8, "seq_len": 5,
+                      "chunk_len": 100, "seed": 4, "precision": "f64", "lr": 0.5, "rho": 0.9,
+                      "eps": 1e-5, "clip_norm": 1.0, "tau": 0.1, "zoneout_rate": 0.3}
+
+    @pytest.mark.parametrize("change", [*({k: v} for k, v in REPLAY_CHANGES.items()),
+                                        {"batch_size": 8, "seq_len": 5, "lr": 0.5}],
+                             ids=[*REPLAY_CHANGES, "batch_size-seq_len-lr"])
+    def test_resume_refuses_changed_replay_config(self, corpus, five_steps, change):
+        assert sorted(self.REPLAY_CHANGES) == sorted(training.RESUME_FIELDS)
+        ckpt = load_checkpoint(five_steps)
+        with pytest.raises(ValueError, match="does not match") as info:
+            train(small_cfg(steps=10, **change), corpus, resume=ckpt)
+        for field, value in change.items():
+            saved = getattr(ckpt.config, field)
+            assert f"{field} (checkpoint {saved!r}, config {value!r})" in str(info.value)
+
+    def test_resume_compares_the_checkpoints_own_model_and_optimizer(self, tmp_path, corpus,
+                                                                     five_steps):
+        # the header records the tau of the model and the lr of the optimizer,
+        # not those of the config saved with them; a resume may change neither
+        ckpt = load_checkpoint(five_steps)
+        saved = str(tmp_path / "saved.ckpt")
+        with pytest.raises(TypeError):
+            save_checkpoint(saved, ckpt.params, ckpt.opt, None, ckpt.vocab, ckpt.step)
+        other = small_cfg(lr=7.0, tau=0.3, steps=9)
+        save_checkpoint(saved, ckpt.params, ckpt.opt, other, ckpt.vocab, ckpt.step, rng=ckpt.rng)
+        assert load_checkpoint(saved).config == replace(other, lr=1.0, tau=0.05)
         log, out = tmp_path / "resumed.log", tmp_path / "resumed.ckpt"
         with pytest.raises(ValueError, match="does not match") as info:
-            train(small_cfg(steps=10, lr=7.0, tau=0.3), corpus, resume=load_checkpoint(bare),
+            train(small_cfg(steps=10, lr=7.0, tau=0.3), corpus, resume=load_checkpoint(saved),
                   log_path=str(log), ckpt_path=str(out))
         assert "lr (checkpoint 1.0, config 7.0)" in str(info.value)
         assert "tau (checkpoint 0.05, config 0.3)" in str(info.value)
@@ -640,9 +657,3 @@ class TestCheckpoint:
         assert other.vocab_size == corpus.vocab_size
         with pytest.raises(ValueError, match="vocabulary differs"):
             train(small_cfg(steps=10), other, resume=load_checkpoint(ck))
-
-    def test_resume_config_mismatch_rejected(self, tmp_path, corpus):
-        ck = str(tmp_path / "mismatch.ckpt")
-        train(small_cfg(steps=5, chunk_len=50), corpus, ckpt_path=ck)
-        with pytest.raises(ValueError, match="does not match"):
-            train(small_cfg(hidden=24), corpus, resume=load_checkpoint(ck))
