@@ -1,9 +1,12 @@
 import json
+import os
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import synthetic_text
 from szlstm import cli
 from szlstm.cell import VARIANTS, ModelParams
 from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file
@@ -333,13 +336,14 @@ def malformed_checkpoints(blob, seed):
         yield f"{key} dropped", with_header(blob, dropped), f"lacks {key}", None
     out_of_range = {("step",): [-1], ("vocab",): [[]], ("vocab", 0): [-1, 256],
                     ("rng", "data"): [[1]], ("rng", "data", 1): [-1, 2 ** 64]}
-    for path in (*((key,) for key in header), *out_of_range):
+    for path in dict.fromkeys((*((key,) for key in header), *out_of_range)):
         for value in (*JSON_VALUES, *out_of_range.get(path, ())):
             node = edited = json.loads(json.dumps(header))
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-            yield f"{path} = {value!r}", with_header(blob, edited), path[0], None
+            label = ".".join(map(str, path))
+            yield f"{label} = {value!r}", with_header(blob, edited), path[0], None
     # each config field dropped, of a wrong type, or out of range (each value
     # of a pool that TrainConfig.validate refuses there); one unknown field
     config = header["config"]
@@ -371,6 +375,24 @@ def malformed_checkpoints(blob, seed):
     section = (len(blob) - 16 - hlen) // 3
     for end in (0, 4, 8, 16, 16 + hlen, 16 + hlen + section, 16 + hlen + 2 * section):
         yield f"truncated at {end}", blob[:end], "truncated", None
+
+
+def sweep_source():
+    """The bytes of a valid checkpoint of the test corpus's vocabulary, from
+    which malformed_checkpoints makes its bad files."""
+    cfg = TrainConfig(hidden=4)
+    vocab = np.unique(np.frombuffer(synthetic_text(), dtype=np.uint8))
+    params = ModelParams.zeros(len(vocab), cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "good.ckpt")
+        save_checkpoint(path, params, AdadeltaState(params, cfg), cfg, vocab, step=3,
+                        rng={"data": (1, 2), "mask": (3, 4)})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SWEEP_SOURCE = sweep_source()
+MALFORMED = list(malformed_checkpoints(SWEEP_SOURCE, seed=0))
 
 
 class TestNonFiniteWalk:
@@ -457,33 +479,34 @@ class TestMalformedCheckpoint:
         assert captured.err.startswith("error:") and "short read in arrays" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    def test_every_generated_malformation_refused(self, corpus, corpus_path, tmp_path, capsys):
+    def test_sweep_source_loads(self, tmp_path):
+        path = tmp_path / "good.ckpt"
+        path.write_bytes(SWEEP_SOURCE)
+        assert load_checkpoint(str(path)).step == 3
+
+    @pytest.mark.parametrize("data,named,bad", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_every_generated_malformation_refused(self, corpus_path, tmp_path, capsys, data,
+                                                  named, bad):
         # load_checkpoint raises ValueError, a bad config value with the
         # message of TrainConfig.validate, and eval exits 1 without a traceback
-        cfg = TrainConfig(hidden=4)
-        params = ModelParams.zeros(corpus.vocab_size, cfg)
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(str(good), params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=3,
-                        rng={"data": (1, 2), "mask": (3, 4)})
-        load_checkpoint(str(good))
         path = tmp_path / "bad.ckpt"
-        for label, data, named, bad in malformed_checkpoints(good.read_bytes(), seed=0):
-            path.write_bytes(data)
-            try:
-                error = load_checkpoint(str(path))
-            except Exception as err:
-                error = err
-            assert isinstance(error, ValueError), (label, error)
-            if bad is None:
-                assert named in str(error), (label, error)
-            else:
-                with pytest.raises(ValueError) as direct:
-                    TrainConfig(**bad).validate()
-                assert str(error) == f"checkpoint {path} header {direct.value}", label
-            assert run(["eval", str(path), corpus_path]) == 1, label
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error:") and "Traceback" not in captured.err, label
-            assert captured.out == "", label
+        path.write_bytes(data)
+        try:
+            error = load_checkpoint(str(path))
+        except Exception as err:
+            error = err
+        assert isinstance(error, ValueError), error
+        if bad is None:
+            assert named in str(error), error
+        else:
+            with pytest.raises(ValueError) as direct:
+                TrainConfig(**bad).validate()
+            assert str(error) == f"checkpoint {path} header {direct.value}"
+        assert run(["eval", str(path), corpus_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_resume_without_rng_streams_rejected_before_any_write(self, corpus_path, tmp_path,
                                                                   capsys):
