@@ -41,11 +41,16 @@ def parse_variant(text):
 
 
 def read_config_file(path):
-    """Flat key=value config; '#' starts a comment, blanks ignored."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
+    """Flat UTF-8 key=value config, each key at most once; '#' starts a
+    comment, blanks ignored. A value that does not parse as its field's type
+    stays text, for TrainConfig.validate to refuse with its rule."""
+    values, lines = {}, {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                line = line.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: byte 0x{line[err.start]:02x} is not UTF-8")
             if not line:
                 continue
             if "=" not in line:
@@ -55,10 +60,13 @@ def read_config_file(path):
             typ = TrainConfig.__annotations__.get(key)
             if typ is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+            lines[key] = lineno
             try:
                 values[key] = typ(value)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}")
+                values[key] = value
     return values
 
 

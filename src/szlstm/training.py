@@ -1,10 +1,10 @@
 """Corpus handling, truncated-BPTT training, evaluation and checkpointing.
 
 A corpus is any byte file. The first 90% is the training split, the next 5%
-validation, the rest test. Training repeatedly samples a batch of random
-long chunks from the training split, walks each one in seq_len windows with
-state carried across window boundaries (gradients truncated at them), and
-applies one clipped Adadelta update per window.
+validation, the rest test. Training is one loop over chunks: each pass
+samples a batch of random long chunks from the training split, walks them in
+seq_len windows with state carried across window boundaries (gradients
+truncated at them), and applies one clipped Adadelta update per window.
 
 Checkpoint format (version 2), all integers and floats little-endian:
 
@@ -298,18 +298,21 @@ def init_model(corpus, cfg):
 def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     """Training driver; returns a TrainResult.
 
-    Emits one LogRecord per val_interval optimizer steps (plus one at step 0)
-    and appends the tab-separated line to log_path when given. ckpt_path,
-    when given, is rewritten at every chunk boundary and once at the end.
-    resume takes a Checkpoint and continues it, bit-exactly when it was
-    written at a chunk boundary and from a fresh chunk otherwise. Before any
-    write, train raises ValueError: if cfg fails TrainConfig.validate; if the
-    training split is too short for chunk_len, or val_prefix of the
-    validation split for a score; naming each RESUME_FIELDS entry in which
-    cfg differs from the checkpoint's config; if the corpus vocabulary is not
-    the checkpoint's; if the checkpoint lacks the data and mask rng streams;
-    and if the model and its window arrays cannot be allocated. Only then
-    does it create the directories of log_path and ckpt_path.
+    One loop over chunks until cfg.steps: each pass rewrites ckpt_path (when
+    given), samples offsets, starts fresh lanes and runs up to
+    windows_per_chunk windows, one optimizer step each; ckpt_path is rewritten
+    once more at the end. A LogRecord averaging the steps since the previous
+    one (nan for the first) is emitted at the first step, every val_interval-th
+    and the last, and its line appended to log_path when given. resume takes a
+    Checkpoint and continues it, bit-exactly when it was written at a chunk
+    boundary and from a fresh chunk otherwise. Before any write, train raises
+    ValueError: if cfg fails TrainConfig.validate; if the training split is
+    too short for chunk_len, or val_prefix of the validation split for a
+    score; naming each RESUME_FIELDS entry in which cfg differs from the
+    checkpoint's config; if the corpus vocabulary is not the checkpoint's; if
+    the checkpoint lacks the data and mask rng streams; and if the model and
+    its window arrays cannot be allocated. Only then does it create the
+    directories of log_path and ckpt_path.
     """
     cfg.validate()
     chunk_starts(corpus, cfg)
@@ -344,17 +347,17 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
     for path in filter(None, (log_path, ckpt_path)):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     records = []
-    losses = []
+    losses, zs, rates = [], [], []   # per step: loss, mean z, mean update rate
     t_start = time.monotonic()
 
-    def emit(step, train_bpc, z_sum, mask_sum, n_sym):
-        valid_bpc = evaluate_bpc(params, val_prefix, cfg, lanes=val_lanes)
+    def emit():
+        n = step - records[-1].step if records else 0   # steps since the last record
         rec = LogRecord(
             step=step,
-            train_bpc=train_bpc,
-            valid_bpc=float(valid_bpc),
-            mean_z=z_sum / n_sym if n_sym else float("nan"),
-            mean_update_rate=mask_sum / n_sym if n_sym else float("nan"),
+            train_bpc=cross_entropy_bpc(float(np.mean(losses[-n:]))) if n else float("nan"),
+            valid_bpc=float(evaluate_bpc(params, val_prefix, cfg, lanes=val_lanes)),
+            mean_z=sum(zs[-n:]) / n if n else float("nan"),
+            mean_update_rate=sum(rates[-n:]) / n if n else float("nan"),
             wall_ms=(time.monotonic() - t_start) * 1e3,
         )
         records.append(rec)
@@ -366,54 +369,41 @@ def train(cfg, corpus, log_path=None, ckpt_path=None, resume=None, quiet=True):
                 fh.write(rec.line() + "\n")
         if not quiet:
             print(rec.line(), flush=True)
-        return rec
 
     def save(path):
         if path:
             save_checkpoint(path, params, opt, cfg, corpus.vocab, step,
                             rng={"data": rng_data.state(), "mask": rng_mask.state()})
 
-    emit(step, float("nan"), 0.0, 0.0, 0)
-
-    window_index = cfg.windows_per_chunk   # the first step starts a chunk
-    z_sum = mask_sum = 0.0
-    n_sym = 0
-
+    emit()
     while step < cfg.steps:
-        if window_index == cfg.windows_per_chunk:
-            # chunk boundary; the checkpoint written here resumes bit-exactly
-            save(ckpt_path)
-            offsets = sample_training_chunks(corpus, cfg, rng_data)
-            states = None   # fresh lanes
-            window_index = 0
-        base = offsets + window_index * cfg.seq_len
-        # (seq_len + 1, batch): each lane's window inputs plus its final target
-        symbols = corpus.encoded[base[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
+        # chunk boundary; the checkpoint written here resumes bit-exactly
+        save(ckpt_path)
+        offsets = sample_training_chunks(corpus, cfg, rng_data)
+        states = None   # fresh lanes
+        for window in range(min(cfg.windows_per_chunk, cfg.steps - step)):
+            base = offsets + window * cfg.seq_len
+            # (seq_len + 1, batch): each lane's window inputs plus its final target
+            symbols = corpus.encoded[base[None, :] + np.arange(cfg.seq_len + 1)[:, None]]
 
-        grads.flat.fill(0.0)
-        states, loss_nats, mean_z, mean_rate = run_tbptt_window(states, symbols, params,
-                                                                rng_mask, grads, arena)
-        if not np.isfinite(loss_nats):
-            raise NumericalError(
-                f"non-finite loss at step {step + 1} "
-                f"(chunk offsets {offsets.tolist()}, window {window_index}); "
-                f"grad norm {grads.global_norm():.3e}"
-            )
-        losses.append(loss_nats)
-        z_sum += mean_z
-        mask_sum += mean_rate
-        n_sym += 1
+            grads.flat.fill(0.0)
+            states, loss_nats, mean_z, mean_rate = run_tbptt_window(states, symbols, params,
+                                                                    rng_mask, grads, arena)
+            if not np.isfinite(loss_nats):
+                raise NumericalError(
+                    f"non-finite loss at step {step + 1} "
+                    f"(chunk offsets {offsets.tolist()}, window {window}); "
+                    f"grad norm {grads.global_norm():.3e}"
+                )
+            losses.append(loss_nats)
+            zs.append(mean_z)
+            rates.append(mean_rate)
 
-        clip_gradients(grads, cfg.clip_norm)
-        adadelta_step(params, grads, opt)
-        step += 1
-        window_index += 1
-
-        if step % cfg.val_interval == 0 or step == cfg.steps:
-            train_bpc = cross_entropy_bpc(float(np.mean(losses[-n_sym:])))
-            emit(step, train_bpc, z_sum, mask_sum, n_sym)
-            z_sum = mask_sum = 0.0
-            n_sym = 0
+            clip_gradients(grads, cfg.clip_norm)
+            adadelta_step(params, grads, opt)
+            step += 1
+            if step % cfg.val_interval == 0 or step == cfg.steps:
+                emit()
 
     save(ckpt_path)
     return TrainResult(params=params, opt=opt, records=records, losses=losses, step=step)
@@ -464,11 +454,12 @@ def save_checkpoint(path, params, opt, cfg, vocab, step, rng=None):
 def load_checkpoint(path):
     """Read a checkpoint's three array sections with one readinto into one
     buffer, which parameters and accumulators view. Bad magic or version, a
-    header that is no JSON object (or nests too deep) or lacks a key, a
-    malformed step, vocab (one or more bytes) or rng, a config not of exactly
-    TrainConfig's fields or breaking a validate rule (the message prefixed
-    "checkpoint PATH header"), truncation (checked before each read or
-    allocation) and trailing bytes all hard-fail with ValueError."""
+    header that is not UTF-8 JSON (or nests too deep), is no JSON object or
+    lacks a key, a malformed step, vocab (one or more bytes) or rng, a config
+    not of exactly TrainConfig's fields or breaking a validate rule (each
+    header message prefixed "checkpoint PATH header"), truncation (checked
+    before each read or allocation) and trailing bytes all hard-fail with
+    ValueError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -481,12 +472,12 @@ def load_checkpoint(path):
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
         version = int(np.frombuffer(take(4, "version"), dtype="<u4")[0])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version} in {path}")
         hlen = int(np.frombuffer(take(8, "header length"), dtype="<u8")[0])
         try:
             header = json.loads(take(hlen, "header").decode("utf-8"))
-        except RecursionError:   # nested deeper than the parser's stack
-            header = None
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+            raise ValueError(f"checkpoint {path} header cannot be parsed: {err}") from None
         if not isinstance(header, dict):
             raise ValueError(f"checkpoint {path} header must be a JSON object")
         missing = [k for k in HEADER_FIELDS if k not in header]

@@ -321,6 +321,15 @@ def with_header(blob, header):
 JSON_VALUES = (None, True, 2.5, "0.5", [None], {"x": None})
 
 
+def value_pool(rng):
+    """Values of each kind a setting's rule may refuse: a sign, zero, a
+    fraction, the non-finite floats, and seeded draws of a small negative
+    number, a large integer and a word."""
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    return (-1, 0, 1.5, float("inf"), float("nan"), -float(rng.exponential()),
+            int(rng.integers(2, 2 ** 31)), "".join(rng.choice(letters, 8)))
+
+
 def malformed_checkpoints(blob, seed):
     """(label, bytes, named, config) for each malformed file made from the
     valid checkpoint blob. named is text the refusal must contain; config is
@@ -345,14 +354,11 @@ def malformed_checkpoints(blob, seed):
             label = ".".join(map(str, path))
             yield f"{label} = {value!r}", with_header(blob, edited), path[0], None
     # each config field dropped, of a wrong type, or out of range (each value
-    # of a pool that TrainConfig.validate refuses there); one unknown field
+    # of value_pool that TrainConfig.validate refuses there); one unknown field
     config = header["config"]
-    letters = list("abcdefghijklmnopqrstuvwxyz")
     for name in config:
-        pool = (-1, 0, 1.5, float("inf"), float("nan"), -float(rng.exponential()),
-                int(rng.integers(2, 2 ** 31)), "".join(rng.choice(letters, 8)))
         out_of_range = []
-        for value in pool:
+        for value in value_pool(rng):
             try:
                 TrainConfig(**dict(config, **{name: value})).validate()
             except ValueError:
@@ -369,9 +375,11 @@ def malformed_checkpoints(blob, seed):
     for version in (1, 3):
         yield (f"version {version}", blob[:4] + version.to_bytes(4, "little") + blob[8:],
                "unsupported checkpoint version", None)
-    for length, named in ((0, ""), (hlen - 1, ""), (hlen + 1, ""), (len(blob) - 15, "truncated"),
-                          (2 ** 63, "truncated")):
+    unparsed = "header cannot be parsed"
+    for length, named in ((0, unparsed), (hlen - 1, unparsed), (hlen + 1, unparsed),
+                          (len(blob) - 15, "truncated"), (2 ** 63, "truncated")):
         yield f"length {length}", blob[:8] + length.to_bytes(8, "little") + blob[16:], named, None
+    yield "header byte 0xff", blob[:16] + b"\xff" + blob[17:], f"{unparsed}: 'utf-8' codec", None
     section = (len(blob) - 16 - hlen) // 3
     for end in (0, 4, 8, 16, 16 + hlen, 16 + hlen + section, 16 + hlen + 2 * section):
         yield f"truncated at {end}", blob[:end], "truncated", None
@@ -393,6 +401,40 @@ def sweep_source():
 
 SWEEP_SOURCE = sweep_source()
 MALFORMED = list(malformed_checkpoints(SWEEP_SOURCE, seed=0))
+
+# the settings eval reads from a config file
+EVAL_KEYS = tuple(field for _, field, _, _ in cli.EVAL_FLAGS)
+
+
+def bad_config_files(seed):
+    """(label, bytes, message, commands) for each bad config file: each
+    TrainConfig key set to each value of the JSON types and of value_pool that
+    TrainConfig.validate refuses there, then each kind of bad line. message is
+    the refusal, PATH standing for the file's path; commands are the
+    subcommands that take the file's keys."""
+    rng = np.random.default_rng(seed)
+    for name, typ in TrainConfig.__annotations__.items():
+        commands = ("train", "eval") if name in EVAL_KEYS else ("train",)
+        for text in dict.fromkeys(map(str, (True, "0.5", None, [], {}, *value_pool(rng)))):
+            try:
+                value = typ(text)
+            except ValueError:   # text that is no typ reaches validate as text
+                value = text
+            try:
+                TrainConfig(**{name: value}).validate()
+            except ValueError as err:
+                yield f"{name} = {text}", f"{name} = {text}\n".encode(), str(err), commands
+    for label, data, message in (
+            ("no =", b"seed 4\n", "PATH:1: expected key=value, got 'seed 4'"),
+            ("bare key", b"\nseed\n", "PATH:2: expected key=value, got 'seed'"),
+            ("repeated key", b"seed = 4\n# again\nseed = 4\n",
+             "PATH:3: seed is already set on line 1"),
+            ("unknown key", b"bogus = 1\n", "PATH:1: unknown config key 'bogus'"),
+            ("latin-1 byte", b"seed = 4  # caf\xe9\n", "PATH:1: byte 0xe9 is not UTF-8")):
+        yield label, data, message, ("train", "eval")
+
+
+BAD_CONFIGS = list(bad_config_files(seed=0))
 
 
 class TestNonFiniteWalk:
@@ -488,15 +530,16 @@ class TestMalformedCheckpoint:
                              ids=[case[0] for case in MALFORMED])
     def test_every_generated_malformation_refused(self, corpus_path, tmp_path, capsys, data,
                                                   named, bad):
-        # load_checkpoint raises ValueError, a bad config value with the
-        # message of TrainConfig.validate, and eval exits 1 without a traceback
+        # load_checkpoint raises ValueError naming the file, a bad config value
+        # with the message of TrainConfig.validate, and eval exits 1 without a
+        # traceback
         path = tmp_path / "bad.ckpt"
         path.write_bytes(data)
         try:
             error = load_checkpoint(str(path))
         except Exception as err:
             error = err
-        assert isinstance(error, ValueError), error
+        assert isinstance(error, ValueError) and str(path) in str(error), error
         if bad is None:
             assert named in str(error), error
         else:
@@ -545,6 +588,26 @@ class TestOneRuleEverySource:
         for source in ([flag, text], ["--config", str(cfg)]):
             assert run(["train", corpus_path, *source, "--run-dir", str(run_dir)]) == 1
             assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("data,message,commands", [case[1:] for case in BAD_CONFIGS],
+                             ids=[case[0] for case in BAD_CONFIGS])
+    def test_every_generated_bad_config_refused(self, tmp_path, capsys, data, message,
+                                                commands):
+        # exit 1 with the one message, and nothing written; a corpus too short
+        # for a chunk makes a file that wrongly passes fail fast, not train
+        path, ckpt, corpus = (tmp_path / name for name in ("bad.cfg", "model.ckpt", "tiny"))
+        path.write_bytes(data)
+        ckpt.write_bytes(SWEEP_SOURCE)
+        corpus.write_bytes(b"tiny corpus")
+        run_dir = tmp_path / "runs"
+        argv = {"train": ["train", str(corpus), "--run-dir", str(run_dir)],
+                "eval": ["eval", str(ckpt), str(corpus)]}
+        for command in commands:
+            assert run([*argv[command], "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message.replace('PATH', str(path))}\n"
+            assert captured.out == ""
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("command", ["trace", "sample", "gradcheck"])
@@ -753,9 +816,8 @@ class TestSampleCommand:
             assert run(["sample", checkpoint, "--prompt", "the ",
                         "--temperature", bad]) == 1
 
-    def test_fuses_the_gate_weights_once(self, checkpoint, monkeypatch, capsys):
-        # the prompt and the generated rows run as one run_lanes call, which
-        # makes the transposed gate weights once
+    def test_prompt_and_sample_run_as_one_run_lanes_call(self, checkpoint, monkeypatch, capsys):
+        # one call makes the transposed gate weights once for the whole walk
         walk, calls = cli.run_lanes, []
         monkeypatch.setattr(cli, "run_lanes",
                             lambda *args, **kw: calls.append(args) or walk(*args, **kw))

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import os
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 
 from szlstm import training
 from szlstm.cell import (GradientSet, ModelParams, RecurrentState, WindowArena, backward_window,
-                         run_lanes)
+                         cross_entropy_bpc, run_lanes)
 from szlstm.numerics import NumericalError, RngState
 from szlstm.optim import AdadeltaState, xavier_init
 from szlstm.training import (
@@ -242,6 +243,67 @@ class TestTrainLoop:
             small_cfg(precision="f16").validate()
 
 
+class TestChunkWalk:
+    """train over 3-window chunks with val_interval 5: it saves at each chunk
+    start and once at the end, records at the first step, each multiple of 5
+    and the last step, and each record averages exactly its own interval's
+    windows."""
+
+    @staticmethod
+    def walk(monkeypatch, corpus, path, steps, resume=None):
+        """train to steps, checkpointing to path; returns (result, the step
+        of each save, the (loss, mean_z, mean_update_rate) of each window)."""
+        saves, windows = [], []
+        save, window = training.save_checkpoint, training.run_tbptt_window
+
+        def counted_save(path, params, opt, cfg, vocab, step, **kw):
+            saves.append(step)
+            save(path, params, opt, cfg, vocab, step, **kw)
+
+        def counted_window(*args):
+            out = window(*args)
+            windows.append(out[1:])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "save_checkpoint", counted_save)
+            patch.setattr(training, "run_tbptt_window", counted_window)
+            cfg = small_cfg(seq_len=5, chunk_len=15, hidden=8, val_interval=5, steps=steps)
+            result = train(cfg, corpus, ckpt_path=str(path), resume=resume)
+        return result, saves, windows
+
+    @staticmethod
+    def check_records(records, windows, start):
+        first = records[0]
+        assert np.isnan([first.train_bpc, first.mean_z, first.mean_update_rate]).all()
+        assert len(windows) == records[-1].step - start
+        for prev, rec in zip(records, records[1:]):
+            losses, zs, rates = zip(*windows[prev.step - start: rec.step - start])
+            assert rec.train_bpc == cross_entropy_bpc(float(np.mean(losses)))
+            assert rec.mean_z == sum(zs) / len(zs)
+            assert rec.mean_update_rate == sum(rates) / len(rates)
+
+    @pytest.mark.parametrize("steps,saved,recorded", [
+        (0, [0], [0]), (6, [0, 3, 6], [0, 5, 6]), (7, [0, 3, 6, 7], [0, 5, 7])])
+    def test_saves_and_records(self, monkeypatch, corpus, tmp_path, steps, saved, recorded):
+        result, saves, windows = self.walk(monkeypatch, corpus, tmp_path / "walk.ckpt", steps)
+        assert saves == saved
+        assert [rec.step for rec in result.records] == recorded
+        self.check_records(result.records, windows, start=0)
+
+    def test_first_record_after_a_resume_averages_the_resumed_steps(self, monkeypatch, corpus,
+                                                                    tmp_path):
+        path = tmp_path / "walk.ckpt"
+        self.walk(monkeypatch, corpus, path, 6)
+        resume = load_checkpoint(f"{path}.spare")
+        assert resume.step == 3
+        result, saves, windows = self.walk(monkeypatch, corpus, tmp_path / "resumed.ckpt", 11,
+                                           resume)
+        assert saves == [3, 6, 9, 11]
+        assert [rec.step for rec in result.records] == [3, 5, 10, 11]
+        self.check_records(result.records, windows, start=3)
+
+
 class TestEvaluateBpc:
     def test_uniform_model_scores_log2_vocab(self, corpus):
         cfg = small_cfg(hidden=8, variant="standard", precision="f64")
@@ -433,15 +495,32 @@ class TestCheckpoint:
                         dtype=np.uint8), step=step, rng={"data": (1, step)})
         return path.read_bytes()
 
-    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    # save_checkpoint's file calls, in order: seven writes, the truncate, the
+    # chmod, the link and the two renames
+    SAVE_CALLS = ("write magic", "write version", "write header length", "write header",
+                  "write params", "write eg2", "write edx2", "truncate", "chmod", "link",
+                  "replace spare", "replace old")
+
+    @pytest.mark.parametrize("fault", range(len(SAVE_CALLS)), ids=SAVE_CALLS)
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fault):
         params = tiny_params()
         opt = AdadeltaState(params, TrainConfig())
         path = tmp_path / "model.ckpt"
-        before = self._save(path, params, opt, 1)
+        self._save(path, params, opt, 1)
+        before = self._save(path, params, opt, 2)
+        calls = []
 
-        class FailingFile:
-            """Writes half of the first array section, then fails."""
+        def call(real, *args):
+            # the fault-th call fails; a failing write writes half its bytes first
+            calls.append(real.__name__)
+            if len(calls) - 1 != fault:
+                return real(*args)
+            if real.__name__ == "write":
+                raw = memoryview(args[0]).cast("B")
+                real(raw[: len(raw) // 2])
+            raise OSError(errno.ENOSPC, "injected fault")
 
+        class File:
             def __init__(self, fh):
                 self.fh = fh
 
@@ -451,28 +530,31 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.fh.close()
 
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
             def write(self, data):
-                if isinstance(data, np.ndarray):
-                    raw = data.view(np.uint8)
-                    self.fh.write(raw[: raw.size // 2])
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
+                return call(self.fh.write, data)
 
-        monkeypatch.setattr(training, "open",
-                            lambda *a, **kw: FailingFile(open(*a, **kw)), raising=False)
+            def truncate(self):
+                return call(self.fh.truncate)
+
+        monkeypatch.setattr(training, "open", lambda *a, **kw: File(open(*a, **kw)),
+                            raising=False)
+        for name in ("chmod", "link", "replace"):
+            monkeypatch.setattr(training.os, name, functools.partial(call, getattr(os, name)))
         params.flat += 1.0
-        with pytest.raises(OSError, match="no space"):
-            self._save(path, params, opt, 2)
+        with pytest.raises(OSError, match="injected fault"):
+            self._save(path, params, opt, 3)
         monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert load_checkpoint(str(path)).step == 1
-        # the half-written spare is rewritten by the next save
-        after = self._save(path, params, opt, 3)
-        assert load_checkpoint(str(path)).step == 3
-        assert after != before
+        assert calls == [name.split()[0] for name in self.SAVE_CALLS[: fault + 1]]
+        # PATH stays the previous checkpoint until the last rename has put the new one there
+        held = load_checkpoint(str(path)).step
+        if fault < len(self.SAVE_CALLS) - 1:
+            assert path.read_bytes() == before
+        assert held == (2 if fault < len(self.SAVE_CALLS) - 1 else 3)
+        # the next save succeeds, keeping what PATH held as the spare
+        self._save(path, params, opt, 4)
+        assert load_checkpoint(str(path)).step == 4
+        assert load_checkpoint(f"{path}.spare").step == held
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.spare"]
 
     def test_previous_checkpoint_stays_as_spare(self, tmp_path):
         params = tiny_params()
