@@ -3,10 +3,13 @@
 Subcommands: train, eval, gradcheck, trace, sample. Exit codes: 0 success,
 1 usage error, 2 numerical failure (non-finite loss, failed gradient check),
 3 I/O error. Bad input of any kind, flags and config files alike, raises
-ValueError where its value is checked; dispatch turns it into exit 1.
+ValueError where its value is checked; dispatch turns it into exit 1. A
+setting's text, from a flag or a config line, goes through parse_setting
+and then TrainConfig.validate, so one bad text gets one message.
 """
 
 import argparse
+import codecs
 import os
 import sys
 
@@ -28,91 +31,82 @@ from .training import (
 )
 
 
-def parse_variant(text):
-    """(variant, zoneout_rate) of a --variant or config file value: the
-    shorthand fixed:RATE is fixed_zoneout at RATE; any other text is a
-    variant name, left to TrainConfig.validate, with rate None."""
-    if not text.startswith("fixed:"):
-        return text, None
+def parse_setting(key, text):
+    """text as the type of TrainConfig field key, such as int("8"): the one
+    conversion of flags and config lines alike. Text that does not parse
+    stays text, for TrainConfig.validate to refuse with its rule."""
     try:
-        return "fixed_zoneout", float(text[len("fixed:"):])
+        return TrainConfig.__annotations__[key](text)
     except ValueError:
-        raise ValueError(f"--variant fixed:RATE needs a number, got {text!r}")
+        return text
 
 
 def read_config_file(path):
     """Flat UTF-8 key=value config, each key at most once; '#' starts a
-    comment, blanks ignored. A value that does not parse as its field's type
-    stays text, for TrainConfig.validate to refuse with its rule."""
+    comment, blanks are ignored and a leading byte-order mark is dropped.
+    Each value goes through parse_setting."""
     values, lines = {}, {}
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), 1):
-            try:
-                line = line.decode("utf-8").split("#", 1)[0].strip()
-            except UnicodeDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: byte 0x{line[err.start]:02x} is not UTF-8")
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            typ = TrainConfig.__annotations__.get(key)
-            if typ is None:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in lines:
-                raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
-            lines[key] = lineno
-            try:
-                values[key] = typ(value)
-            except ValueError:
-                values[key] = value
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    for lineno, line in enumerate(data.splitlines(), 1):
+        try:
+            line = line.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}:{lineno}: byte 0x{line[err.start]:02x} is not UTF-8")
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in TrainConfig.__annotations__:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
+        values[key] = parse_setting(key, value)
     return values
 
 
-# (flag, TrainConfig field, argparse keywords, help): the settings eval takes,
-# then the ones only train takes; each help ends with the field's default
+# (flag, TrainConfig field, help): the settings eval takes, then the ones
+# only train takes; each help ends with the field's default
 EVAL_FLAGS = (
-    ("--seed", "seed", {"type": int}, "rng seed"),
-    ("--mask-mode", "eval_mask_mode", {"choices": MASK_MODES}, "evaluation mask convention"),
+    ("--seed", "seed", "rng seed"),
+    ("--mask-mode", "eval_mask_mode", f"evaluation mask convention: {' | '.join(MASK_MODES)}"),
 )
 MODEL_FLAGS = (
-    ("--variant", "variant", {},
-     f"{' | '.join(VARIANTS)}, or fixed:RATE for fixed_zoneout at zoneout_rate RATE"),
-    ("--tau", "tau", {"type": float}, "minimum update probability of the adaptive variant"),
-    ("--hidden", "hidden", {"type": int}, "memory cells"),
-    ("--batch", "batch_size", {"type": int}, "batch lanes"),
-    ("--seq-len", "seq_len", {"type": int}, "BPTT window length"),
-    ("--chunk-len", "chunk_len", {"type": int}, "symbols per sampled chunk"),
-    ("--steps", "steps", {"type": int}, "total optimizer steps"),
-    ("--precision", "precision", {"choices": tuple(DTYPES)}, "float width"),
-    ("--lr", "lr", {"type": float}, "Adadelta step scale; desk-scale runs want 1.0"),
+    ("--variant", "variant", " | ".join(VARIANTS)),
+    ("--tau", "tau", "minimum update probability of the adaptive variant"),
+    ("--zoneout-rate", "zoneout_rate", "constant update probability of fixed_zoneout"),
+    ("--hidden", "hidden", "memory cells"),
+    ("--batch", "batch_size", "batch lanes"),
+    ("--seq-len", "seq_len", "BPTT window length"),
+    ("--chunk-len", "chunk_len", "symbols per sampled chunk"),
+    ("--steps", "steps", "total optimizer steps"),
+    ("--precision", "precision", f"float width: {' | '.join(DTYPES)}"),
+    ("--lr", "lr", "Adadelta step scale; desk-scale runs want 1.0"),
 )
 
 
 def _add_setting_flags(p, flags):
-    for flag, dest, kwargs, text in flags:
+    for flag, dest, text in flags:
         p.add_argument(flag, dest=dest, default=None,
-                       help=f"{text} (default {getattr(TrainConfig, dest)})", **kwargs)
+                       help=f"{text} (default {getattr(TrainConfig, dest)})")
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
 
 
 def build_config(args):
-    """TrainConfig from the --config file's values, overridden by every flag
-    args sets: each config flag's dest is its TrainConfig field. The file
-    may set only the subcommand's config_keys."""
+    """TrainConfig from the --config file's values, each overridden by the
+    flag of its field when args sets it; flag text goes through
+    parse_setting as config lines do. The file may set only the
+    subcommand's config_keys."""
     values = read_config_file(args.config) if args.config else {}
     for key in values:
         if key not in args.config_keys:
             raise ValueError(f"{args.config}: {args.command} takes only "
                              f"{' and '.join(args.config_keys)} from a config file, "
                              f"not {key!r}")
-    values.update((key, val) for key, val in vars(args).items()
-                  if key in TrainConfig.__annotations__ and val is not None)
-    if "variant" in values:
-        values["variant"], rate = parse_variant(values["variant"])
-        if rate is not None:
-            values["zoneout_rate"] = rate
+    values.update((key, parse_setting(key, text)) for key, text in vars(args).items()
+                  if key in TrainConfig.__annotations__ and text is not None)
     return TrainConfig(**values).validate()
 
 
@@ -147,9 +141,10 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    failed = False
+    require("--threshold", args.threshold, args.threshold > 0, "be positive")
+    seed, failed = parse_setting("seed", args.seed), False
     for variant in VARIANTS:
-        report = gradcheck_mod.tiny_window_check(variant, seed=args.seed, eps=args.eps)
+        report = gradcheck_mod.tiny_window_check(variant, seed=seed, eps=args.eps)
         ok = report.passed(args.threshold)
         failed = failed or not ok
         print(f"# variant={variant} max_rel_err={report.max_rel_err:.3e} "
@@ -168,7 +163,7 @@ def cmd_trace(args):
                          f"split of {len(split)} symbols")
     stream = split[args.offset: args.offset + args.window + 1]
     buffer = trace_stream(ckpt.params, stream, window=args.window,
-                          mask_mode=args.mask_mode, seed=args.seed)
+                          mask_mode=args.mask_mode, seed=parse_setting("seed", args.seed))
     if not np.isfinite(buffer.arena.p).all():
         raise NumericalError("non-finite outputs in the traced window")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -182,7 +177,7 @@ def cmd_trace(args):
 
 
 def cmd_sample(args):
-    check_integer("seed", args.seed, 0)
+    seed = check_integer("seed", parse_setting("seed", args.seed), 0)
     ckpt = load_checkpoint(args.checkpoint)
     params, vocab = ckpt.params, ckpt.vocab
     prompt = args.prompt.encode("utf-8")
@@ -191,12 +186,12 @@ def cmd_sample(args):
     require("--temperature", args.temperature, args.temperature > 0, "be positive")
     require("--length", args.length, args.length >= 0, "be nonnegative")
 
-    rng = RngState(args.seed).fork(STREAM_SAMPLE)
+    rng = RngState(seed).fork(STREAM_SAMPLE)
     # one walk over the prompt's rows, then the rows generation fills in
     n = len(prompt_idx)
     try:
         symbols = np.empty((n + args.length, 1), dtype=np.intp)
-    except MemoryError:
+    except (MemoryError, ValueError):   # ValueError: a size past numpy's largest array
         raise ValueError(f"--length {args.length} is more than memory can hold")
     symbols[:n, 0] = prompt_idx
 
@@ -242,12 +237,12 @@ def build_parser():
                    help="parallel contiguous segments (1 = strict sequential pass)")
     # the model itself comes from the checkpoint
     _add_setting_flags(p, EVAL_FLAGS)
-    p.set_defaults(func=cmd_eval, config_keys=tuple(field for _, field, _, _ in EVAL_FLAGS))
+    p.set_defaults(func=cmd_eval, config_keys=tuple(field for _, field, _ in EVAL_FLAGS))
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     p.add_argument("--eps", type=float, default=gradcheck_mod.DEFAULT_EPS)
     p.add_argument("--threshold", type=float, default=gradcheck_mod.PASS_THRESHOLD)
-    p.add_argument("--seed", type=int, default=gradcheck_mod.DEFAULT_SEED)
+    p.add_argument("--seed", default=gradcheck_mod.DEFAULT_SEED)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("trace", help="export gate/cell activity CSVs for a stream")
@@ -259,7 +254,7 @@ def build_parser():
     p.add_argument("--out-dir", default=".", help="directory for the CSV files")
     p.add_argument("--run-id", default="trace")
     p.add_argument("--mask-mode", choices=MASK_MODES, default="sampled")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sample", help="generate text from a checkpoint")
@@ -267,7 +262,7 @@ def build_parser():
     p.add_argument("--prompt", required=True, help="seed text, must use corpus bytes")
     p.add_argument("--length", type=int, default=200)
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=cmd_sample)
 
     return parser

@@ -113,8 +113,8 @@ def tiny_window_check(variant, seq_len=4, batch_size=2, vocab=5, seed=DEFAULT_SE
     central differences over every coordinate of every trainable block.
     """
     cfg = TrainConfig(hidden=8, variant=variant, precision="f64", seed=seed)
+    params = ModelParams.zeros(vocab, cfg)   # validates cfg before RngState takes its seed
     root = RngState(seed)
-    params = ModelParams.zeros(vocab, cfg)
     xavier_init(params, root.fork(1))
 
     # independent symbol stream per lane so batch-reduction bugs cannot cancel

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from conftest import synthetic_text
 from szlstm import cli
 from szlstm.cell import VARIANTS, ModelParams
-from szlstm.cli import build_config, build_parser, dispatch, parse_variant, read_config_file
+from szlstm.cli import build_config, build_parser, dispatch, read_config_file
 from szlstm.numerics import NumericalError
 from szlstm.optim import AdadeltaState
 from szlstm.training import (
@@ -26,20 +27,11 @@ def run(argv):
 
 
 class TestParsing:
-    def test_variants(self):
-        assert parse_variant("standard") == ("standard", None)
-        assert parse_variant("adaptive") == ("adaptive", None)
-        assert parse_variant("fixed:0.3") == ("fixed_zoneout", 0.3)
-
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            parse_variant("fixed:two")
-
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seq_len = 20\nhidden=32  # cells\n\nvariant = fixed:0.25\n")
+        cfg.write_text("seq_len = 20\nhidden=32  # cells\n\nvariant = fixed_zoneout\n")
         values = read_config_file(str(cfg))
-        assert values == {"seq_len": 20, "hidden": 32, "variant": "fixed:0.25"}
+        assert values == {"seq_len": 20, "hidden": 32, "variant": "fixed_zoneout"}
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -53,7 +45,7 @@ class TestConfigPrecedence:
 
     FILE = {"seed": 1, "tau": 0.1, "hidden": 8, "batch_size": 4, "seq_len": 10,
             "chunk_len": 50, "steps": 5, "precision": "f32", "eval_mask_mode": "expected",
-            "lr": 0.5}
+            "lr": 0.5, "variant": "fixed_zoneout", "zoneout_rate": 0.25}
 
     def config(self, tmp_path, *flags, extra=""):
         path = tmp_path / "run.cfg"
@@ -72,6 +64,8 @@ class TestConfigPrecedence:
         ("--precision", "f64", "precision", "f64"),
         ("--mask-mode", "sampled", "eval_mask_mode", "sampled"),
         ("--lr", "0.25", "lr", 0.25),
+        ("--variant", "sf", "variant", "sf"),
+        ("--zoneout-rate", "0.3", "zoneout_rate", 0.3),
     ])
     def test_flag_beats_file(self, tmp_path, flag, value, key, expected):
         cfg = self.config(tmp_path, flag, value)
@@ -83,19 +77,13 @@ class TestConfigPrecedence:
     def test_file_alone(self, tmp_path):
         cfg = self.config(tmp_path)
         assert {k: getattr(cfg, k) for k in self.FILE} == self.FILE
-        assert (cfg.variant, cfg.zoneout_rate) == ("adaptive", 0.5)
 
-    def test_file_variant_sets_the_rate(self, tmp_path):
-        cfg = self.config(tmp_path, extra="variant = fixed:0.25\n")
-        assert (cfg.variant, cfg.zoneout_rate) == ("fixed_zoneout", 0.25)
-
-    def test_variant_flag_beats_file_variant(self, tmp_path):
-        cfg = self.config(tmp_path, "--variant", "adaptive", extra="variant = fixed:0.25\n")
-        assert (cfg.variant, cfg.zoneout_rate) == ("adaptive", 0.5)
-
-    def test_variant_flag_rate_beats_file_rate(self, tmp_path):
-        cfg = self.config(tmp_path, "--variant", "fixed:0.3", extra="zoneout_rate = 0.2\n")
-        assert (cfg.variant, cfg.zoneout_rate) == ("fixed_zoneout", 0.3)
+    def test_byte_order_mark_dropped(self, tmp_path):
+        plain = self.config(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        args = build_parser().parse_args(["train", "corpus", "--config", str(path)])
+        assert build_config(args) == plain
 
 
 class TestEchoSpelling:
@@ -114,8 +102,8 @@ class TestEchoSpelling:
         assert (params.variant, params.zoneout_rate) == ("fixed_zoneout", 0.3)
 
     def test_checkpoint_echo_is_a_config_file(self, corpus_path, tmp_path, capsys):
-        assert run(["train", corpus_path, "--variant", "fixed:0.3", *self.FLAGS,
-                    "--run-dir", str(tmp_path), "--run-id", "first"]) == 0
+        assert run(["train", corpus_path, "--variant", "fixed_zoneout", "--zoneout-rate", "0.3",
+                    *self.FLAGS, "--run-dir", str(tmp_path), "--run-id", "first"]) == 0
         echo = asdict(load_checkpoint(str(tmp_path / "first.ckpt")).config)
         assert echo["variant"] == "fixed_zoneout"
         cfg = tmp_path / "echo.cfg"
@@ -403,7 +391,7 @@ SWEEP_SOURCE = sweep_source()
 MALFORMED = list(malformed_checkpoints(SWEEP_SOURCE, seed=0))
 
 # the settings eval reads from a config file
-EVAL_KEYS = tuple(field for _, field, _, _ in cli.EVAL_FLAGS)
+EVAL_KEYS = tuple(field for _, field, _ in cli.EVAL_FLAGS)
 
 
 def bad_config_files(seed):
@@ -577,16 +565,23 @@ class TestOneRuleEverySource:
 
     @pytest.mark.parametrize("flag,text,name,value", [
         ("--lr", "inf", "lr", float("inf")), ("--tau", "nan", "tau", float("nan")),
-        ("--hidden", "0", "hidden", 0), ("--steps", "-1", "steps", -1)])
-    def test_flag_and_config_file_get_the_config_message(self, corpus_path, tmp_path, capsys,
+        ("--hidden", "0", "hidden", 0), ("--steps", "-1", "steps", -1),
+        ("--hidden", "1.5", "hidden", "1.5"), ("--seed", "x", "seed", "x"),
+        ("--precision", "f16", "precision", "f16"),
+        ("--mask-mode", "bogus", "eval_mask_mode", "bogus"),
+        ("--variant", "fixed:0.3", "variant", "fixed:0.3"),
+        ("--zoneout-rate", "2", "zoneout_rate", 2.0)])
+    def test_flag_and_config_file_get_the_config_message(self, tmp_path, capsys,
                                                          flag, text, name, value):
         with pytest.raises(ValueError) as direct:
             TrainConfig(**{name: value}).validate()
-        cfg = tmp_path / "bad.cfg"
+        # a corpus too short for a chunk makes a value that wrongly passes fail fast
+        corpus, cfg = tmp_path / "tiny", tmp_path / "bad.cfg"
+        corpus.write_bytes(b"tiny corpus")
         cfg.write_text(f"{name} = {text}\n")
         run_dir = tmp_path / "runs"
         for source in ([flag, text], ["--config", str(cfg)]):
-            assert run(["train", corpus_path, *source, "--run-dir", str(run_dir)]) == 1
+            assert run(["train", str(corpus), *source, "--run-dir", str(run_dir)]) == 1
             assert capsys.readouterr().err == f"error: {direct.value}\n"
         assert not run_dir.exists()
 
@@ -622,11 +617,12 @@ class TestOneRuleEverySource:
                 "sample": ["sample", ckpt, "--prompt", bytes(corpus.vocab[:2]).decode("ascii"),
                            "--length", "5"],
                 "gradcheck": ["gradcheck"]}[command]
-        assert run([*argv, "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
-        assert captured.out == ""
-        assert not list(tmp_path.glob("**/*.csv"))
+        for text, value in (("-1", -1), ("x", "x"), ("1.5", "1.5")):
+            assert run([*argv, "--seed", text]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: seed must be an integer >= 0, got {value!r}\n"
+            assert captured.out == ""
+            assert not list(tmp_path.glob("**/*.csv"))
 
 
 class TestGradcheckCommand:
@@ -642,6 +638,14 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--eps", eps]) == 1
         captured = capsys.readouterr()
         assert f"eps must be positive, got {eps}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_non_positive_threshold_rejected(self, threshold, capsys):
+        # refused before any check runs: no check can pass at such a threshold
+        assert run(["gradcheck", "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --threshold must be positive, got {float(threshold)!r}\n"
         assert captured.out == ""
 
 
@@ -710,9 +714,9 @@ class TestTrainEvalCommands:
     def test_out_of_range_fixed_rate_rejected_before_any_write(
             self, corpus_path, tmp_path, capsys, rate):
         run_dir = tmp_path / "run"
-        assert run(["train", corpus_path, "--variant", f"fixed:{rate}", "--steps", "1",
-                    "--run-dir", str(run_dir)]) == 1
-        assert rate in capsys.readouterr().err
+        assert run(["train", corpus_path, "--variant", "fixed_zoneout", "--zoneout-rate", rate,
+                    "--steps", "1", "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == f"error: zoneout_rate must lie in [0, 1], got {rate}\n"
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("split", ["training", "validation"])
@@ -737,12 +741,19 @@ class TestTrainEvalCommands:
         (["--batch", str(10 ** 12)], "batch_size"),                # 364 TiB of window rows
         (["--seq-len", str(10 ** 12), "--chunk-len", str(10 ** 12)], "chunk_len"),  # 466 TiB
         (["--hidden", str(10 ** 10)], "hidden"),   # past numpy's largest array size
-    ], ids=["hidden", "batch", "seq-len", "hidden-1e10"])
+        *((["--chunk-len", str(2 ** k)], "chunk_len") for k in (63, 64)),
+        *((["--hidden", str(2 ** k)], "hidden") for k in (63, 64)),
+        *((["--batch", str(2 ** k)], "batch_size") for k in (63, 64)),
+        *((["--seq-len", str(2 ** k)], "seq_len") for k in (63, 64)),
+    ], ids=["hidden", "batch", "seq-len", "hidden-1e10",
+            *(f"{flag}-2**{k}" for flag in ("chunk-len", "hidden", "batch", "seq-len")
+              for k in (63, 64))])
     def test_unallocatable_size_refused_before_any_write(self, corpus_path, tmp_path, capsys,
                                                          flags, name):
-        # each size is past what a process can map (128 TiB on x86-64 Linux), so
-        # its allocation fails at once without touching memory; a chunk longer
-        # than the corpus is refused before any allocation
+        # each size is past what a process can map (128 TiB on x86-64 Linux) or
+        # past numpy's largest array, so its allocation fails at once without
+        # touching memory; a chunk longer than the corpus, or one that seq_len
+        # does not divide, is refused before any allocation
         run_dir = tmp_path / "run"
         assert run(["train", corpus_path, "--steps", "1", "--hidden", "8", *flags,
                     "--run-dir", str(run_dir)]) == 1
@@ -750,6 +761,22 @@ class TestTrainEvalCommands:
         assert captured.err.startswith("error:") and name in captured.err
         assert "Traceback" not in captured.err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("command,flag", [("trace", "--window"), ("eval", "--lanes")])
+    def test_unallocatable_window_or_lanes_refused(self, corpus, corpus_path, tmp_path, capsys,
+                                                   command, flag):
+        # 2**63 rows is past numpy's largest array: refused before any allocation
+        cfg = TrainConfig(hidden=4)
+        params = ModelParams.zeros(corpus.vocab_size, cfg)
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, params, AdadeltaState(params, cfg), cfg, corpus.vocab, step=0)
+        out_dir = tmp_path / "out"
+        argv = [command, ckpt, corpus_path, flag, str(2 ** 63)]
+        assert run([*argv, "--out-dir", str(out_dir)] if command == "trace" else argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag[2:] in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out_dir.exists()
 
     def test_invalid_flag_combination_names_field(self, corpus_path, tmp_path, capsys):
         code = run(["train", corpus_path, "--seq-len", "7", "--chunk-len", "50",
@@ -838,9 +865,11 @@ class TestSampleCommand:
 
     def test_unallocatable_length_rejected(self, checkpoint, capsys):
         # 10**14 rows of indices need about 728 TiB, beyond a 64-bit address
-        # space, so the allocation fails without touching memory
+        # space, so the allocation fails without touching memory; 2**60 and
+        # 2**63 rows are past numpy's largest array, refused before any mapping
         capsys.readouterr()
-        assert run(["sample", checkpoint, "--prompt", "the ", "--length", str(10 ** 14)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "--length" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
+        for length in (10 ** 14, 2 ** 60, 2 ** 63):
+            assert run(["sample", checkpoint, "--prompt", "the ", "--length", str(length)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "--length" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
